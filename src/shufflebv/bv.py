@@ -5,7 +5,10 @@ derivation of the shuffle product:
 
     {x, y} = (-1)^|x| D(x * y) - (-1)^|x| D(x) * y - x * D(y),
 
-with |x| the word degree and * the shuffle product.  ``check_dbv`` and
+with |x| the word degree and * the shuffle product.  The bracket and the
+order-n expression are both read off one memo per operator, keyed by
+tuples of basis words and filled by Koszul's recursion; the suites empty
+it after each sweep.  ``check_dbv`` and
 ``check_bvinf`` verify every axiom of the induced structure by exhaustive
 evaluation over basis words up to caller-supplied length bounds; failures
 are collected as data, never raised.
@@ -20,6 +23,7 @@ from typing import Callable, Sequence
 
 from .graded import InvalidInputError, Scalar, render_scalar
 from .kernel import merge_scaled
+from . import words
 from .operators import MultilinearMap, Operator, compose, induced_morphism
 from .words import (
     Shuffle,
@@ -28,9 +32,10 @@ from .words import (
     enumerate_shuffles,
     render_telement,
     shuffle_elements,
-    shuffle_many,
+    shuffle_terms,
     sorted_terms,
     word_degree,
+    word_parity,
     word_tuples_with_total,
     words_up_to,
 )
@@ -172,21 +177,91 @@ def run_axiom(
 # --------------------------------------------------------------------------
 
 
+def _defect_memo(D) -> dict[tuple[Word, ...], dict[Word, Scalar]]:
+    """The memo of F-values kept on ``D``, attached on first use to any
+    operator-like object (one with ``space``, ``degree`` and ``apply_word``)."""
+    memo = getattr(D, "_defects", None)
+    if memo is None:
+        memo = D._defects = {}
+    return memo
+
+
+def _forget_defects(*ops) -> None:
+    """Empty the defect memos of ``ops``; the suites call this after each sweep."""
+    for op in ops:
+        memo = getattr(op, "_defects", None)
+        if memo:
+            memo.clear()
+
+
+def _defect(D, memo: dict, key: tuple[Word, ...]) -> dict[Word, Scalar]:
+    """F_m(key) for m = len(key), stored in ``memo`` for m >= 2."""
+    if len(key) == 1:
+        return D.apply_word(key[0])
+    hit = memo.get(key)
+    if hit is None:
+        # shuffles inside a stored entry bypass the space's cache: the memo
+        # already holds what is built from them
+        hit = _koszul_step(D, memo, key, shuffle_terms)
+        memo[key] = hit
+    return hit
+
+
+def _cached_shuffle_terms(space, u: Word, v: Word) -> dict[Word, Scalar]:
+    # looked up on ``words`` at call time, so a wrapper installed there (the
+    # perfbench tracer's) sees these calls too
+    return words.shuffle(space, u, v).terms
+
+
+def _koszul_step(D, memo: dict, key: tuple[Word, ...], product) -> dict[Word, Scalar]:
+    """F_m(X, b, c) for m = len(key) >= 2, by Koszul's recursion
+
+        F_m(X, b, c) = sum_w [b*c]_w F_(m-1)(X, w) - F_(m-1)(X, b) * c
+                       - (-1)^(|b| (|D| + sum_(x in X) |x|)) b * F_(m-1)(X, c),
+
+    where F_1 = D and F_m is the order-(m-1) expression of ``order_defect``
+    at the basis words of ``key``.  ``product(space, u, v)`` gives the terms
+    of the shuffle of two words.
+    """
+    space = D.space
+    X, b, c = key[:-2], key[-2], key[-1]
+    acc: dict[Word, Scalar] = {}
+    for w, s in product(space, b, c).items():
+        merge_scaled(acc, _defect(D, memo, X + (w,)), s)
+    for w, s in _defect(D, memo, X + (b,)).items():
+        merge_scaled(acc, product(space, w, c), -s)
+    par = D.degree
+    for x in X:
+        par += word_parity(space, x)
+    sign = 1 if word_parity(space, b) & par & 1 else -1
+    for w, s in _defect(D, memo, X + (c,)).items():
+        merge_scaled(acc, product(space, b, w), sign * s)
+    return acc
+
+
 def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
     """Deviation of ``delta`` from being a derivation of the shuffle product.
 
-    Inputs of mixed word degree are split into homogeneous parts and the
-    bracket is extended bilinearly.
+    Extended bilinearly over the words u of x and v of y, where
+    {u, v} = (-1)^|u| F_2(u, v) with F_2 the memoised order-1 expression.
     """
     space = x.space
-    acc = TElement.zero(space)
-    for dx, xh in x.homogeneous_parts().items():
-        sx = -1 if dx & 1 else 1
-        dxh = delta(xh)
-        for _, yh in y.homogeneous_parts().items():
-            t = delta(shuffle_elements(xh, yh)) - shuffle_elements(dxh, yh)
-            acc = acc + sx * t - shuffle_elements(xh, delta(yh))
-    return acc
+    if y.space != space:
+        raise InvalidInputError("elements live in different spaces")
+    memo = _defect_memo(delta)
+    even = not delta.degree & 1
+    acc: dict[Word, Scalar] = {}
+    for u, cu in x.terms.items():
+        odd_u = word_parity(space, u)
+        for v, cv in y.terms.items():
+            c = cu * cv
+            merge_scaled(acc, _defect(delta, memo, (u, v)), -c if odd_u else c)
+            if even and odd_u:
+                # F_2 signs the term u * D(v) by (-1)^(|u| |D|), the bracket
+                # by -1: they differ only for an even D and an odd u
+                for w, s in delta.apply_word(v).items():
+                    merge_scaled(acc, shuffle_terms(space, u, w), -2 * c * s)
+    return TElement._make(space, acc)
 
 
 def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
@@ -198,7 +273,8 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
 
     with the complement in increasing order and kappa the Koszul sign of
     the reordering, computed on word degrees.  Zero iff D has order n at
-    these inputs.  Subsets are visited in lexicographic order.
+    these inputs.  Computed multilinearly over the input words by Koszul's
+    recursion, which reuses the memoised lower-order expressions.
     """
     if n < 1:
         raise InvalidInputError(f"order must be >= 1, got {n}")
@@ -207,27 +283,20 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
     space = D.space
     if any(x.is_zero() for x in inputs):
         return TElement.zero(space)
-    degs = [x.degree() for x in inputs]  # raises on inhomogeneous input
-    k = n + 1
-    indices = range(k)
-    subsets = sorted(
-        (tuple(s) for r in range(1, k + 1) for s in itertools.combinations(indices, r))
-    )
+    for x in inputs:
+        x.degree()  # raises on inhomogeneous input
+        if x.space != space:
+            raise InvalidInputError("elements live in different spaces")
+    memo = _defect_memo(D)
     acc: dict[Word, Scalar] = {}
-    for sel in subsets:
-        selset = set(sel)
-        rest = [i for i in indices if i not in selset]
-        kappa = 0
-        for a in rest:
-            for b in sel:
-                if a < b:
-                    kappa ^= (degs[a] & 1) & (degs[b] & 1)
-        sign = (n + 1 - len(sel) + kappa) & 1
-        inner = D(shuffle_many(space, [inputs[i] for i in sel]))
-        if inner.is_zero():
-            continue
-        term = shuffle_elements(inner, shuffle_many(space, [inputs[i] for i in rest]))
-        merge_scaled(acc, term.terms, -1 if sign else 1)
+    for combo in itertools.product(*(x.terms.items() for x in inputs)):
+        coeff = 1
+        for _, c in combo:
+            coeff *= c
+        # no sweep repeats a case tuple, so the top level is not stored;
+        # its shuffles recur across cases and go through the space's cache
+        key = tuple(w for w, _ in combo)
+        merge_scaled(acc, _koszul_step(D, memo, key, _cached_shuffle_terms), coeff)
     return TElement._make(space, acc)
 
 
@@ -371,10 +440,13 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         ("delta_order_2", f"triples <= {bounds.ternary}", triples,
          lambda c: order_defect(delta, 2, [el(w) for w in c])),
     ]
-    return [
-        run_axiom(name, bound, cases, fn, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
-        for name, bound, cases, fn in runs
-    ]
+    reports = []
+    for name, bound, cases, fn in runs:
+        reports.append(
+            run_axiom(name, bound, cases, fn, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+        )
+        _forget_defects(d, delta)
+    return reports
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -396,17 +468,19 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     el = lambda w: TElement.word(space, w)
     reports = []
 
-    d_lift = ainf.delta_op(1)
-    reports.append(
-        run_axiom(
-            "delta_1_is_d",
-            f"words <= {bounds.unary}",
-            singles,
-            lambda c: TElement._make(space, ops[1].apply_word(c[0]))
-            - TElement._make(space, d_lift.apply_word(c[0])),
-            fail_cap=bounds.fail_cap,
-            jobs=bounds.jobs,
+    def sweep(name, bound, cases, fn):
+        reports.append(
+            run_axiom(name, bound, cases, fn, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
         )
+        _forget_defects(*ops.values())
+
+    d_lift = ainf.delta_op(1)
+    sweep(
+        "delta_1_is_d",
+        f"words <= {bounds.unary}",
+        singles,
+        lambda c: TElement._make(space, ops[1].apply_word(c[0]))
+        - TElement._make(space, d_lift.apply_word(c[0])),
     )
 
     for k in range(1, K + 1):
@@ -423,26 +497,18 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             }
             return TElement._make(space, bad)
 
-        reports.append(
-            run_axiom(
-                f"degree_delta_{g}",
-                f"words <= {bounds.unary}",
-                singles,
-                degree_defect,
-                fail_cap=bounds.fail_cap,
-                jobs=bounds.jobs,
-            )
+        sweep(
+            f"degree_delta_{g}",
+            f"words <= {bounds.unary}",
+            singles,
+            degree_defect,
         )
         tuples = word_tuples_with_total(space, k + 1, (k + 1) + bounds.order_slack)
-        reports.append(
-            run_axiom(
-                f"order_{k}_delta_{g}",
-                f"{k + 1} nonempty words, total <= {k + 1 + bounds.order_slack}",
-                tuples,
-                lambda case, op=op, k=k: order_defect(op, k, [el(w) for w in case]),
-                fail_cap=bounds.fail_cap,
-                jobs=bounds.jobs,
-            )
+        sweep(
+            f"order_{k}_delta_{g}",
+            f"{k + 1} nonempty words, total <= {k + 1 + bounds.order_slack}",
+            tuples,
+            lambda case, op=op, k=k: order_defect(op, k, [el(w) for w in case]),
         )
 
     degrees = {3 - 2 * k: ops[k] for k in ops}
@@ -462,15 +528,11 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
                 acc = acc + P(TElement._make(space, Q.apply_word(w)))
             return acc
 
-        reports.append(
-            run_axiom(
-                f"sum_relation_n_{total}",
-                f"words <= {bounds.unary}",
-                singles,
-                relation_defect,
-                fail_cap=bounds.fail_cap,
-                jobs=bounds.jobs,
-            )
+        sweep(
+            f"sum_relation_n_{total}",
+            f"words <= {bounds.unary}",
+            singles,
+            relation_defect,
         )
     return reports
 

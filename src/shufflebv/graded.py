@@ -95,6 +95,8 @@ class GradedSpace:
         self._shuffle_cache: dict = {}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, GradedSpace)
             and self.name == other.name
@@ -121,9 +123,6 @@ class GradedSpace:
             raise InvalidInputError(
                 f"unknown letter {letter_id!r} in space {self.name!r}"
             ) from None
-
-    def shifted(self, letter_id: str) -> int:
-        return self.degree(letter_id) + 1
 
     def shifted_parity(self, letter_id: str) -> int:
         try:

@@ -112,22 +112,19 @@ class MultilinearMap:
         )
 
 
-def scalar_entries(entries) -> dict[str, Scalar]:
-    """Helper for literal tables: accepts {id: int} dicts unchanged."""
-    return dict(entries)
-
-
 class Operator:
     """A degree-homogeneous endomorphism of the word space, given by a rule.
 
     Subclasses implement ``_apply_word``; results are memoised per word and
-    must be treated as immutable by callers.
+    must be treated as immutable by callers.  ``_defects`` is the memo of
+    defect expressions on word tuples that ``bv`` keeps for this operator.
     """
 
     def __init__(self, space: GradedSpace, degree: int):
         self.space = space
         self.degree = degree
         self._cache: dict[Word, dict[Word, Scalar]] = {}
+        self._defects: dict[tuple[Word, ...], dict[Word, Scalar]] = {}
 
     def apply_word(self, w: Word) -> dict[Word, Scalar]:
         w = tuple(w)
@@ -154,6 +151,7 @@ class Operator:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_cache"] = {}
+        state["_defects"] = {}
         return state
 
 
@@ -229,7 +227,11 @@ def lift_coderivation(c: MultilinearMap) -> Operator:
 
 
 class ComposedOperator(Operator):
-    """(P o Q)(w) = P(Q(w)); degrees add."""
+    """(P o Q)(w) = P(Q(w)); degrees add.
+
+    Results are not memoised: P and Q cache their own, and the axiom sweeps
+    apply a composite once per word.
+    """
 
     def __init__(self, P: Operator, Q: Operator):
         if P.space != Q.space:
@@ -238,7 +240,7 @@ class ComposedOperator(Operator):
         self.outer = P
         self.inner = Q
 
-    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
+    def apply_word(self, w: Word) -> dict[Word, Scalar]:
         acc: dict[Word, Scalar] = {}
         for w1, c1 in self.inner.apply_word(w).items():
             merge_scaled(acc, self.outer.apply_word(w1), c1)
@@ -246,7 +248,10 @@ class ComposedOperator(Operator):
 
 
 class OperatorSum(Operator):
-    """A finite linear combination of operators of one common degree."""
+    """A finite linear combination of operators of one common degree.
+
+    Not memoised, for the same reason as ``ComposedOperator``.
+    """
 
     def __init__(self, parts: list[tuple[Scalar, Operator]]):
         if not parts:
@@ -263,7 +268,7 @@ class OperatorSum(Operator):
         super().__init__(first.space, first.degree)
         self.parts = [(normalize_scalar(c), op) for c, op in parts]
 
-    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
+    def apply_word(self, w: Word) -> dict[Word, Scalar]:
         acc: dict[Word, Scalar] = {}
         for c, op in self.parts:
             if c:

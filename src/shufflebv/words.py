@@ -223,6 +223,24 @@ def render_telement(x: "TElement", tensor: str = "(x)") -> str:
     return " ".join(chunks)
 
 
+def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
+    """Terms of the shuffle product of two words, computed afresh.
+
+    The uncached product behind ``shuffle``; for callers that keep their own
+    memo of what they build from it.
+    """
+    pu = tuple(space.shifted_parity(a) for a in u)  # also validates letters
+    pv = tuple(space.shifted_parity(a) for a in v)
+    terms: dict[Word, Scalar] = {}
+    for w, s in shuffle_signed(u, v, pu, pv):
+        val = terms.get(w, 0) + s
+        if val:
+            terms[w] = val
+        elif w in terms:
+            del terms[w]
+    return terms
+
+
 def shuffle(space: GradedSpace, u: Word, v: Word) -> TElement:
     """Shuffle product of two words, with Koszul signs on shifted degrees.
 
@@ -233,16 +251,7 @@ def shuffle(space: GradedSpace, u: Word, v: Word) -> TElement:
     key = (u, v)
     hit = cache.get(key)
     if hit is None:
-        pu = tuple(space.shifted_parity(a) for a in u)  # also validates letters
-        pv = tuple(space.shifted_parity(a) for a in v)
-        terms: dict[Word, Scalar] = {}
-        for w, s in shuffle_signed(u, v, pu, pv):
-            val = terms.get(w, 0) + s
-            if val:
-                terms[w] = val
-            elif w in terms:
-                del terms[w]
-        hit = TElement._make(space, terms)
+        hit = TElement._make(space, shuffle_terms(space, u, v))
         cache[key] = hit
     return hit
 

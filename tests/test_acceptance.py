@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per criterion, exact equality throughout.
+"""Acceptance suite: one test per criterion, exact equality throughout,
+plus cross-checks of the memoised defects against their reference
+definitions on the criteria's inputs.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
@@ -10,6 +12,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from defect_reference import bracket_reference, order_defect_reference
 
 from shufflebv.algebra_io import (
     DGAlgebra,
@@ -113,47 +116,62 @@ def test_criterion_3_commutative_degeneration():
         print(f"  {count} pairs", end=" ")
 
 
+def _random_lifts(sp):
+    """Criterion 4's maps: (arity, degree, lift) for 7, 7 and 6 random
+    maps of arity 1, 2 and 3, with small integral structure constants."""
+    rng = random.Random(7)
+
+    def random_map(arity, degree):
+        table = {}
+        for ids in itertools.product(sp.ids, repeat=arity):
+            want = sum(sp.degree(a) for a in ids) + degree
+            outs = {
+                a: rng.choice([-1, 0, 1, 2])
+                for a in sp.ids
+                if sp.degree(a) == want
+            }
+            outs = {a: c for a, c in outs.items() if c}
+            if outs:
+                table[ids] = outs
+        return MultilinearMap(sp, arity, degree, table)
+
+    for arity, n_maps in ((1, 7), (2, 7), (3, 6)):
+        for _ in range(n_maps):
+            degree = rng.choice([-1, 0, 1, 2 - arity])
+            yield arity, degree, lift_coderivation(random_map(arity, degree))
+
+
 def test_criterion_4_order_lemma_random_maps():
     with criterion(4, "lifts of random arity-k maps have operator order k"):
-        rng = random.Random(7)
         sp = GradedSpace("rand2", [BasisLetter("x", 0), BasisLetter("y", 1)])
-
-        def random_map(arity, degree):
-            table = {}
-            for ids in itertools.product(sp.ids, repeat=arity):
-                want = sum(sp.degree(a) for a in ids) + degree
-                outs = {
-                    a: rng.choice([-1, 0, 1, 2])
-                    for a in sp.ids
-                    if sp.degree(a) == want
-                }
-                outs = {a: c for a, c in outs.items() if c}
-                if outs:
-                    table[ids] = outs
-            return MultilinearMap(sp, arity, degree, table)
-
         checked = 0
-        for arity, n_maps in ((1, 7), (2, 7), (3, 6)):
+        for arity, degree, D in _random_lifts(sp):
             tuples = word_tuples_with_total(sp, arity + 1, 6)
             singles = [t for t in tuples if all(len(w) == 1 for w in t)]
             assert singles  # single-letter tuples are part of the sweep
-            hierarchy_tuples = word_tuples_with_total(sp, arity + 2, 6)
-            for _ in range(n_maps):
-                degree = rng.choice([-1, 0, 1, 2 - arity])
-                D = lift_coderivation(random_map(arity, degree))
-                for t in tuples:
-                    defect = order_defect(
-                        D, arity, [TElement.word(sp, w) for w in t]
-                    )
-                    assert defect.is_zero(), (arity, degree, t)
-                for t in hierarchy_tuples:
-                    defect = order_defect(
-                        D, arity + 1, [TElement.word(sp, w) for w in t]
-                    )
-                    assert defect.is_zero(), ("hierarchy", arity, degree, t)
-                checked += 1
+            for t in tuples:
+                defect = order_defect(D, arity, [TElement.word(sp, w) for w in t])
+                assert defect.is_zero(), (arity, degree, t)
+            for t in word_tuples_with_total(sp, arity + 2, 6):
+                defect = order_defect(D, arity + 1, [TElement.word(sp, w) for w in t])
+                assert defect.is_zero(), ("hierarchy", arity, degree, t)
+            checked += 1
         assert checked == 20
         print(f"  {checked} maps", end=" ")
+
+
+def test_order_defect_matches_reference_on_random_lifts():
+    # below the lift's arity the defects are nonzero, so signs are compared
+    sp = GradedSpace("rand2", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    nonzero = 0
+    for arity, degree, D in _random_lifts(sp):
+        for n in range(1, arity + 1):
+            for t in word_tuples_with_total(sp, n + 1, n + 3):
+                xs = [TElement.word(sp, w) for w in t]
+                got = order_defect(D, n, xs)
+                assert got.terms == order_defect_reference(D, n, xs).terms, (arity, degree, n, t)
+                nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_criterion_5_bvinf_suite_on_mu3_fixture():
@@ -239,6 +257,23 @@ class _NoPrefixSignLift:
         for w, c in x.terms.items():
             acc = acc + c * TElement(self.space, self.apply_word(w))
         return acc
+
+
+def test_memo_matches_reference_on_unsigned_lift(end2):
+    # an operator-like object that is not an Operator gets a memo too
+    lift = _NoPrefixSignLift(end2.mu)
+    el = lambda w: TElement.word(end2.space, w)
+    for u, v in itertools.product(words_up_to(end2.space, 2), repeat=2):
+        x, y = el(u), el(v)
+        assert bracket(x, y, lift).terms == bracket_reference(x, y, lift).terms, (u, v)
+        assert order_defect(lift, 1, [x, y]).terms == order_defect_reference(lift, 1, [x, y]).terms
+    nonzero = 0
+    for t in itertools.product(words_up_to(end2.space, 1), repeat=3):
+        xs = [el(w) for w in t]
+        got = order_defect(lift, 2, xs)
+        assert got.terms == order_defect_reference(lift, 2, xs).terms, t
+        nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_criterion_8_deviation_order_consistency(end2, dbv_reports):

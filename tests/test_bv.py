@@ -1,9 +1,13 @@
 """Bracket, operator order, C-sets, axiom suites, sign regressions."""
 
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
+from defect_reference import bracket_reference, order_defect_reference
 
+import shufflebv.bv
 from shufflebv.algebra_io import DGAlgebra, builtin, validate_ainf, validate_dga, validate_morphism
 from shufflebv.bv import (
     Bounds,
@@ -17,12 +21,13 @@ from shufflebv.bv import (
     run_axiom,
 )
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
-from shufflebv.operators import MultilinearMap, lift_coderivation
+from shufflebv.operators import MultilinearMap, compose, graded_anticommutator, lift_coderivation
 from shufflebv.words import (
     TElement,
     enumerate_shuffles,
     shuffle,
     word_degree,
+    word_tuples_with_total,
     words_up_to,
 )
 
@@ -74,13 +79,14 @@ def test_bracket_vanishes_for_commutative_product(name):
 
 
 def test_bracket_is_signed_order_one_defect(end2):
-    # {x, y} = (-1)^|x| * (order-1 expression of delta at (x, y))
+    # {x, y} = (-1)^|x| * (order-1 expression of delta at (x, y)), the right
+    # side by the subset-sum definition, not by the memo the bracket reads
     words = words_up_to(end2.space, 2)
     for u, v in itertools.product(words, repeat=2):
         x, y = el(end2, u), el(end2, v)
         sign = -1 if word_degree(end2.space, u) & 1 else 1
         lhs = bracket(x, y, end2.delta_op)
-        rhs = sign * order_defect(end2.delta_op, 1, [x, y])
+        rhs = sign * order_defect_reference(end2.delta_op, 1, [x, y])
         assert lhs == rhs, (u, v)
 
 
@@ -94,6 +100,102 @@ def test_bracket_extends_bilinearly(end2):
     for part in parts.values():
         expected = expected + bracket(part, y, end2.delta_op)
     assert got == expected
+
+
+# -- the memoised defects against the reference definitions ----------------------
+
+
+def end2_operators(alg):
+    d, delta = alg.d_op, alg.delta_op
+    return {
+        "d": d,
+        "delta": delta,
+        "delta.d": compose(delta, d),
+        "delta.delta": compose(delta, delta),
+        "[d,delta]": graded_anticommutator(d, delta),
+    }
+
+
+def test_memo_matches_reference_on_end2_operators(end2):
+    # degrees 1, -1, 0, -2 and 0: every sign branch of the recursion
+    pairs = list(itertools.product(words_up_to(end2.space, 2), repeat=2))
+    triples = list(itertools.product(words_up_to(end2.space, 1), repeat=3))
+    nonzero = 0
+    for name, op in end2_operators(end2).items():
+        for u, v in pairs:
+            x, y = el(end2, u), el(end2, v)
+            got = bracket(x, y, op)
+            assert got.terms == bracket_reference(x, y, op).terms, (name, u, v)
+            got = order_defect(op, 1, [x, y])
+            assert got.terms == order_defect_reference(op, 1, [x, y]).terms, (name, u, v)
+            nonzero += not got.is_zero()
+        for t in triples:
+            xs = [el(end2, w) for w in t]
+            got = order_defect(op, 2, xs)
+            assert got.terms == order_defect_reference(op, 2, xs).terms, (name, t)
+    assert nonzero  # the comparison is not only between zeros
+
+
+def test_memo_matches_reference_on_ainf_lifts():
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    for k in (1, 2, 3):
+        op = ainf.delta_op(k)
+        for t in word_tuples_with_total(ainf.space, k + 1, k + 3):
+            xs = [TElement.word(ainf.space, w) for w in t]
+            got = order_defect(op, k, xs)
+            assert got.terms == order_defect_reference(op, k, xs).terms, (k, t)
+
+
+def test_memo_matches_reference_on_mixed_coefficients(end2):
+    sp = end2.space
+    half = Fraction(1, 2)
+    # several words of one degree each, with rational coefficients
+    x = TElement(sp, {("a",): half, ("b", "e"): -3, ("e",): 1})
+    y = TElement(sp, {("b",): 2, ("b", "b"): Fraction(-2, 3)})
+    z = TElement(sp, {("c",): 1, ("a", "e"): half})
+    for op in end2_operators(end2).values():
+        assert order_defect(op, 1, [x, y]).terms == order_defect_reference(op, 1, [x, y]).terms
+        got = order_defect(op, 2, [x, y, z])
+        assert got.terms == order_defect_reference(op, 2, [x, y, z]).terms
+    # the bracket also takes sums of words of different degrees
+    mixed = TElement(sp, {("a",): half, ("a", "b"): 2, ("c",): -1, (): 3})
+    for op in end2_operators(end2).values():
+        for p, q in ((mixed, y), (x, mixed), (mixed, mixed)):
+            assert bracket(p, q, op).terms == bracket_reference(p, q, op).terms
+    assert not bracket(mixed, y, end2.delta_op).is_zero()
+
+
+# -- the defect memo's lifetime ---------------------------------------------------
+
+
+def test_defect_memo_lives_for_one_sweep(monkeypatch):
+    dga = validate_dga(builtin("end-two-term-complex"))
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    ops = [dga.d_op, dga.delta_op] + [ainf.delta_op(k) for k in (1, 2, 3)]
+    held = []
+    run_axiom_orig = shufflebv.bv.run_axiom
+
+    def watched(*args, **kwargs):
+        assert all(not op._defects for op in ops)
+        report = run_axiom_orig(*args, **kwargs)
+        held.append(sum(len(op._defects) for op in ops))
+        return report
+
+    monkeypatch.setattr(shufflebv.bv, "run_axiom", watched)
+    check_dbv(dga, Bounds(unary=2, binary=1, ternary=1))
+    check_bvinf(ainf, 3, Bounds(unary=2, order_slack=1))
+    assert any(held)  # the sweeps do fill the memo
+    assert all(not op._defects for op in ops)
+
+
+def test_pickled_operator_drops_its_memos(end2):
+    op = lift_coderivation(end2.mu)
+    bracket(el(end2, ("b", "c")), el(end2, ("c",)), op)
+    assert op._defects and op._cache
+    clone = pickle.loads(pickle.dumps(op))
+    assert clone._defects == {} and clone._cache == {}
+    got = bracket(el(end2, ("b", "c")), el(end2, ("c",)), clone)
+    assert got == bracket(el(end2, ("b", "c")), el(end2, ("c",)), op)
 
 
 # -- C-sets and bracket support ---------------------------------------------------
@@ -187,6 +289,14 @@ def test_order_defect_errors(end2):
     mixed = TElement(end2.space, {("a",): 1, ("a", "a"): 1})
     with pytest.raises(Exception):
         order_defect(end2.delta_op, 1, [mixed, x])
+
+
+def test_bracket_and_order_defect_reject_foreign_elements(end2, full2):
+    x, other = el(end2, ("a",)), el(full2, ("e11",))
+    with pytest.raises(InvalidInputError):
+        bracket(x, other, end2.delta_op)
+    with pytest.raises(InvalidInputError):
+        order_defect(end2.delta_op, 1, [x, other])
 
 
 def test_order_defect_zero_input_gives_zero(end2):

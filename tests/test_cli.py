@@ -200,25 +200,22 @@ def test_check_json_report_deterministic_across_processes(fixture_file):
     assert outputs[0] == outputs[1]
 
 
-def test_check_jobs_flag(fixture_file):
-    path = fixture_file("end-two-term-complex")
-    assert (
-        main(
-            [
-                "check",
-                path,
-                "--jobs",
-                "2",
-                "--max-len",
-                "3",
-                "--pair-len",
-                "1",
-                "--triple-len",
-                "1",
-            ]
-        )
-        == 0
-    )
+def test_check_jobs_flag(fixture_file, capsys):
+    # the pool path must give the same report as the sequential one, on a
+    # failing algebra with its failure witnesses and their order too
+    for mutate, extra, code in ((None, [], 0), (corrupt_mu, ["--assume-valid"], 1)):
+        path = fixture_file("end-two-term-complex", mutate=mutate)
+        args = ["check", path, *extra, "--report", "json", "--max-len", "3",
+                "--pair-len", "1", "--triple-len", "1"]
+        payloads = []
+        for jobs in (1, 2):
+            assert main(args + ["--jobs", str(jobs)]) == code
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("meta")
+            assert payload["config"].pop("jobs") == jobs
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert any(a["failures"] for a in payloads[0]["axioms"]) == bool(code)
 
 
 # -- eval -------------------------------------------------------------------

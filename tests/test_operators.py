@@ -197,6 +197,8 @@ def test_anticommutator(end2):
     anti = graded_anticommutator(end2.d_op, zero)
     for w in words_up_to(sp, 3):
         assert anti.apply_word(w) == {}
+    # composites and sums store nothing; their parts cache their own results
+    assert not (dd2._cache or dd._cache or mixed._cache or mixed.parts[0][1]._cache)
 
 
 # -- coderivation defect --------------------------------------------------------
