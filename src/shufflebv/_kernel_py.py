@@ -71,23 +71,28 @@ def shuffle_signed(u, v, pu, pv):
     for i in range(n - 1, -1, -1):
         su[i] = su[i + 1] ^ pu[i]
     out = []
+    append = out.append
     word = [None] * (n + m)
-
-    def rec(i, j, par):
+    # Depth-first over (i, j, parity, letter): letters u[:i] and v[:j] are
+    # placed, and ``letter`` goes to slot i + j - 1.  An explicit stack, not
+    # a self-referencing closure, so the output is never part of a cycle and
+    # is freed as soon as the caller drops it.
+    stack = [(0, 0, 0, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, j, par, letter = pop()
         k = i + j
+        if k:
+            word[k - 1] = letter
         if i == n:
             word[k:] = v[j:]
-            out.append((tuple(word), -1 if par else 1))
-            return
-        if j == m:
+            append((tuple(word), -1 if par else 1))
+        elif j == m:
             word[k:] = u[i:]
-            out.append((tuple(word), -1 if par else 1))
-            return
-        word[k] = u[i]
-        rec(i + 1, j, par)
-        # v[j] emitted now crosses every remaining letter of u
-        word[k] = v[j]
-        rec(i, j + 1, par ^ (pv[j] & su[i]))
-
-    rec(0, 0, 0)
+            append((tuple(word), -1 if par else 1))
+        else:
+            # v[j] emitted now crosses every remaining letter of u; it is
+            # pushed first so that the branch taking u[i] is enumerated first
+            push((i, j + 1, par ^ (pv[j] & su[i]), v[j]))
+            push((i + 1, j, par, u[i]))
     return out

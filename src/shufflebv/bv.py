@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +31,7 @@ from .words import (
     TElement,
     Word,
     enumerate_shuffles,
+    peek_shuffle_terms,
     render_telement,
     shuffle_elements,
     shuffle_terms,
@@ -127,6 +129,14 @@ def _parallel_case(case):
     return defect
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_axiom(
     name: str,
     bound: str,
@@ -139,10 +149,11 @@ def run_axiom(
     """Evaluate one identity over a case list, collecting nonzero defects.
 
     Cases are independent; with jobs > 1 they are evaluated by a fork-based
-    worker pool and merged back in case order, so reports are deterministic
-    either way.
+    worker pool of at most one worker per usable CPU and merged back in case
+    order, so reports are deterministic either way.
     """
     report = AxiomReport(name=name, bound=bound, cases=len(cases))
+    jobs = min(jobs, _usable_cpus())
     if jobs > 1 and len(cases) >= 4 * jobs:
         try:
             ctx = multiprocessing.get_context("fork")
@@ -200,9 +211,9 @@ def _defect(D, memo: dict, key: tuple[Word, ...]) -> dict[Word, Scalar]:
         return D.apply_word(key[0])
     hit = memo.get(key)
     if hit is None:
-        # shuffles inside a stored entry bypass the space's cache: the memo
-        # already holds what is built from them
-        hit = _koszul_step(D, memo, key, shuffle_terms)
+        # shuffles inside a stored entry never fill the space's cache: the
+        # memo already holds what is built from them
+        hit = _koszul_step(D, memo, key, peek_shuffle_terms)
         memo[key] = hit
     return hit
 
@@ -386,7 +397,8 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         itertools.product(words_up_to(space, bounds.ternary), repeat=3)
     )
     wd = lambda w: word_degree(space, w)
-    el = lambda w: TElement.word(space, w)
+    # case words come from ``words_up_to`` on this space: trusted
+    el = lambda w: TElement._make(space, {w: 1})
 
     dd = compose(d, d)
     delta2 = compose(delta, delta)
@@ -465,7 +477,9 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     space = ainf.space
     ops = {k: ainf.delta_op(k) for k in range(1, K + 1)}
     singles = [(w,) for w in words_up_to(space, bounds.unary)]
-    el = lambda w: TElement.word(space, w)
+    # case words come from ``words_up_to`` or ``word_tuples_with_total`` on
+    # this space: trusted
+    el = lambda w: TElement._make(space, {w: 1})
     reports = []
 
     def sweep(name, bound, cases, fn):
@@ -545,7 +559,8 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
     src, tgt = morph.source, morph.target
     singles = [(w,) for w in words_up_to(src.space, bounds.unary)]
     pairs = list(itertools.product(words_up_to(src.space, bounds.binary), repeat=2))
-    el = lambda w: TElement.word(src.space, w)
+    # case words come from ``words_up_to`` on the source space: trusted
+    el = lambda w: TElement._make(src.space, {w: 1})
 
     runs = [
         ("morphism_commutes_d", f"words <= {bounds.unary}", singles,

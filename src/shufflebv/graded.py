@@ -93,6 +93,8 @@ class GradedSpace:
         # parity of the shifted degree, the only part signs ever need
         self._sparity = {l.id: (l.degree + 1) & 1 for l in letters}
         self._shuffle_cache: dict = {}
+        # one tuple object per basis word; see ``words.word_table``
+        self._word_table: dict = {}
 
     def __eq__(self, other):
         if self is other:

@@ -33,7 +33,7 @@ from .graded import (
     normalize_scalar,
 )
 from .kernel import merge_scaled
-from .words import TElement, Word, deconcatenations, word_parity
+from .words import TElement, Word, deconcatenations, word_parity, word_table
 
 
 class MultilinearMap:
@@ -203,6 +203,7 @@ class LiftedCoderivation(Operator):
             return out
         table = self.component.table
         sparity = self.space.shifted_parity
+        intern = word_table(self.space).setdefault
         prefix_par = 0
         for i in range(n - k + 1):
             if i:
@@ -219,7 +220,7 @@ class LiftedCoderivation(Operator):
                         out[w2] = val
                     elif w2 in out:
                         del out[w2]
-        return out
+        return {intern(w2, w2): c for w2, c in out.items()}
 
 
 def lift_coderivation(c: MultilinearMap) -> Operator:

@@ -24,6 +24,18 @@ from .kernel import merge_scaled, shuffle_signed
 Word = tuple[str, ...]
 
 
+def word_table(space: GradedSpace) -> dict[Word, Word]:
+    """The intern table of ``space``: maps each word it has seen to the one
+    tuple object that stands for it.
+
+    Words pass through it where they are made (``words_up_to``,
+    ``shuffle_terms``, the coderivation lifts), so the caches share one
+    object per word; intern with ``table.setdefault(w, w)``.  Like the
+    shuffle cache, it is not pickled.
+    """
+    return space._word_table
+
+
 def word_degree(space: GradedSpace, w: Word) -> int:
     """Degree of a word: the sum of its shifted letter degrees."""
     return sum(space.degree(a) + 1 for a in w)
@@ -238,7 +250,8 @@ def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
             terms[w] = val
         elif w in terms:
             del terms[w]
-    return terms
+    intern = word_table(space).setdefault
+    return {intern(w, w): c for w, c in terms.items()}
 
 
 def shuffle(space: GradedSpace, u: Word, v: Word) -> TElement:
@@ -254,6 +267,14 @@ def shuffle(space: GradedSpace, u: Word, v: Word) -> TElement:
         hit = TElement._make(space, shuffle_terms(space, u, v))
         cache[key] = hit
     return hit
+
+
+def peek_shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
+    """Terms of the shuffle of two words: the space's cached ones when the
+    pair is cached, computed afresh otherwise.  Never fills the cache; for
+    callers that keep their own memo of what they build from it."""
+    hit = space._shuffle_cache.get((u, v))
+    return shuffle_terms(space, u, v) if hit is None else hit.terms
 
 
 def shuffle_elements(x: TElement, y: TElement) -> TElement:
@@ -278,10 +299,14 @@ def shuffle_many(space: GradedSpace, factors: list[TElement]) -> TElement:
 
 def words_up_to(space: GradedSpace, max_len: int, *, include_empty: bool = True) -> list[Word]:
     """All basis words of length <= max_len, by length then lexicographically."""
-    out: list[Word] = [()] if include_empty else []
-    layer: list[Word] = [()]
+    intern = word_table(space).setdefault
+    empty = intern((), ())
+    out: list[Word] = [empty] if include_empty else []
+    layer: list[Word] = [empty]
+    ids = space.ids
     for _ in range(max_len):
-        layer = [w + (a,) for w in layer for a in space.ids]
+        layer = [w + (a,) for w in layer for a in ids]
+        layer = [intern(w, w) for w in layer]
         out.extend(layer)
     return out
 
@@ -289,20 +314,21 @@ def words_up_to(space: GradedSpace, max_len: int, *, include_empty: bool = True)
 def word_tuples_with_total(
     space: GradedSpace, count: int, max_total: int
 ) -> list[tuple[Word, ...]]:
-    """All tuples of ``count`` nonempty basis words with total length <= max_total."""
+    """All tuples of ``count`` nonempty basis words with total length <= max_total.
+
+    Ordered lexicographically by the positions of the words in
+    ``words_up_to``; built one tuple position at a time, which keeps that
+    order.
+    """
+    if count > max_total:
+        return []
     nonempty = [w for w in words_up_to(space, max(0, max_total - count + 1)) if w]
-    out: list[tuple[Word, ...]] = []
-
-    def rec(prefix: tuple[Word, ...], used: int):
-        if len(prefix) == count:
-            out.append(prefix)
-            return
-        remaining = count - len(prefix) - 1
-        for w in nonempty:
-            total = used + len(w)
-            if total + remaining <= max_total:
-                rec(prefix + (w,), total)
-
-    if count <= max_total:
-        rec((), 0)
-    return out
+    level: list[tuple[tuple[Word, ...], int]] = [((), 0)]
+    for remaining in range(count - 1, -1, -1):
+        level = [
+            (prefix + (w,), used + len(w))
+            for prefix, used in level
+            for w in nonempty
+            if used + len(w) + remaining <= max_total
+        ]
+    return [prefix for prefix, _ in level]

@@ -1,6 +1,8 @@
 """Bracket, operator order, C-sets, axiom suites, sign regressions."""
 
+import gc
 import itertools
+import os
 import pickle
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from shufflebv.words import (
     enumerate_shuffles,
     shuffle,
     word_degree,
+    word_table,
     word_tuples_with_total,
     words_up_to,
 )
@@ -52,6 +55,31 @@ def corrupted_end2(entry=("b", "c"), out="a", coeff=-1):
     spec.operations["mu2"][entry] = {out: coeff}
     space = spec.space()
     return DGAlgebra(space, spec.multilinear("d", space), spec.multilinear("mu2", space))
+
+
+class InProcessContext:
+    """Stands in for ``multiprocessing.get_context``: records the size of
+    every pool asked for and maps in this process, so no process starts."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def __call__(self, method):
+        assert method == "fork"
+        return self
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return [fn(x) for x in iterable]
 
 
 # -- bracket -------------------------------------------------------------------
@@ -196,6 +224,57 @@ def test_pickled_operator_drops_its_memos(end2):
     assert clone._defects == {} and clone._cache == {}
     got = bracket(el(end2, ("b", "c")), el(end2, ("c",)), clone)
     assert got == bracket(el(end2, ("b", "c")), el(end2, ("c",)), op)
+
+
+# -- allocation: cyclic garbage and interned words ----------------------------------
+
+
+def test_suites_leave_no_cyclic_garbage():
+    # every object the sweeps allocate is freed by reference counting alone
+    dga = validate_dga(builtin("end-two-term-complex"))
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    gc.collect()
+    gc.disable()
+    try:
+        dbv = check_dbv(dga, Bounds(unary=3, binary=2, ternary=1))
+        left = [gc.collect()]
+        bvinf = check_bvinf(ainf, 3, Bounds(unary=2, order_slack=1))
+        left.append(gc.collect())
+    finally:
+        gc.enable()
+    assert left == [0, 0]
+    assert all(r.passed for r in dbv + bvinf)
+
+
+def test_cached_words_are_interned():
+    dga = validate_dga(builtin("end-two-term-complex"))
+    check_dbv(dga, Bounds(unary=3, binary=2, ternary=1))
+    table = word_table(dga.space)
+    images = [op._cache.values() for op in (dga.d_op, dga.delta_op)]
+    images.append(hit.terms for hit in dga.space._shuffle_cache.values())
+    seen = 0
+    for terms in itertools.chain.from_iterable(images):
+        for w in terms:
+            assert table[w] is w, w
+            seen += 1
+    assert seen > len(table) > 0  # words do recur across the caches
+    clone = pickle.loads(pickle.dumps(dga.space))
+    assert clone == dga.space
+    assert word_table(clone) == {} and clone._shuffle_cache == {}
+
+
+def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):
+    fake = InProcessContext()
+    monkeypatch.setattr(shufflebv.bv.multiprocessing, "get_context", fake)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    cases = [(("a",),)] * 40
+    evaluate = lambda case: None
+    for cpus, sizes in ((2, [2]), (None, [])):
+        fake.pool_sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run_axiom("noop", "-", cases, evaluate, jobs=100_000)
+        assert (report.cases, report.failure_count) == (40, 0)
+        assert fake.pool_sizes == sizes  # one CPU (unknown count): no pool
 
 
 # -- C-sets and bracket support ---------------------------------------------------

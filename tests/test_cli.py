@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, eval rendering, report determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import shufflebv
 from shufflebv.algebra_io import builtin, render_document
 from shufflebv.cli import main
+from test_bv import InProcessContext
 
 
 @pytest.fixture
@@ -216,6 +218,25 @@ def test_check_jobs_flag(fixture_file, capsys):
             payloads.append(payload)
         assert payloads[0] == payloads[1]
         assert any(a["failures"] for a in payloads[0]["axioms"]) == bool(code)
+
+
+def test_check_jobs_clamped_to_usable_cpus(fixture_file, capsys, monkeypatch):
+    # --jobs 100000 starts pools of one worker per usable CPU, and the report
+    # still echoes the requested value
+    fake = InProcessContext()
+    monkeypatch.setattr(multiprocessing, "get_context", fake)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    args = ["check", fixture_file("end-two-term-complex"), "--report", "json",
+            "--max-len", "3", "--pair-len", "1", "--triple-len", "1"]
+    payloads = []
+    for jobs in (1, 100_000):
+        assert main(args + ["--jobs", str(jobs)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("meta")
+        assert payload["config"].pop("jobs") == jobs
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert fake.pool_sizes == [3] * len(payloads[0]["axioms"])
 
 
 # -- eval -------------------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from shufflebv import _kernel_py
 from shufflebv import kernel
+from shufflebv.graded import koszul_sign
+from shufflebv.words import enumerate_shuffles
 
 try:
     from shufflebv import _kernel_c
@@ -44,6 +46,26 @@ def koszul_oracle(perm, parities):
             if perm[i] > perm[j]:
                 acc += parities[i] * parities[j]
     return acc % 2
+
+
+@pytest.mark.parametrize("mod", BACKENDS, ids=lambda m: m.BACKEND)
+def test_shuffle_signed_matches_shuffle_enumeration_in_order(mod):
+    # The order oracle needs no second backend: enumerate_shuffles lists the
+    # shuffles lexicographically in the first block's slots, Shuffle.interleave
+    # builds each word and koszul_sign signs it from the permutation.
+    for n, m in itertools.product(range(4), repeat=2):
+        u = tuple(f"u{i}" for i in range(n))
+        v = tuple(f"v{j}" for j in range(m))
+        for pu in itertools.product((0, 1), repeat=n):
+            for pv in itertools.product((0, 1), repeat=m):
+                want = [
+                    (
+                        sh.interleave(u, v),
+                        koszul_sign([s + 1 for s in sh.sigma], pu + pv),
+                    )
+                    for sh in enumerate_shuffles(n, m)
+                ]
+                assert mod.shuffle_signed(u, v, pu, pv) == want, (u, v, pu, pv)
 
 
 @pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")

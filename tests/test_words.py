@@ -12,6 +12,7 @@ from shufflebv.words import (
     TElement,
     deconcatenations,
     enumerate_shuffles,
+    peek_shuffle_terms,
     render_telement,
     shuffle,
     shuffle_elements,
@@ -230,6 +231,25 @@ def test_words_up_to_and_tuples(mixed):
     assert all(sum(len(w) for w in t) <= 3 for t in tuples)
     # 2 slots of nonempty words over 3 letters with total length 2 or 3
     assert len(tuples) == 9 + 2 * 27
+    # in the order of itertools.product over the nonempty words
+    for count, total in ((1, 2), (2, 3), (3, 4), (3, 5)):
+        nonempty = [w for w in words_up_to(mixed, total - count + 1) if w]
+        want = [
+            t for t in itertools.product(nonempty, repeat=count)
+            if sum(map(len, t)) <= total
+        ]
+        assert word_tuples_with_total(mixed, count, total) == want
+    assert word_tuples_with_total(mixed, 3, 2) == []
+
+
+def test_peek_shuffle_terms_reads_but_never_fills_the_cache():
+    space = GradedSpace("peek", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    u, v = ("x", "y"), ("y",)
+    fresh = peek_shuffle_terms(space, u, v)
+    assert space._shuffle_cache == {}
+    cached = shuffle(space, u, v).terms
+    assert fresh == cached
+    assert peek_shuffle_terms(space, u, v) is cached
 
 
 def test_shuffle_many(mixed):
