@@ -6,7 +6,9 @@ Two views:
     fixture, re-run in a subprocess with SHUFFLEBV_PURE=1 for the pure lane
     (backend selection happens at import time).
 
-Run as ``python3 benchmarks/bench_kernels.py``.
+Run as ``python3 benchmarks/bench_kernels.py``; no install is needed.  The
+checkout's ``src`` goes first on the path, in the child process too, which
+runs this same file.
 """
 
 import os
@@ -14,7 +16,10 @@ import subprocess
 import sys
 import time
 
-from shufflebv import _kernel_py
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
+from shufflebv import _kernel_py  # noqa: E402
 
 try:
     from shufflebv import _kernel_c

@@ -7,11 +7,12 @@ derivation of the shuffle product:
 
 with |x| the word degree and * the shuffle product.  The bracket and the
 order-n expression are both read off one memo per operator, keyed by
-tuples of basis words and filled by Koszul's recursion; the suites empty
-it after each sweep.  ``check_dbv`` and
+tuples of basis words and filled by Koszul's recursion; it lives for one
+sweep.  ``check_dbv`` and
 ``check_bvinf`` verify every axiom of the induced structure by exhaustive
 evaluation over basis words up to caller-supplied length bounds; failures
-are collected as data, never raised.
+are collected as data, never raised.  Every suite builds its sweeps first
+and hands them to one driver, ``run_sweeps``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graded import InvalidInputError, Scalar, render_scalar
 from .kernel import merge_scaled
@@ -116,17 +117,25 @@ class Bounds:
 
 
 # --------------------------------------------------------------------------
-# case sweep machinery
+# sweep driver
 # --------------------------------------------------------------------------
 
-_PARALLEL_EVAL: Callable | None = None
+
+@dataclass
+class Sweep:
+    """One identity of a check: ``evaluate`` gives each case's defect, and
+    a nonzero defect is a failure."""
+
+    name: str
+    bound: str
+    cases: Sequence[tuple[Word, ...]]
+    evaluate: Callable[[tuple[Word, ...]], TElement | None]
 
 
-def _parallel_case(case):
-    defect = _PARALLEL_EVAL(case)
-    if defect is None or defect.is_zero():
-        return None
-    return defect
+# A pool worker's state, set by ``_start_worker`` from what the worker
+# inherits through the fork: the check's sweeps, the operators whose defect
+# memos they fill, the failure cap, and the sweep whose entries the memos hold.
+_worker: dict = {}
 
 
 def _usable_cpus() -> int:
@@ -137,6 +146,45 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _failures_in(
+    cases: Sequence[tuple[Word, ...]], evaluate: Callable, start: int, stop: int, fail_cap: int
+) -> tuple[int, list[tuple[int, TElement]]]:
+    """The failures among ``cases[start:stop]``: how many, and the first
+    ``fail_cap`` of them as (offset, defect)."""
+    count, kept = 0, []
+    for offset in range(start, stop):
+        defect = evaluate(cases[offset])
+        if defect is not None and not defect.is_zero():
+            count += 1
+            if len(kept) < fail_cap:
+                kept.append((offset, defect))
+    return count, kept
+
+
+def _start_worker(sweeps: Sequence[Sweep], memo_ops: tuple, fail_cap: int) -> None:
+    _worker.update(sweeps=sweeps, memo_ops=memo_ops, fail_cap=fail_cap, held=None)
+
+
+def _run_block(task: tuple[int, int, int]) -> tuple[int, list[tuple[int, TElement]]]:
+    """A pool worker's task: one contiguous block (sweep index, start, stop).
+
+    The defect memos live for one sweep, so they are emptied when the sweep
+    index changes; the operator and shuffle caches stay warm.
+    """
+    index, start, stop = task
+    if index != _worker["held"]:
+        _forget_defects(*_worker["memo_ops"])
+        _worker["held"] = index
+    sweep = _worker["sweeps"][index]
+    return _failures_in(sweep.cases, sweep.evaluate, start, stop, _worker["fail_cap"])
+
+
+def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into at most ``workers`` contiguous, near-equal blocks."""
+    k = min(n, workers)
+    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
+
+
 def run_axiom(
     name: str,
     bound: str,
@@ -144,43 +192,65 @@ def run_axiom(
     evaluate: Callable[[tuple[Word, ...]], TElement | None],
     *,
     fail_cap: int = 10,
-    jobs: int = 1,
+    blocks: Iterable[tuple[int, list[tuple[int, TElement]]]] | None = None,
 ) -> AxiomReport:
-    """Evaluate one identity over a case list, collecting nonzero defects.
+    """Report one identity over a case list, keeping the first ``fail_cap``
+    failures in case order.
 
-    Cases are independent; with jobs > 1 they are evaluated by a fork-based
-    worker pool of at most one worker per usable CPU and merged back in case
-    order, so reports are deterministic either way.
+    ``blocks`` are the failures of consecutive blocks of the cases, as the
+    check's pool returns them; without it ``evaluate`` runs here on every
+    case.
     """
     report = AxiomReport(name=name, bound=bound, cases=len(cases))
-    jobs = min(jobs, _usable_cpus())
-    if jobs > 1 and len(cases) >= 4 * jobs:
+    if blocks is None:
+        blocks = [_failures_in(cases, evaluate, 0, len(cases), fail_cap)]
+    for count, kept in blocks:
+        report.failure_count += count
+        for offset, defect in kept[: fail_cap - len(report.failures)]:
+            report.failures.append(Failure(tuple(cases[offset]), defect))
+    return report
+
+
+def run_sweeps(
+    sweeps: Sequence[Sweep], memo_ops: Sequence = (), *, fail_cap: int = 10, jobs: int = 1
+) -> list[AxiomReport]:
+    """Run a check's sweeps in order and report each one.
+
+    ``memo_ops`` are the operators whose defect memos the sweeps fill; a
+    memo lives for one sweep and is empty when the check returns.  With
+    jobs > 1 one fork-based pool, of at most one worker per usable CPU,
+    serves every sweep.  It forks after the sweeps are built, so the
+    workers inherit the case lists and evaluators, and they keep their
+    operator and shuffle caches from one sweep to the next.  Each sweep is
+    handed out as contiguous blocks, one per worker, and the blocks' results
+    are merged in case order, so reports are the same at every ``jobs``.
+    """
+    workers = min(jobs, _usable_cpus())
+    ctx = None
+    if workers > 1 and sum(len(s.cases) for s in sweeps) >= 4 * workers:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
-            ctx = None
-        if ctx is not None:
-            global _PARALLEL_EVAL
-            _PARALLEL_EVAL = evaluate
-            try:
-                chunk = max(1, len(cases) // (jobs * 8))
-                with ctx.Pool(jobs) as pool:
-                    results = pool.map(_parallel_case, cases, chunksize=chunk)
-            finally:
-                _PARALLEL_EVAL = None
-            for case, defect in zip(cases, results):
-                if defect is not None:
-                    report.failure_count += 1
-                    if len(report.failures) < fail_cap:
-                        report.failures.append(Failure(tuple(case), defect))
-            return report
-    for case in cases:
-        defect = evaluate(case)
-        if defect is not None and not defect.is_zero():
-            report.failure_count += 1
-            if len(report.failures) < fail_cap:
-                report.failures.append(Failure(tuple(case), defect))
-    return report
+            pass
+    reports = []
+    if ctx is None:
+        for s in sweeps:
+            reports.append(run_axiom(s.name, s.bound, s.cases, s.evaluate, fail_cap=fail_cap))
+            _forget_defects(*memo_ops)
+        return reports
+    plan = [_blocks(len(s.cases), workers) for s in sweeps]
+    tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
+    # a fork pool hands its initializer's arguments to the workers unpickled
+    with ctx.Pool(workers, _start_worker, (sweeps, tuple(memo_ops), fail_cap)) as pool:
+        results = pool.imap(_run_block, tasks)
+        for s, spans in zip(sweeps, plan):
+            reports.append(
+                run_axiom(s.name, s.bound, s.cases, s.evaluate, fail_cap=fail_cap,
+                          blocks=itertools.islice(results, len(spans)))
+            )
+    # the workers' memos end with them; this process's are emptied too
+    _forget_defects(*memo_ops)
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +268,8 @@ def _defect_memo(D) -> dict[tuple[Word, ...], dict[Word, Scalar]]:
 
 
 def _forget_defects(*ops) -> None:
-    """Empty the defect memos of ``ops``; the suites call this after each sweep."""
+    """Empty the defect memos of ``ops``; the sweep driver calls this when a
+    sweep ends."""
     for op in ops:
         memo = getattr(op, "_defects", None)
         if memo:
@@ -437,28 +508,22 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
             - s * bracket(el(y), bracket(el(x), el(z), delta), delta)
         )
 
-    runs = [
-        ("d_squared", f"words <= {bounds.unary}", singles,
-         lambda c: TElement._make(space, dd.apply_word(c[0]))),
-        ("delta_squared", f"words <= {bounds.unary}", singles,
-         lambda c: TElement._make(space, delta2.apply_word(c[0]))),
-        ("d_delta_anticommutator", f"words <= {bounds.unary}", singles,
-         lambda c: TElement._make(space, mixed.apply_word(c[0]))
-         + TElement._make(space, mixed2.apply_word(c[0]))),
-        ("d_derivation", f"pairs <= {bounds.binary}", pairs, d_derivation),
-        ("bracket_antisymmetry", f"pairs <= {bounds.binary}", pairs, antisymmetry),
-        ("bracket_leibniz", f"triples <= {bounds.ternary}", triples, leibniz),
-        ("bracket_jacobi", f"triples <= {bounds.ternary}", triples, jacobi),
-        ("delta_order_2", f"triples <= {bounds.ternary}", triples,
-         lambda c: order_defect(delta, 2, [el(w) for w in c])),
+    sweeps = [
+        Sweep("d_squared", f"words <= {bounds.unary}", singles,
+              lambda c: TElement._make(space, dd.apply_word(c[0]))),
+        Sweep("delta_squared", f"words <= {bounds.unary}", singles,
+              lambda c: TElement._make(space, delta2.apply_word(c[0]))),
+        Sweep("d_delta_anticommutator", f"words <= {bounds.unary}", singles,
+              lambda c: TElement._make(space, mixed.apply_word(c[0]))
+              + TElement._make(space, mixed2.apply_word(c[0]))),
+        Sweep("d_derivation", f"pairs <= {bounds.binary}", pairs, d_derivation),
+        Sweep("bracket_antisymmetry", f"pairs <= {bounds.binary}", pairs, antisymmetry),
+        Sweep("bracket_leibniz", f"triples <= {bounds.ternary}", triples, leibniz),
+        Sweep("bracket_jacobi", f"triples <= {bounds.ternary}", triples, jacobi),
+        Sweep("delta_order_2", f"triples <= {bounds.ternary}", triples,
+              lambda c: order_defect(delta, 2, [el(w) for w in c])),
     ]
-    reports = []
-    for name, bound, cases, fn in runs:
-        reports.append(
-            run_axiom(name, bound, cases, fn, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
-        )
-        _forget_defects(d, delta)
-    return reports
+    return run_sweeps(sweeps, (d, delta), fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -480,22 +545,16 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     # case words come from ``words_up_to`` or ``word_tuples_with_total`` on
     # this space: trusted
     el = lambda w: TElement._make(space, {w: 1})
-    reports = []
-
-    def sweep(name, bound, cases, fn):
-        reports.append(
-            run_axiom(name, bound, cases, fn, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
-        )
-        _forget_defects(*ops.values())
+    sweeps = []
 
     d_lift = ainf.delta_op(1)
-    sweep(
+    sweeps.append(Sweep(
         "delta_1_is_d",
         f"words <= {bounds.unary}",
         singles,
         lambda c: TElement._make(space, ops[1].apply_word(c[0]))
         - TElement._make(space, d_lift.apply_word(c[0])),
-    )
+    ))
 
     for k in range(1, K + 1):
         g = 3 - 2 * k
@@ -511,19 +570,19 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             }
             return TElement._make(space, bad)
 
-        sweep(
+        sweeps.append(Sweep(
             f"degree_delta_{g}",
             f"words <= {bounds.unary}",
             singles,
             degree_defect,
-        )
+        ))
         tuples = word_tuples_with_total(space, k + 1, (k + 1) + bounds.order_slack)
-        sweep(
+        sweeps.append(Sweep(
             f"order_{k}_delta_{g}",
             f"{k + 1} nonempty words, total <= {k + 1 + bounds.order_slack}",
             tuples,
             lambda case, op=op, k=k: order_defect(op, k, [el(w) for w in case]),
-        )
+        ))
 
     degrees = {3 - 2 * k: ops[k] for k in ops}
     totals = sorted({a + b for a in degrees for b in degrees}, reverse=True)
@@ -542,13 +601,13 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
                 acc = acc + P(TElement._make(space, Q.apply_word(w)))
             return acc
 
-        sweep(
+        sweeps.append(Sweep(
             f"sum_relation_n_{total}",
             f"words <= {bounds.unary}",
             singles,
             relation_defect,
-        )
-    return reports
+        ))
+    return run_sweeps(sweeps, tuple(ops.values()), fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 
 
 def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -562,16 +621,13 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
     # case words come from ``words_up_to`` on the source space: trusted
     el = lambda w: TElement._make(src.space, {w: 1})
 
-    runs = [
-        ("morphism_commutes_d", f"words <= {bounds.unary}", singles,
-         lambda c: F(src.d_op(el(c[0]))) - tgt.d_op(F(el(c[0])))),
-        ("morphism_commutes_delta", f"words <= {bounds.unary}", singles,
-         lambda c: F(src.delta_op(el(c[0]))) - tgt.delta_op(F(el(c[0])))),
-        ("morphism_commutes_shuffle", f"pairs <= {bounds.binary}", pairs,
-         lambda c: F(shuffle_elements(el(c[0]), el(c[1])))
-         - shuffle_elements(F(el(c[0])), F(el(c[1])))),
+    sweeps = [
+        Sweep("morphism_commutes_d", f"words <= {bounds.unary}", singles,
+              lambda c: F(src.d_op(el(c[0]))) - tgt.d_op(F(el(c[0])))),
+        Sweep("morphism_commutes_delta", f"words <= {bounds.unary}", singles,
+              lambda c: F(src.delta_op(el(c[0]))) - tgt.delta_op(F(el(c[0])))),
+        Sweep("morphism_commutes_shuffle", f"pairs <= {bounds.binary}", pairs,
+              lambda c: F(shuffle_elements(el(c[0]), el(c[1])))
+              - shuffle_elements(F(el(c[0])), F(el(c[1])))),
     ]
-    return [
-        run_axiom(name, bound, cases, fn, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
-        for name, bound, cases, fn in runs
-    ]
+    return run_sweeps(sweeps, fail_cap=bounds.fail_cap, jobs=bounds.jobs)

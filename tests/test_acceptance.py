@@ -228,25 +228,28 @@ def test_criterion_7_functoriality():
 
 
 class _NoPrefixSignLift:
-    """The product lift with its position-dependent sign dropped: no longer
-    a coderivation, so both the Leibniz and the order-2 sweeps must fail."""
+    """The lift of the differential or of the product with its
+    position-dependent sign dropped (the product keeps its twist
+    (-1)^|a_1|): no longer a coderivation.  For the product, both the
+    Leibniz and the order-2 sweeps must fail."""
 
     def __init__(self, mu):
         self.space = mu.space
         self.mu = mu
-        self.degree = -1
+        self.degree = mu.degree + 1 - mu.arity
         self._cache = {}
 
     def apply_word(self, w):
         hit = self._cache.get(w)
         if hit is None:
             out = {}
-            for i in range(len(w) - 1):
-                entry = self.mu.table.get((w[i], w[i + 1]))
+            k = self.mu.arity
+            for i in range(len(w) - k + 1):
+                entry = self.mu.table.get(w[i : i + k])
                 if entry:
-                    tw = -1 if self.space.degree(w[i]) & 1 else 1
+                    tw = -1 if k == 2 and self.space.degree(w[i]) & 1 else 1
                     for b, c in entry.items():
-                        w2 = w[:i] + (b,) + w[i + 2 :]
+                        w2 = w[:i] + (b,) + w[i + k :]
                         out[w2] = out.get(w2, 0) + tw * c
             hit = {k: v for k, v in out.items() if v}
             self._cache[w] = hit
@@ -365,3 +368,56 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
             else:
                 assert code == 2, (label, key, b, coeff)
                 assert "INVALID" in out and "!=" in out  # concrete witness shown
+
+
+def _perturbed_end2(label, key, b, coeff):
+    """end-two-term-complex with one structure constant set to ``coeff``,
+    built without validation."""
+    spec = builtin("end-two-term-complex")
+    spec.operations[label][key] = {**spec.operations[label].get(key, {}), b: coeff}
+    return DGAlgebra.from_spec_unchecked(spec)
+
+
+def test_every_dbv_axiom_has_a_negative_control(end2, monkeypatch):
+    # bracket_antisymmetry holds for every odd operator, coderivation or
+    # not, because the shuffle product is graded commutative: no perturbed
+    # constant and no sign-dropped lift fails it.  Only an operator of even
+    # degree does, here the composite delta o d in place of delta.
+    import shufflebv.bv
+    from types import SimpleNamespace
+
+    def control(d_op=end2.d_op, delta_op=end2.delta_op):
+        return SimpleNamespace(space=end2.space, d_op=d_op, delta_op=delta_op)
+
+    controls = {
+        "d(a) = -c": (_perturbed_end2("d", ("a",), "c", -1),
+                      {"d_squared", "d_delta_anticommutator"}),
+        "mu2(b, c) = -a": (_perturbed_end2("mu2", ("b", "c"), "a", -1),
+                           {"delta_squared", "d_delta_anticommutator", "bracket_jacobi"}),
+        "d lift without prefix sign": (
+            control(d_op=_NoPrefixSignLift(end2.d)),
+            {"d_squared", "d_delta_anticommutator", "d_derivation"}),
+        "product lift without prefix sign": (
+            control(delta_op=_NoPrefixSignLift(end2.mu)),
+            {"delta_squared", "d_delta_anticommutator", "bracket_leibniz", "delta_order_2"}),
+        "delta o d in place of delta": (
+            control(delta_op=compose(end2.delta_op, end2.d_op)),
+            {"bracket_antisymmetry", "bracket_leibniz", "delta_order_2"}),
+    }
+    # a pool of two workers whatever the host has, so --jobs 2 forks
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    caught = set()
+    for label, (alg, expected) in controls.items():
+        runs = []
+        for jobs in (1, 2):
+            reports = check_dbv(alg, Bounds(unary=3, binary=2, ternary=1, jobs=jobs))
+            runs.append([
+                (r.name, r.cases, r.failure_count,
+                 [(f.inputs, f.defect.terms) for f in r.failures])
+                for r in reports
+            ])
+        assert runs[0] == runs[1], label
+        failed = {name for name, _, count, _ in runs[0] if count}
+        assert failed == expected, label
+        caught |= failed
+    assert caught == {r.name for r in check_dbv(end2, Bounds(unary=1, binary=1, ternary=1))}

@@ -13,6 +13,7 @@ import shufflebv.bv
 from shufflebv.algebra_io import DGAlgebra, builtin, validate_ainf, validate_dga, validate_morphism
 from shufflebv.bv import (
     Bounds,
+    Sweep,
     bracket,
     bracket_support_check,
     c_set,
@@ -21,6 +22,7 @@ from shufflebv.bv import (
     check_functoriality,
     order_defect,
     run_axiom,
+    run_sweeps,
 )
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
 from shufflebv.operators import MultilinearMap, compose, graded_anticommutator, lift_coderivation
@@ -59,7 +61,8 @@ def corrupted_end2(entry=("b", "c"), out="a", coeff=-1):
 
 class InProcessContext:
     """Stands in for ``multiprocessing.get_context``: records the size of
-    every pool asked for and maps in this process, so no process starts."""
+    every pool asked for and runs its initializer and tasks in this process,
+    so no process starts."""
 
     def __init__(self):
         self.pool_sizes = []
@@ -68,8 +71,10 @@ class InProcessContext:
         assert method == "fork"
         return self
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer=None, initargs=()):
         self.pool_sizes.append(processes)
+        if initializer is not None:
+            initializer(*initargs)
         return self
 
     def __enter__(self):
@@ -78,8 +83,8 @@ class InProcessContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return [fn(x) for x in iterable]
+    def imap(self, fn, iterable, chunksize=1):
+        return (fn(x) for x in iterable)
 
 
 # -- bracket -------------------------------------------------------------------
@@ -197,23 +202,53 @@ def test_memo_matches_reference_on_mixed_coefficients(end2):
 
 
 def test_defect_memo_lives_for_one_sweep(monkeypatch):
+    # at --jobs 2 the in-process stand-in pool runs the worker side here: a
+    # worker must empty the memo when it moves on to another sweep
     dga = validate_dga(builtin("end-two-term-complex"))
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
     ops = [dga.d_op, dga.delta_op] + [ainf.delta_op(k) for k in (1, 2, 3)]
+    empty = lambda: all(not op._defects for op in ops)
     held = []
     run_axiom_orig = shufflebv.bv.run_axiom
+    run_sweeps_orig = shufflebv.bv.run_sweeps
 
     def watched(*args, **kwargs):
-        assert all(not op._defects for op in ops)
+        if jobs == 1:  # at --jobs 2 the worker empties it, at the first block
+            assert empty()
         report = run_axiom_orig(*args, **kwargs)
         held.append(sum(len(op._defects) for op in ops))
         return report
 
+    def first_case_sees_empty_memo(evaluate):
+        started = []
+
+        def wrapped(case):
+            if not started:
+                assert empty()
+                started.append(case)
+            return evaluate(case)
+
+        return wrapped
+
+    def watched_sweeps(sweeps, *args, **kwargs):
+        sweeps = [
+            Sweep(s.name, s.bound, s.cases, first_case_sees_empty_memo(s.evaluate))
+            for s in sweeps
+        ]
+        return run_sweeps_orig(sweeps, *args, **kwargs)
+
+    fake = InProcessContext()
+    monkeypatch.setattr(shufflebv.bv.multiprocessing, "get_context", fake)
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(shufflebv.bv, "run_axiom", watched)
-    check_dbv(dga, Bounds(unary=2, binary=1, ternary=1))
-    check_bvinf(ainf, 3, Bounds(unary=2, order_slack=1))
-    assert any(held)  # the sweeps do fill the memo
-    assert all(not op._defects for op in ops)
+    monkeypatch.setattr(shufflebv.bv, "run_sweeps", watched_sweeps)
+    for jobs in (1, 2):
+        held.clear()
+        check_dbv(dga, Bounds(unary=2, binary=1, ternary=1, jobs=jobs))
+        check_bvinf(ainf, 3, Bounds(unary=2, order_slack=1, jobs=jobs))
+        assert any(held)  # the sweeps do fill the memo
+        assert empty()
+    assert fake.pool_sizes == [2, 2]  # --jobs 2 did take the pool path
 
 
 def test_pickled_operator_drops_its_memos(end2):
@@ -272,7 +307,7 @@ def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):
     for cpus, sizes in ((2, [2]), (None, [])):
         fake.pool_sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        report = run_axiom("noop", "-", cases, evaluate, jobs=100_000)
+        [report] = run_sweeps([Sweep("noop", "-", cases, evaluate)], jobs=100_000)
         assert (report.cases, report.failure_count) == (40, 0)
         assert fake.pool_sizes == sizes  # one CPU (unknown count): no pool
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import shufflebv
+import shufflebv.bv
 from shufflebv.algebra_io import builtin, render_document
 from shufflebv.cli import main
 from test_bv import InProcessContext
@@ -202,13 +203,29 @@ def test_check_json_report_deterministic_across_processes(fixture_file):
     assert outputs[0] == outputs[1]
 
 
-def test_check_jobs_flag(fixture_file, capsys):
-    # the pool path must give the same report as the sequential one, on a
-    # failing algebra with its failure witnesses and their order too
-    for mutate, extra, code in ((None, [], 0), (corrupt_mu, ["--assume-valid"], 1)):
-        path = fixture_file("end-two-term-complex", mutate=mutate)
-        args = ["check", path, *extra, "--report", "json", "--max-len", "3",
-                "--pair-len", "1", "--triple-len", "1"]
+def corrupt_mu3(doc):
+    # two products into r: the composition relations of degree -2 and -4 fail
+    doc["operations"]["mu2"].append({"inputs": ["p", "q"], "output": [["r", "1"]]})
+    doc["operations"]["mu3"].append({"inputs": ["p", "p", "q"], "output": [["r", "1"]]})
+
+
+def test_check_jobs_flag(fixture_file, capsys, monkeypatch):
+    # the pool path must give the same report as the sequential one, on every
+    # suite, and on failing algebras with their failure witnesses and their
+    # order too; a pool of two workers whatever the host has
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    dbv_bounds = ["--max-len", "3", "--pair-len", "1", "--triple-len", "1"]
+    ainf_bounds = ["--max-len", "4", "--order-slack", "1", "--fail-cap", "3"]
+    runs = [
+        ("end-two-term-complex", None, [], dbv_bounds, 0),
+        ("end-two-term-complex", corrupt_mu, ["--assume-valid"], dbv_bounds, 1),
+        ("ainf-mu3", None, [], ainf_bounds, 0),
+        ("ainf-mu3", corrupt_mu3, ["--assume-valid"], ainf_bounds, 1),
+        ("diag-into-upper-triangular", None, [], ["--max-len", "3", "--pair-len", "2"], 0),
+    ]
+    for name, mutate, extra, bounds, code in runs:
+        path = fixture_file(name, mutate=mutate)
+        args = ["check", path, *extra, "--report", "json", *bounds]
         payloads = []
         for jobs in (1, 2):
             assert main(args + ["--jobs", str(jobs)]) == code
@@ -221,8 +238,8 @@ def test_check_jobs_flag(fixture_file, capsys):
 
 
 def test_check_jobs_clamped_to_usable_cpus(fixture_file, capsys, monkeypatch):
-    # --jobs 100000 starts pools of one worker per usable CPU, and the report
-    # still echoes the requested value
+    # --jobs 100000 starts one pool per check, of one worker per usable CPU,
+    # and the report still echoes the requested value
     fake = InProcessContext()
     monkeypatch.setattr(multiprocessing, "get_context", fake)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -236,7 +253,7 @@ def test_check_jobs_clamped_to_usable_cpus(fixture_file, capsys, monkeypatch):
         assert payload["config"].pop("jobs") == jobs
         payloads.append(payload)
     assert payloads[0] == payloads[1]
-    assert fake.pool_sizes == [3] * len(payloads[0]["axioms"])
+    assert fake.pool_sizes == [3]
 
 
 # -- eval -------------------------------------------------------------------
