@@ -71,6 +71,5 @@ from .algebra_io import (
     validate_dga,
     validate_morphism,
 )
-from .kernel import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"

@@ -390,7 +390,10 @@ def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
         raise InvalidInputError(f"expected kind 'ainf', got {spec.kind!r}")
     space = spec.space()
     arities = sorted(_label_arity(label) for label in spec.operations)
-    K = K or max(arities, default=2)
+    if K is None:
+        K = max(arities, default=2)
+    if K < 1:
+        raise InvalidInputError("max arity must be >= 1")
     if any(k > K for k in arities):
         raise InvalidInputError(f"table of arity > K={K} present")
     maps = {

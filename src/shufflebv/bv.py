@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .graded import InvalidInputError, Scalar, render_scalar
-from .kernel import merge_scaled
 from . import words
 from .operators import MultilinearMap, Operator, compose, induced_morphism
 from .words import (
@@ -32,6 +31,7 @@ from .words import (
     TElement,
     Word,
     enumerate_shuffles,
+    merge_scaled,
     peek_shuffle_terms,
     render_telement,
     shuffle_elements,
@@ -536,7 +536,8 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     degrees summing to n vanishes on words up to the unary bound.
     """
     bounds = bounds or Bounds()
-    K = K or max(ainf.maps, default=2)
+    if K is None:
+        K = max(ainf.maps, default=2)
     if K < 2:
         raise InvalidInputError("max arity must be >= 2")
     space = ainf.space
@@ -547,6 +548,7 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     el = lambda w: TElement._make(space, {w: 1})
     sweeps = []
 
+    # delta_1_is_d holds by construction: ops[1] is d_lift, one cached lift
     d_lift = ainf.delta_op(1)
     sweeps.append(Sweep(
         "delta_1_is_d",

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .kernel import koszul_parity
-
 Scalar = Union[int, Fraction]
 
 
@@ -139,6 +137,25 @@ class GradedSpace:
 
     def __setstate__(self, state):
         self.__init__(*state)
+
+
+def koszul_parity(perm, parities):
+    """Parity of the Koszul exponent of a permutation.
+
+    ``perm`` maps source position i to target position perm[i] (0-based);
+    ``parities`` holds the degree parities of the objects in source order.
+    The exponent is the sum of parities[i]*parities[j] over all inversions
+    i < j with perm[i] > perm[j].
+    """
+    n = len(perm)
+    acc = 0
+    for i in range(n):
+        if parities[i]:
+            pi = perm[i]
+            for j in range(i + 1, n):
+                if parities[j] and pi > perm[j]:
+                    acc ^= 1
+    return acc
 
 
 def koszul_sign(permutation, degrees) -> int:

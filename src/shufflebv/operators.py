@@ -32,8 +32,14 @@ from .graded import (
     Scalar,
     normalize_scalar,
 )
-from .kernel import merge_scaled
-from .words import TElement, Word, deconcatenations, word_parity, word_table
+from .words import (
+    TElement,
+    Word,
+    deconcatenations,
+    merge_scaled,
+    word_parity,
+    word_table,
+)
 
 
 class MultilinearMap:

@@ -9,8 +9,7 @@ tests compare the two term for term.
 import itertools
 
 from shufflebv.graded import InvalidInputError
-from shufflebv.kernel import merge_scaled
-from shufflebv.words import TElement, shuffle_elements, shuffle_many
+from shufflebv.words import TElement, merge_scaled, shuffle_elements, shuffle_many
 
 
 def bracket_reference(x, y, delta):

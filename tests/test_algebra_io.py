@@ -288,6 +288,16 @@ def test_ainf_rejects_degree_inconsistency_before_relations():
         validate_ainf(spec, 3)
 
 
+def test_validate_ainf_zero_arity_is_not_a_default():
+    # K=0 is a bound, not "no bound", with or without tables above it
+    spec = builtin("ainf-mu3")
+    with pytest.raises(InvalidInputError):
+        validate_ainf(spec, 0)
+    spec.operations.clear()
+    with pytest.raises(InvalidInputError, match="max arity must be >= 1"):
+        validate_ainf(spec, 0)
+
+
 # -- morphism validation ---------------------------------------------------------------
 
 

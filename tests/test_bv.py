@@ -584,6 +584,13 @@ def test_check_bvinf_requires_arity_2():
         check_bvinf(ainf, 1)
 
 
+def test_check_bvinf_zero_arity_is_not_a_default():
+    # K=0 is a bound, not "no bound": it must not run at the fixture's arity
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    with pytest.raises(InvalidInputError, match="max arity must be >= 2"):
+        check_bvinf(ainf, 0, Bounds(unary=1, order_slack=0))
+
+
 def test_check_bvinf_above_top_arity():
     # K larger than any stored table: the extra lifts are zero operators,
     # their order and relation checks pass vacuously

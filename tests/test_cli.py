@@ -193,8 +193,6 @@ def test_check_json_report_deterministic_across_processes(fixture_file):
     outputs = []
     for seed in ("0", "424242"):
         env = dict(PYTHONHASHSEED=seed, PATH="/usr/bin:/bin", PYTHONPATH=package_root)
-        if "SHUFFLEBV_PURE" in os.environ:
-            env["SHUFFLEBV_PURE"] = os.environ["SHUFFLEBV_PURE"]
         proc = subprocess.run(args, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)

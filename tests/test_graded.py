@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shufflebv.graded import (
     AElement,
@@ -13,6 +13,7 @@ from shufflebv.graded import (
     InhomogeneousError,
     InvalidInputError,
     degree_of,
+    koszul_parity,
     koszul_sign,
     normalize_scalar,
     parse_scalar,
@@ -175,3 +176,22 @@ def test_aelement_arithmetic(space):
     assert not AElement.zero(space)
     with pytest.raises(InvalidInputError):
         AElement(space, {"zz": 1})
+
+
+def koszul_oracle(perm, parities):
+    acc = 0
+    n = len(perm)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if perm[i] > perm[j]:
+                acc += parities[i] * parities[j]
+    return acc % 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_koszul_parity_matches_oracle(data):
+    n = data.draw(st.integers(0, 7))
+    perm = data.draw(st.permutations(range(n))) if n else []
+    parities = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
+    assert koszul_parity(tuple(perm), parities) == koszul_oracle(perm, parities)

@@ -6,17 +6,20 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
+from shufflebv import bv, operators
+from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError, koszul_sign
 from shufflebv.words import (
     Shuffle,
     TElement,
     deconcatenations,
     enumerate_shuffles,
+    merge_scaled,
     peek_shuffle_terms,
     render_telement,
     shuffle,
     shuffle_elements,
     shuffle_many,
+    shuffle_signed,
     sorted_terms,
     word_degree,
     word_tuples_with_total,
@@ -151,12 +154,61 @@ def test_shuffle_matches_oracle_random(data):
 
 
 def test_shuffle_term_count_before_cancellation(mixed):
-    from shufflebv.kernel import shuffle_signed
-
     for u, v in itertools.product(words_up_to(mixed, 3), repeat=2):
         pu = tuple(mixed.shifted_parity(a) for a in u)
         pv = tuple(mixed.shifted_parity(a) for a in v)
         assert len(shuffle_signed(u, v, pu, pv)) == comb(len(u) + len(v), len(u))
+
+
+def test_shuffle_signed_counts_and_first_term():
+    u, v = ("a", "b"), ("c",)
+    got = shuffle_signed(u, v, (0, 0), (0,))
+    assert len(got) == comb(3, 2)
+    assert got[0] == (("a", "b", "c"), 1)  # u-first ordering
+
+
+def test_shuffle_signed_empty_blocks():
+    assert shuffle_signed((), ("a",), (), (1,)) == [(("a",), 1)]
+    assert shuffle_signed(("a",), (), (1,), ()) == [(("a",), 1)]
+    assert shuffle_signed((), (), (), ()) == [((), 1)]
+
+
+def test_shuffle_signed_matches_shuffle_enumeration_in_order():
+    # enumerate_shuffles lists the shuffles lexicographically in the first
+    # block's slots, Shuffle.interleave builds each word and koszul_sign signs
+    # it from the permutation: the same terms in the same order.
+    for n, m in itertools.product(range(4), repeat=2):
+        u = tuple(f"u{i}" for i in range(n))
+        v = tuple(f"v{j}" for j in range(m))
+        for pu in itertools.product((0, 1), repeat=n):
+            for pv in itertools.product((0, 1), repeat=m):
+                want = [
+                    (
+                        sh.interleave(u, v),
+                        koszul_sign([s + 1 for s in sh.sigma], pu + pv),
+                    )
+                    for sh in enumerate_shuffles(n, m)
+                ]
+                assert shuffle_signed(u, v, pu, pv) == want, (u, v, pu, pv)
+
+
+def test_merge_scaled():
+    acc = {("a",): 2, ("b",): 1}
+    out = merge_scaled(acc, {("a",): 1, ("c",): -4}, 2)
+    assert out is acc
+    assert acc == {("a",): 4, ("b",): 1, ("c",): -8}
+    merge_scaled(acc, {("a",): 4, ("b",): 1}, -1)
+    assert acc == {("c",): -8}  # zero entries dropped
+    acc = {("x",): 5}
+    merge_scaled(acc, {("x",): 5}, -1)
+    assert acc == {}
+
+
+def test_merge_scaled_has_one_implementation():
+    # operators and bv bind the words function by name, so one wrapper per
+    # module sees every call
+    assert operators.merge_scaled is merge_scaled
+    assert bv.merge_scaled is merge_scaled
 
 
 def test_shuffle_graded_commutativity(mixed):
