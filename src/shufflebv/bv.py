@@ -11,8 +11,9 @@ tuples of basis words and filled by Koszul's recursion; it lives for one
 sweep.  ``check_dbv`` and
 ``check_bvinf`` verify every axiom of the induced structure by exhaustive
 evaluation over basis words up to caller-supplied length bounds; failures
-are collected as data, never raised.  Every suite builds its sweeps first
-and hands them to one driver, ``run_sweeps``.
+are collected as data, never raised.  Each case's identity is merged into
+one dict, its brackets and defects read from the memo directly.  Every
+suite builds its sweeps first and hands them to one driver, ``run_sweeps``.
 """
 
 from __future__ import annotations
@@ -321,6 +322,28 @@ def _koszul_step(D, memo: dict, key: tuple[Word, ...], product) -> dict[Word, Sc
     return acc
 
 
+def _add_bracket(
+    acc: dict[Word, Scalar], delta, memo: dict, xterms: dict[Word, Scalar],
+    yterms: dict[Word, Scalar], coeff: Scalar = 1,
+) -> dict[Word, Scalar]:
+    """acc += coeff * {x, y} over the words u of x and v of y, where
+    {u, v} = (-1)^|u| F_2(u, v) with F_2 read from ``memo``; returns ``acc``."""
+    space = delta.space
+    even = not delta.degree & 1
+    for u, cu in xterms.items():
+        odd_u = word_parity(space, u)
+        cu *= coeff
+        for v, cv in yterms.items():
+            c = cu * cv
+            merge_scaled(acc, _defect(delta, memo, (u, v)), -c if odd_u else c)
+            if even and odd_u:
+                # F_2 signs the term u * D(v) by (-1)^(|u| |D|), the bracket
+                # by -1: they differ only for an even D and an odd u
+                for w, s in delta.apply_word(v).items():
+                    merge_scaled(acc, shuffle_terms(space, u, w), -2 * c * s)
+    return acc
+
+
 def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
     """Deviation of ``delta`` from being a derivation of the shuffle product.
 
@@ -330,20 +353,7 @@ def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
     space = x.space
     if y.space != space:
         raise InvalidInputError("elements live in different spaces")
-    memo = _defect_memo(delta)
-    even = not delta.degree & 1
-    acc: dict[Word, Scalar] = {}
-    for u, cu in x.terms.items():
-        odd_u = word_parity(space, u)
-        for v, cv in y.terms.items():
-            c = cu * cv
-            merge_scaled(acc, _defect(delta, memo, (u, v)), -c if odd_u else c)
-            if even and odd_u:
-                # F_2 signs the term u * D(v) by (-1)^(|u| |D|), the bracket
-                # by -1: they differ only for an even D and an odd u
-                for w, s in delta.apply_word(v).items():
-                    merge_scaled(acc, shuffle_terms(space, u, w), -2 * c * s)
-    return TElement._make(space, acc)
+    return TElement._make(space, _add_bracket({}, delta, _defect_memo(delta), x.terms, y.terms))
 
 
 def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
@@ -468,45 +478,61 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         itertools.product(words_up_to(space, bounds.ternary), repeat=3)
     )
     wd = lambda w: word_degree(space, w)
-    # case words come from ``words_up_to`` on this space: trusted
-    el = lambda w: TElement._make(space, {w: 1})
-
+    # each case's identity is merged term by term into one dict: brackets and
+    # order-2 defects of basis words straight from delta's per-sweep F-memo,
+    # shuffles from the space's cache (``words.shuffle`` is looked up at call
+    # time, so a wrapper installed there sees these calls)
+    memo = _defect_memo(delta)
     dd = compose(d, d)
     delta2 = compose(delta, delta)
     mixed = compose(d, delta)
     mixed2 = compose(delta, d)
 
+    def anticommutator(case):
+        # a composite's image is a fresh dict, not a cached one
+        acc = mixed.apply_word(case[0])
+        return TElement._make(space, merge_scaled(acc, mixed2.apply_word(case[0]), 1))
+
     def d_derivation(case):
         u, v = case
         su = -1 if wd(u) & 1 else 1
-        return (
-            d(shuffle_elements(el(u), el(v)))
-            - shuffle_elements(d(el(u)), el(v))
-            - su * shuffle_elements(el(u), d(el(v)))
-        )
+        acc: dict[Word, Scalar] = {}
+        for w, c in words.shuffle(space, u, v).terms.items():
+            merge_scaled(acc, d.apply_word(w), c)
+        for w, c in d.apply_word(u).items():
+            merge_scaled(acc, words.shuffle(space, w, v).terms, -c)
+        for w, c in d.apply_word(v).items():
+            merge_scaled(acc, words.shuffle(space, u, w).terms, -su * c)
+        return TElement._make(space, acc)
 
     def antisymmetry(case):
         x, y = case
         s = -1 if ((wd(x) + 1) & 1) & ((wd(y) + 1) & 1) else 1
-        return bracket(el(x), el(y), delta) + s * bracket(el(y), el(x), delta)
+        acc = _add_bracket({}, delta, memo, {x: 1}, {y: 1})
+        return TElement._make(space, _add_bracket(acc, delta, memo, {y: 1}, {x: 1}, s))
 
     def leibniz(case):
+        # {x * y, z} - x * {y, z} - s {x, z} * y
         x, y, z = case
         s = -1 if (wd(y) & 1) & ((wd(z) + 1) & 1) else 1
-        return (
-            bracket(shuffle_elements(el(x), el(y)), el(z), delta)
-            - shuffle_elements(el(x), bracket(el(y), el(z), delta))
-            - s * shuffle_elements(bracket(el(x), el(z), delta), el(y))
-        )
+        acc = _add_bracket({}, delta, memo, words.shuffle(space, x, y).terms, {z: 1})
+        for w, c in _add_bracket({}, delta, memo, {y: 1}, {z: 1}).items():
+            merge_scaled(acc, words.shuffle(space, x, w).terms, -c)
+        for w, c in _add_bracket({}, delta, memo, {x: 1}, {z: 1}).items():
+            merge_scaled(acc, words.shuffle(space, w, y).terms, -s * c)
+        return TElement._make(space, acc)
 
     def jacobi(case):
+        # {x, {y, z}} - {{x, y}, z} - s {y, {x, z}}
         x, y, z = case
         s = -1 if ((wd(x) + 1) & 1) & ((wd(y) + 1) & 1) else 1
-        return (
-            bracket(el(x), bracket(el(y), el(z), delta), delta)
-            - bracket(bracket(el(x), el(y), delta), el(z), delta)
-            - s * bracket(el(y), bracket(el(x), el(z), delta), delta)
-        )
+        yz = _add_bracket({}, delta, memo, {y: 1}, {z: 1})
+        xy = _add_bracket({}, delta, memo, {x: 1}, {y: 1})
+        xz = _add_bracket({}, delta, memo, {x: 1}, {z: 1})
+        acc = _add_bracket({}, delta, memo, {x: 1}, yz)
+        _add_bracket(acc, delta, memo, xy, {z: 1}, -1)
+        _add_bracket(acc, delta, memo, {y: 1}, xz, -s)
+        return TElement._make(space, acc)
 
     sweeps = [
         Sweep("d_squared", f"words <= {bounds.unary}", singles,
@@ -514,14 +540,14 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         Sweep("delta_squared", f"words <= {bounds.unary}", singles,
               lambda c: TElement._make(space, delta2.apply_word(c[0]))),
         Sweep("d_delta_anticommutator", f"words <= {bounds.unary}", singles,
-              lambda c: TElement._make(space, mixed.apply_word(c[0]))
-              + TElement._make(space, mixed2.apply_word(c[0]))),
+              anticommutator),
         Sweep("d_derivation", f"pairs <= {bounds.binary}", pairs, d_derivation),
         Sweep("bracket_antisymmetry", f"pairs <= {bounds.binary}", pairs, antisymmetry),
         Sweep("bracket_leibniz", f"triples <= {bounds.ternary}", triples, leibniz),
         Sweep("bracket_jacobi", f"triples <= {bounds.ternary}", triples, jacobi),
         Sweep("delta_order_2", f"triples <= {bounds.ternary}", triples,
-              lambda c: order_defect(delta, 2, [el(w) for w in c])),
+              lambda c: TElement._make(
+                  space, _koszul_step(delta, memo, c, _cached_shuffle_terms))),
     ]
     return run_sweeps(sweeps, (d, delta), fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 
@@ -543,9 +569,6 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     space = ainf.space
     ops = {k: ainf.delta_op(k) for k in range(1, K + 1)}
     singles = [(w,) for w in words_up_to(space, bounds.unary)]
-    # case words come from ``words_up_to`` or ``word_tuples_with_total`` on
-    # this space: trusted
-    el = lambda w: TElement._make(space, {w: 1})
     sweeps = []
 
     # delta_1_is_d holds by construction: ops[1] is d_lift, one cached lift
@@ -554,8 +577,8 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
         "delta_1_is_d",
         f"words <= {bounds.unary}",
         singles,
-        lambda c: TElement._make(space, ops[1].apply_word(c[0]))
-        - TElement._make(space, d_lift.apply_word(c[0])),
+        lambda c: TElement._make(
+            space, merge_scaled(dict(ops[1].apply_word(c[0])), d_lift.apply_word(c[0]), -1)),
     ))
 
     for k in range(1, K + 1):
@@ -579,11 +602,13 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             degree_defect,
         ))
         tuples = word_tuples_with_total(space, k + 1, (k + 1) + bounds.order_slack)
+        # the order-k defect of k + 1 basis words, straight from op's F-memo
         sweeps.append(Sweep(
             f"order_{k}_delta_{g}",
             f"{k + 1} nonempty words, total <= {k + 1 + bounds.order_slack}",
             tuples,
-            lambda case, op=op, k=k: order_defect(op, k, [el(w) for w in case]),
+            lambda case, op=op, memo=_defect_memo(op): TElement._make(
+                space, _koszul_step(op, memo, case, _cached_shuffle_terms)),
         ))
 
     degrees = {3 - 2 * k: ops[k] for k in ops}
@@ -597,11 +622,11 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
         ]
 
         def relation_defect(case, pairs=pairs):
-            w = case[0]
-            acc = TElement.zero(space)
+            acc: dict[Word, Scalar] = {}
             for P, Q in pairs:
-                acc = acc + P(TElement._make(space, Q.apply_word(w)))
-            return acc
+                for w, c in Q.apply_word(case[0]).items():
+                    merge_scaled(acc, P.apply_word(w), c)
+            return TElement._make(space, acc)
 
         sweeps.append(Sweep(
             f"sum_relation_n_{total}",

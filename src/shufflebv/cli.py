@@ -84,6 +84,8 @@ def cmd_validate(args) -> int:
     doc = _load(args.path)
     if args.max_arity is not None and args.max_arity < 1:
         raise InvalidInputError("--max-arity must be >= 1")
+    if args.fail_cap < 1:
+        raise InvalidInputError("--fail-cap must be >= 1")
     try:
         if isinstance(doc, MorphismSpec):
             algebra_io.validate_morphism(doc)
@@ -158,6 +160,8 @@ def cmd_eval(args) -> int:
     if isinstance(doc, MorphismSpec):
         raise InvalidInputError("eval needs an algebra, not a morphism")
     space = doc.space()
+    if args.z is not None and args.y is None:
+        raise InvalidInputError("--z needs --y")
     words = [w for w in (_parse_word(args.x), _parse_word(args.y), _parse_word(args.z)) if w is not None]
     if not words:
         raise InvalidInputError("--x is required")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .graded import (
@@ -303,22 +304,50 @@ def shuffle_signed(u, v, pu, pv):
     return out
 
 
+# Shuffle plans, filled by ``shuffle_signed`` on the letter positions of u + v
+# and kept for the life of the process (they depend on lengths and parities
+# only): one itemgetter per shuffle, picking the shuffled word out of u + v,
+# per pair of lengths; and per parity pattern of the letters, that getter
+# tuple beside the shuffles' Koszul signs in the same order.
+_shuffle_getters: dict[tuple[int, int], tuple[itemgetter, ...]] = {}
+_shuffle_plans: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple, tuple[int, ...]]] = {}
+
+
+def _shuffle_plan(pu: tuple[int, ...], pv: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """(getters, signs) of the shuffles of two nonempty words whose letters
+    have the parities ``pu`` and ``pv``."""
+    n, m = len(pu), len(pv)
+    slots = shuffle_signed(tuple(range(n)), tuple(range(n, n + m)), pu, pv)
+    getters = _shuffle_getters.get((n, m))
+    if getters is None:
+        getters = _shuffle_getters[n, m] = tuple(itemgetter(*w) for w, _ in slots)
+    plan = _shuffle_plans[pu, pv] = (getters, tuple(s for _, s in slots))
+    return plan
+
+
 def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     """Terms of the shuffle product of two words, computed afresh.
 
     The uncached product behind ``shuffle``; for callers that keep their own
-    memo of what they build from it.
+    memo of what they build from it.  Each shuffled word is read out of
+    u + v by the cached plan of the words' lengths and parities.
     """
     pu = tuple(space.shifted_parity(a) for a in u)  # also validates letters
     pv = tuple(space.shifted_parity(a) for a in v)
+    intern = word_table(space).setdefault
+    uv = tuple(u) + tuple(v)
+    if not u or not v:
+        return {intern(uv, uv): 1}
+    getters, signs = _shuffle_plans.get((pu, pv)) or _shuffle_plan(pu, pv)
     terms: dict[Word, Scalar] = {}
-    for w, s in shuffle_signed(u, v, pu, pv):
-        val = terms.get(w, 0) + s
+    get = terms.get
+    for g, s in zip(getters, signs):
+        w = g(uv)
+        val = get(w, 0) + s
         if val:
             terms[w] = val
-        elif w in terms:
+        else:
             del terms[w]
-    intern = word_table(space).setdefault
     return {intern(w, w): c for w, c in terms.items()}
 
 

@@ -306,6 +306,31 @@ def test_criterion_8_deviation_order_consistency(end2, dbv_reports):
         ]
 
 
+def test_leibniz_sweep_is_signed_order_2_sweep(end2, monkeypatch):
+    # For any odd D the Leibniz defect of its bracket at (x, y, z) is
+    # (-1)^(|x|+|y|) F_3(x, y, z), the order-2 defect: on the sign-dropped
+    # product lift the two sweeps fail on the same cases, witness for
+    # witness, whether they run here or in a fork pool's workers.
+    import shufflebv.bv
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    buggy = SimpleNamespace(
+        space=end2.space, d_op=end2.d_op, delta_op=_NoPrefixSignLift(end2.mu)
+    )
+    sign = lambda x, y: (-1) ** (word_degree(end2.space, x) + word_degree(end2.space, y))
+    for jobs in (1, 2):
+        bounds = Bounds(unary=1, binary=1, ternary=2, fail_cap=10_000, jobs=jobs)
+        by_name = {r.name: r for r in check_dbv(buggy, bounds)}
+        leibniz, order2 = by_name["bracket_leibniz"], by_name["delta_order_2"]
+        assert leibniz.failure_count == order2.failure_count == 6252
+        assert len(leibniz.failures) == len(order2.failures) == 6252
+        for fl, fo in zip(leibniz.failures, order2.failures):
+            assert fl.inputs == fo.inputs
+            s = sign(*fl.inputs[:2])
+            assert fl.defect.terms == {w: s * c for w, c in fo.defect.terms.items()}, fl.inputs
+
+
 def _degree_consistent_perturbations(spec):
     """All single-structure-constant modifications that keep degrees intact."""
     space = spec.space()
@@ -421,3 +446,31 @@ def test_every_dbv_axiom_has_a_negative_control(end2, monkeypatch):
         assert failed == expected, label
         caught |= failed
     assert caught == {r.name for r in check_dbv(end2, Bounds(unary=1, binary=1, ternary=1))}
+
+
+def test_bvinf_negative_control_sign_dropped_product(monkeypatch):
+    # the product lift with its prefix sign dropped, in place of delta_2 on
+    # ainf-mu3: its order-2 sweep fails, and so do the composition relations
+    # where it meets itself (n = -2) or delta_3 (n = -4); its degree, and the
+    # relation n = 0 with d, still hold
+    import shufflebv.bv
+    from types import SimpleNamespace
+
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    lift = _NoPrefixSignLift(ainf.maps[2])
+    bad = SimpleNamespace(
+        space=ainf.space,
+        maps=ainf.maps,
+        delta_op=lambda k: lift if k == 2 else ainf.delta_op(k),
+    )
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    runs = []
+    for jobs in (1, 2):
+        reports = check_bvinf(bad, 3, Bounds(jobs=jobs))
+        runs.append([
+            (r.name, r.cases, r.failure_count, [(f.inputs, f.defect.terms) for f in r.failures])
+            for r in reports
+        ])
+    assert runs[0] == runs[1]
+    failed = {name: count for name, _, count, _ in runs[0] if count}
+    assert failed == {"order_2_delta_-1": 384, "sum_relation_n_-2": 8, "sum_relation_n_-4": 1}

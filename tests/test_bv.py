@@ -207,6 +207,8 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
     dga = validate_dga(builtin("end-two-term-complex"))
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
     ops = [dga.d_op, dga.delta_op] + [ainf.delta_op(k) for k in (1, 2, 3)]
+    # the sweeps' evaluators hold these dicts: they are emptied, never replaced
+    memos = [op._defects for op in ops]
     empty = lambda: all(not op._defects for op in ops)
     held = []
     run_axiom_orig = shufflebv.bv.run_axiom
@@ -248,6 +250,7 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
         check_bvinf(ainf, 3, Bounds(unary=2, order_slack=1, jobs=jobs))
         assert any(held)  # the sweeps do fill the memo
         assert empty()
+        assert all(op._defects is memo for op, memo in zip(ops, memos))
     assert fake.pool_sizes == [2, 2]  # --jobs 2 did take the pool path
 
 

@@ -51,6 +51,23 @@ def test_validate_corrupted_is_2(fixture_file, capsys):
     assert "INVALID" in out and "associativity" in out
 
 
+def flip_first_mu2_sign(doc):
+    entry = doc["operations"]["mu2"][0]["output"][0]
+    entry[1] = str(-int(entry[1]))
+
+
+def test_validate_fail_cap_below_one_is_2(fixture_file, capsys):
+    path = fixture_file("end-two-term-complex", mutate=flip_first_mu2_sign)
+    assert main(["validate", path, "--fail-cap", "2"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "INVALID: 7 violation(s)" and len(lines) == 3
+    for cap in ("0", "-1"):
+        assert main(["validate", path, "--fail-cap", cap]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--fail-cap must be >= 1" in err
+    assert main(["validate", fixture_file("dual-numbers"), "--fail-cap", "0"]) == 2
+
+
 def test_validate_missing_file_is_3(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 3
 
@@ -298,6 +315,15 @@ def test_eval_unknown_letter_is_2(fixture_file, capsys):
 def test_eval_missing_y_is_2(fixture_file):
     path = fixture_file("dual-numbers")
     assert main(["eval", path, "--op", "shuffle", "--x", "one"]) == 2
+
+
+def test_eval_z_without_y_is_2(fixture_file, capsys):
+    # --z never moves into the empty --y slot
+    path = fixture_file("end-two-term-complex")
+    for op in ("order-defect", "bracket"):
+        assert main(["eval", path, "--op", op, "--x", "b", "--z", "c"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--z needs --y" in err
 
 
 # -- fixtures ------------------------------------------------------------------

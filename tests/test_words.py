@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shufflebv import bv, operators
+from shufflebv import bv, operators, words
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError, koszul_sign
 from shufflebv.words import (
     Shuffle,
@@ -20,6 +20,7 @@ from shufflebv.words import (
     shuffle_elements,
     shuffle_many,
     shuffle_signed,
+    shuffle_terms,
     sorted_terms,
     word_degree,
     word_tuples_with_total,
@@ -302,6 +303,29 @@ def test_peek_shuffle_terms_reads_but_never_fills_the_cache():
     cached = shuffle(space, u, v).terms
     assert fresh == cached
     assert peek_shuffle_terms(space, u, v) is cached
+
+
+def test_shuffle_plans_match_shuffle_signed():
+    # x has odd shifted degree, y even: the words over {x, y} of length <= 3
+    # give every parity pattern, and repeated x's make terms cancel
+    space = GradedSpace("plans", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    for u, v in itertools.product(words_up_to(space, 3), repeat=2):
+        pu = tuple(space.shifted_parity(a) for a in u)
+        pv = tuple(space.shifted_parity(a) for a in v)
+        want = {}
+        for w, s in shuffle_signed(u, v, pu, pv):
+            want[w] = want.get(w, 0) + s
+            if not want[w]:
+                del want[w]
+        got = shuffle_terms(space, u, v)
+        assert list(got.items()) == list(want.items()), (u, v)
+    assert shuffle_terms(space, ("x",), ("x",)) == {}  # x * x = 0: its terms cancel
+    # one getter tuple per pair of lengths, shared by all parity patterns
+    for (pu, pv), (getters, signs) in words._shuffle_plans.items():
+        assert getters is words._shuffle_getters[len(pu), len(pv)]
+        assert len(signs) == len(getters) == comb(len(pu) + len(pv), len(pu))
+    lengths = {(len(pu), len(pv)) for pu, pv in words._shuffle_plans}
+    assert {(n, m) for n in range(1, 4) for m in range(1, 4)} <= lengths
 
 
 def test_shuffle_many(mixed):
