@@ -6,37 +6,43 @@ derivation of the shuffle product:
     {x, y} = (-1)^|x| D(x * y) - (-1)^|x| D(x) * y - x * D(y),
 
 with |x| the word degree and * the shuffle product.  The bracket and the
-order-n expression are both read off one memo per operator, keyed by
-tuples of basis words and filled by Koszul's recursion; it lives for one
-sweep.  ``check_dbv`` and
+order-n expression are both read off the operator's defect memo
+(``operators.defect_table``), which lives for one sweep.  ``check_dbv`` and
 ``check_bvinf`` verify every axiom of the induced structure by exhaustive
 evaluation over basis words up to caller-supplied length bounds; failures
 are collected as data, never raised.  Each case's identity is merged into
-one dict, its brackets and defects read from the memo directly.  Every
-suite builds its sweeps first and hands them to one driver, ``run_sweeps``.
+one dict by ``merge_images``, its images, shuffles, brackets and defects
+read by subscript from the tables of the operators, the space and the
+memo.  Every suite builds its sweeps first and hands them to one driver,
+``run_sweeps``.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .graded import InvalidInputError, Scalar, render_scalar
-from . import words
-from .operators import MultilinearMap, Operator, compose, induced_morphism
+from .operators import (
+    MultilinearMap,
+    Operator,
+    _koszul_step,
+    defect_table,
+    image_table,
+    induced_morphism,
+)
 from .words import (
     Shuffle,
     TElement,
     Word,
     enumerate_shuffles,
+    merge_images,
     merge_scaled,
-    peek_shuffle_terms,
     render_telement,
     shuffle_elements,
-    shuffle_terms,
+    shuffle_peek,
     sorted_terms,
     word_degree,
     word_parity,
@@ -170,7 +176,7 @@ def _run_block(task: tuple[int, int, int]) -> tuple[int, list[tuple[int, TElemen
     """A pool worker's task: one contiguous block (sweep index, start, stop).
 
     The defect memos live for one sweep, so they are emptied when the sweep
-    index changes; the operator and shuffle caches stay warm.
+    index changes; the image and shuffle tables stay warm.
     """
     index, start, stop = task
     if index != _worker["held"]:
@@ -222,13 +228,15 @@ def run_sweeps(
     jobs > 1 one fork-based pool, of at most one worker per usable CPU,
     serves every sweep.  It forks after the sweeps are built, so the
     workers inherit the case lists and evaluators, and they keep their
-    operator and shuffle caches from one sweep to the next.  Each sweep is
+    image and shuffle tables from one sweep to the next.  Each sweep is
     handed out as contiguous blocks, one per worker, and the blocks' results
     are merged in case order, so reports are the same at every ``jobs``.
     """
     workers = min(jobs, _usable_cpus())
     ctx = None
     if workers > 1 and sum(len(s.cases) for s in sweeps) >= 4 * workers:
+        import multiprocessing  # only here: a serial check never needs it
+
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
@@ -260,11 +268,12 @@ def run_sweeps(
 
 
 def _defect_memo(D) -> dict[tuple[Word, ...], dict[Word, Scalar]]:
-    """The memo of F-values kept on ``D``, attached on first use to any
-    operator-like object (one with ``space``, ``degree`` and ``apply_word``)."""
+    """The defect memo kept on ``D``, attached on first use to an
+    operator-like object without one (one with ``space``, ``degree`` and
+    ``apply_word``)."""
     memo = getattr(D, "_defects", None)
     if memo is None:
-        memo = D._defects = {}
+        memo = D._defects = defect_table(D)
     return memo
 
 
@@ -277,51 +286,6 @@ def _forget_defects(*ops) -> None:
             memo.clear()
 
 
-def _defect(D, memo: dict, key: tuple[Word, ...]) -> dict[Word, Scalar]:
-    """F_m(key) for m = len(key), stored in ``memo`` for m >= 2."""
-    if len(key) == 1:
-        return D.apply_word(key[0])
-    hit = memo.get(key)
-    if hit is None:
-        # shuffles inside a stored entry never fill the space's cache: the
-        # memo already holds what is built from them
-        hit = _koszul_step(D, memo, key, peek_shuffle_terms)
-        memo[key] = hit
-    return hit
-
-
-def _cached_shuffle_terms(space, u: Word, v: Word) -> dict[Word, Scalar]:
-    # looked up on ``words`` at call time, so a wrapper installed there (the
-    # perfbench tracer's) sees these calls too
-    return words.shuffle(space, u, v).terms
-
-
-def _koszul_step(D, memo: dict, key: tuple[Word, ...], product) -> dict[Word, Scalar]:
-    """F_m(X, b, c) for m = len(key) >= 2, by Koszul's recursion
-
-        F_m(X, b, c) = sum_w [b*c]_w F_(m-1)(X, w) - F_(m-1)(X, b) * c
-                       - (-1)^(|b| (|D| + sum_(x in X) |x|)) b * F_(m-1)(X, c),
-
-    where F_1 = D and F_m is the order-(m-1) expression of ``order_defect``
-    at the basis words of ``key``.  ``product(space, u, v)`` gives the terms
-    of the shuffle of two words.
-    """
-    space = D.space
-    X, b, c = key[:-2], key[-2], key[-1]
-    acc: dict[Word, Scalar] = {}
-    for w, s in product(space, b, c).items():
-        merge_scaled(acc, _defect(D, memo, X + (w,)), s)
-    for w, s in _defect(D, memo, X + (b,)).items():
-        merge_scaled(acc, product(space, w, c), -s)
-    par = D.degree
-    for x in X:
-        par += word_parity(space, x)
-    sign = 1 if word_parity(space, b) & par & 1 else -1
-    for w, s in _defect(D, memo, X + (c,)).items():
-        merge_scaled(acc, product(space, b, w), sign * s)
-    return acc
-
-
 def _add_bracket(
     acc: dict[Word, Scalar], delta, memo: dict, xterms: dict[Word, Scalar],
     yterms: dict[Word, Scalar], coeff: Scalar = 1,
@@ -332,15 +296,13 @@ def _add_bracket(
     even = not delta.degree & 1
     for u, cu in xterms.items():
         odd_u = word_parity(space, u)
-        cu *= coeff
-        for v, cv in yterms.items():
-            c = cu * cv
-            merge_scaled(acc, _defect(delta, memo, (u, v)), -c if odd_u else c)
-            if even and odd_u:
-                # F_2 signs the term u * D(v) by (-1)^(|u| |D|), the bracket
-                # by -1: they differ only for an even D and an odd u
-                for w, s in delta.apply_word(v).items():
-                    merge_scaled(acc, shuffle_terms(space, u, w), -2 * c * s)
+        cu = -coeff * cu if odd_u else coeff * cu
+        merge_images(acc, yterms, memo[(u,)], cu)
+        if even and odd_u:
+            # F_2 signs the term u * D(y) by (-1)^(|u| |D|), the bracket
+            # by -1: they differ only for an even D and an odd u
+            dy = merge_images({}, yterms, memo[()], 1)
+            merge_images(acc, {(u, w): s for w, s in dy.items()}, shuffle_peek(space), 2 * cu)
     return acc
 
 
@@ -353,6 +315,8 @@ def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
     space = x.space
     if y.space != space:
         raise InvalidInputError("elements live in different spaces")
+    if delta.space != space:
+        raise InvalidInputError("the operator acts on a different space")
     return TElement._make(space, _add_bracket({}, delta, _defect_memo(delta), x.terms, y.terms))
 
 
@@ -379,16 +343,17 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
         x.degree()  # raises on inhomogeneous input
         if x.space != space:
             raise InvalidInputError("elements live in different spaces")
-    memo = _defect_memo(D)
+    _defect_memo(D)
+    shuffles = space._shuffle_cache
     acc: dict[Word, Scalar] = {}
     for combo in itertools.product(*(x.terms.items() for x in inputs)):
         coeff = 1
         for _, c in combo:
             coeff *= c
         # no sweep repeats a case tuple, so the top level is not stored;
-        # its shuffles recur across cases and go through the space's cache
+        # its shuffles recur across cases and go through the space's table
         key = tuple(w for w, _ in combo)
-        merge_scaled(acc, _koszul_step(D, memo, key, _cached_shuffle_terms), coeff)
+        merge_scaled(acc, _koszul_step(D, key, shuffles), coeff)
     return TElement._make(space, acc)
 
 
@@ -478,31 +443,27 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         itertools.product(words_up_to(space, bounds.ternary), repeat=3)
     )
     wd = lambda w: word_degree(space, w)
-    # each case's identity is merged term by term into one dict: brackets and
-    # order-2 defects of basis words straight from delta's per-sweep F-memo,
-    # shuffles from the space's cache (``words.shuffle`` is looked up at call
-    # time, so a wrapper installed there sees these calls)
+    # each case's identity is merged term by term into one dict, every image,
+    # shuffle and F-value read by subscript: from the operators' and the
+    # space's tables, and from delta's per-sweep defect memo
+    d_img, delta_img = image_table(d), image_table(delta)
+    shuffles = space._shuffle_cache
     memo = _defect_memo(delta)
-    dd = compose(d, d)
-    delta2 = compose(delta, delta)
-    mixed = compose(d, delta)
-    mixed2 = compose(delta, d)
+
+    def square(img):
+        return lambda c: TElement._make(space, merge_images({}, img[c[0]], img, 1))
 
     def anticommutator(case):
-        # a composite's image is a fresh dict, not a cached one
-        acc = mixed.apply_word(case[0])
-        return TElement._make(space, merge_scaled(acc, mixed2.apply_word(case[0]), 1))
+        w = case[0]
+        acc = merge_images({}, delta_img[w], d_img, 1)
+        return TElement._make(space, merge_images(acc, d_img[w], delta_img, 1))
 
     def d_derivation(case):
         u, v = case
         su = -1 if wd(u) & 1 else 1
-        acc: dict[Word, Scalar] = {}
-        for w, c in words.shuffle(space, u, v).terms.items():
-            merge_scaled(acc, d.apply_word(w), c)
-        for w, c in d.apply_word(u).items():
-            merge_scaled(acc, words.shuffle(space, w, v).terms, -c)
-        for w, c in d.apply_word(v).items():
-            merge_scaled(acc, words.shuffle(space, u, w).terms, -su * c)
+        acc = merge_images({}, shuffles[u, v], d_img, 1)
+        merge_images(acc, {(w, v): c for w, c in d_img[u].items()}, shuffles, -1)
+        merge_images(acc, {(u, w): c for w, c in d_img[v].items()}, shuffles, -su)
         return TElement._make(space, acc)
 
     def antisymmetry(case):
@@ -515,11 +476,11 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         # {x * y, z} - x * {y, z} - s {x, z} * y
         x, y, z = case
         s = -1 if (wd(y) & 1) & ((wd(z) + 1) & 1) else 1
-        acc = _add_bracket({}, delta, memo, words.shuffle(space, x, y).terms, {z: 1})
-        for w, c in _add_bracket({}, delta, memo, {y: 1}, {z: 1}).items():
-            merge_scaled(acc, words.shuffle(space, x, w).terms, -c)
-        for w, c in _add_bracket({}, delta, memo, {x: 1}, {z: 1}).items():
-            merge_scaled(acc, words.shuffle(space, w, y).terms, -s * c)
+        acc = _add_bracket({}, delta, memo, shuffles[x, y], {z: 1})
+        yz = _add_bracket({}, delta, memo, {y: 1}, {z: 1})
+        merge_images(acc, {(x, w): c for w, c in yz.items()}, shuffles, -1)
+        xz = _add_bracket({}, delta, memo, {x: 1}, {z: 1})
+        merge_images(acc, {(w, y): c for w, c in xz.items()}, shuffles, -s)
         return TElement._make(space, acc)
 
     def jacobi(case):
@@ -535,10 +496,8 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         return TElement._make(space, acc)
 
     sweeps = [
-        Sweep("d_squared", f"words <= {bounds.unary}", singles,
-              lambda c: TElement._make(space, dd.apply_word(c[0]))),
-        Sweep("delta_squared", f"words <= {bounds.unary}", singles,
-              lambda c: TElement._make(space, delta2.apply_word(c[0]))),
+        Sweep("d_squared", f"words <= {bounds.unary}", singles, square(d_img)),
+        Sweep("delta_squared", f"words <= {bounds.unary}", singles, square(delta_img)),
         Sweep("d_delta_anticommutator", f"words <= {bounds.unary}", singles,
               anticommutator),
         Sweep("d_derivation", f"pairs <= {bounds.binary}", pairs, d_derivation),
@@ -546,8 +505,7 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         Sweep("bracket_leibniz", f"triples <= {bounds.ternary}", triples, leibniz),
         Sweep("bracket_jacobi", f"triples <= {bounds.ternary}", triples, jacobi),
         Sweep("delta_order_2", f"triples <= {bounds.ternary}", triples,
-              lambda c: TElement._make(
-                  space, _koszul_step(delta, memo, c, _cached_shuffle_terms))),
+              lambda c: TElement._make(space, _koszul_step(delta, c, shuffles))),
     ]
     return run_sweeps(sweeps, (d, delta), fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 
@@ -568,29 +526,30 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
         raise InvalidInputError("max arity must be >= 2")
     space = ainf.space
     ops = {k: ainf.delta_op(k) for k in range(1, K + 1)}
+    img = {k: image_table(op) for k, op in ops.items()}
+    shuffles = space._shuffle_cache
     singles = [(w,) for w in words_up_to(space, bounds.unary)]
     sweeps = []
 
     # delta_1_is_d holds by construction: ops[1] is d_lift, one cached lift
-    d_lift = ainf.delta_op(1)
+    d_img = image_table(ainf.delta_op(1))
     sweeps.append(Sweep(
         "delta_1_is_d",
         f"words <= {bounds.unary}",
         singles,
-        lambda c: TElement._make(
-            space, merge_scaled(dict(ops[1].apply_word(c[0])), d_lift.apply_word(c[0]), -1)),
+        lambda c: TElement._make(space, merge_scaled(dict(img[1][c[0]]), d_img[c[0]], -1)),
     ))
 
     for k in range(1, K + 1):
         g = 3 - 2 * k
         op = ops[k]
 
-        def degree_defect(case, op=op, g=g):
+        def degree_defect(case, op_img=img[k], g=g):
             w = case[0]
             base = word_degree(space, w)
             bad = {
                 w2: c
-                for w2, c in op.apply_word(w).items()
+                for w2, c in op_img[w].items()
                 if word_degree(space, w2) != base + g
             }
             return TElement._make(space, bad)
@@ -602,16 +561,17 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             degree_defect,
         ))
         tuples = word_tuples_with_total(space, k + 1, (k + 1) + bounds.order_slack)
-        # the order-k defect of k + 1 basis words, straight from op's F-memo
+        # the order-k defect of k + 1 basis words, from op's F-memo, which
+        # an operator-like object without one is given here
+        _defect_memo(op)
         sweeps.append(Sweep(
             f"order_{k}_delta_{g}",
             f"{k + 1} nonempty words, total <= {k + 1 + bounds.order_slack}",
             tuples,
-            lambda case, op=op, memo=_defect_memo(op): TElement._make(
-                space, _koszul_step(op, memo, case, _cached_shuffle_terms)),
+            lambda case, op=op: TElement._make(space, _koszul_step(op, case, shuffles)),
         ))
 
-    degrees = {3 - 2 * k: ops[k] for k in ops}
+    degrees = {3 - 2 * k: img[k] for k in ops}
     totals = sorted({a + b for a in degrees for b in degrees}, reverse=True)
     for total in totals:
         pairs = [
@@ -624,8 +584,7 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
         def relation_defect(case, pairs=pairs):
             acc: dict[Word, Scalar] = {}
             for P, Q in pairs:
-                for w, c in Q.apply_word(case[0]).items():
-                    merge_scaled(acc, P.apply_word(w), c)
+                merge_images(acc, Q[case[0]], P, 1)
             return TElement._make(space, acc)
 
         sweeps.append(Sweep(

@@ -90,7 +90,9 @@ class GradedSpace:
         self._degree = {l.id: l.degree for l in letters}
         # parity of the shifted degree, the only part signs ever need
         self._sparity = {l.id: (l.degree + 1) & 1 for l in letters}
-        self._shuffle_cache: dict = {}
+        from .words import shuffle_table  # words builds on this module
+
+        self._shuffle_cache = shuffle_table(self)
         # one tuple object per basis word; see ``words.word_table``
         self._word_table: dict = {}
 

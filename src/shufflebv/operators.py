@@ -33,10 +33,15 @@ from .graded import (
     normalize_scalar,
 )
 from .words import (
+    Table,
     TElement,
+    View,
     Word,
     deconcatenations,
+    merge_images,
     merge_scaled,
+    owned_table,
+    shuffle_peek,
     word_parity,
     word_table,
 )
@@ -121,24 +126,24 @@ class MultilinearMap:
 class Operator:
     """A degree-homogeneous endomorphism of the word space, given by a rule.
 
-    Subclasses implement ``_apply_word``; results are memoised per word and
-    must be treated as immutable by callers.  ``_defects`` is the memo of
-    defect expressions on word tuples that ``bv`` keeps for this operator.
+    Subclasses implement ``_apply_word``.  An operator keeps two tables,
+    made with it and dropped when it is pickled: ``_cache``, the image of
+    each basis word, kept for the operator's life; and ``_defects``, its
+    defect memo (see ``defect_table``), which the sweep driver empties when
+    a sweep ends.  Images must be treated as immutable by callers.
     """
 
     def __init__(self, space: GradedSpace, degree: int):
         self.space = space
         self.degree = degree
-        self._cache: dict[Word, dict[Word, Scalar]] = {}
-        self._defects: dict[tuple[Word, ...], dict[Word, Scalar]] = {}
+        self._tables()
+
+    def _tables(self) -> None:
+        self._cache = owned_table(self, type(self)._apply_word)
+        self._defects = defect_table(self)
 
     def apply_word(self, w: Word) -> dict[Word, Scalar]:
-        w = tuple(w)
-        hit = self._cache.get(w)
-        if hit is None:
-            hit = self._apply_word(w)
-            self._cache[w] = hit
-        return hit
+        return self._cache[tuple(w)]
 
     def _apply_word(self, w: Word) -> dict[Word, Scalar]:
         raise NotImplementedError
@@ -146,19 +151,68 @@ class Operator:
     def __call__(self, x: TElement | Word) -> TElement:
         if not isinstance(x, TElement):
             return TElement._make(self.space, self.apply_word(x))
-        acc: dict[Word, Scalar] = {}
-        for w, c in x.terms.items():
-            merge_scaled(acc, self.apply_word(w), c)
-        return TElement._make(x.space, acc)
+        return TElement._make(x.space, merge_images({}, x.terms, image_table(self), 1))
 
     def is_zero_operator(self) -> bool:
         return False
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_cache"] = {}
-        state["_defects"] = {}
+        state.pop("_cache", None)
+        state.pop("_defects", None)
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._tables()
+
+
+def image_table(op) -> Table:
+    """The images of basis words under ``op``, read by subscript: an
+    operator's own table, or a view that calls ``apply_word`` on every read
+    for a composite or an operator-like object without one."""
+    table = getattr(op, "_cache", None)
+    return table if type(table) is Table else owned_table(op, type(op).apply_word, View)
+
+
+def defect_table(D) -> Table:
+    """A new defect memo for the operator-like ``D``, by prefix:
+    ``memo[X][w]`` is F_m(X + (w,)) on m = len(X) + 1 basis words.
+
+    ``memo[()]`` is D's image table (F_1 = D); beyond it each prefix has a
+    table filled by Koszul's recursion.  F_(m+1) is the order-m expression
+    of ``bv.order_defect``.  Shuffles inside an entry never fill the space's
+    table: the memo already holds what is built from them.
+    """
+    shuffles = shuffle_peek(D.space)
+
+    def level(D, X):
+        if not X:
+            return image_table(D)
+        return owned_table(D, lambda D, w: _koszul_step(D, X + (w,), shuffles))
+
+    return owned_table(D, level)
+
+
+def _koszul_step(D, key: tuple[Word, ...], shuffles) -> dict[Word, Scalar]:
+    """F_m(X, b, c) for m = len(key) >= 2, by Koszul's recursion
+
+        F_m(X, b, c) = sum_w [b*c]_w F_(m-1)(X, w) - F_(m-1)(X, b) * c
+                       - (-1)^(|b| (|D| + sum_(x in X) |x|)) b * F_(m-1)(X, c),
+
+    with F_1 = D and F_(m-1)(X, -) read from D's defect memo.  ``shuffles``
+    maps a pair of words (u, v) to the terms of u * v.
+    """
+    space = D.space
+    X, b, c = key[:-2], key[-2], key[-1]
+    lower = D._defects[X]
+    acc = merge_images({}, shuffles[b, c], lower, 1)
+    merge_images(acc, {(w, c): s for w, s in lower[b].items()}, shuffles, -1)
+    par = D.degree
+    for x in X:
+        par += word_parity(space, x)
+    sign = 1 if word_parity(space, b) & par & 1 else -1
+    return merge_images(acc, {(b, w): s for w, s in lower[c].items()}, shuffles, sign)
 
 
 class ZeroOperator(Operator):
@@ -236,8 +290,8 @@ def lift_coderivation(c: MultilinearMap) -> Operator:
 class ComposedOperator(Operator):
     """(P o Q)(w) = P(Q(w)); degrees add.
 
-    Results are not memoised: P and Q cache their own, and the axiom sweeps
-    apply a composite once per word.
+    Results are not memoised: P and Q cache their own, and a composite is
+    applied once per word.  It keeps no table.
     """
 
     def __init__(self, P: Operator, Q: Operator):
@@ -247,17 +301,18 @@ class ComposedOperator(Operator):
         self.outer = P
         self.inner = Q
 
+    def _tables(self) -> None:
+        pass
+
     def apply_word(self, w: Word) -> dict[Word, Scalar]:
-        acc: dict[Word, Scalar] = {}
-        for w1, c1 in self.inner.apply_word(w).items():
-            merge_scaled(acc, self.outer.apply_word(w1), c1)
-        return acc
+        return merge_images({}, self.inner.apply_word(w), image_table(self.outer), 1)
 
 
 class OperatorSum(Operator):
     """A finite linear combination of operators of one common degree.
 
-    Not memoised, for the same reason as ``ComposedOperator``.
+    Not memoised, for the same reason as ``ComposedOperator``; it keeps no
+    table.
     """
 
     def __init__(self, parts: list[tuple[Scalar, Operator]]):
@@ -274,6 +329,9 @@ class OperatorSum(Operator):
         _, first = parts[0]
         super().__init__(first.space, first.degree)
         self.parts = [(normalize_scalar(c), op) for c, op in parts]
+
+    def _tables(self) -> None:
+        pass
 
     def apply_word(self, w: Word) -> dict[Word, Scalar]:
         acc: dict[Word, Scalar] = {}

@@ -7,10 +7,11 @@ The empty word is the unit.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .graded import (
     GradedSpace,
@@ -24,16 +25,70 @@ from .graded import (
 Word = tuple[str, ...]
 
 
+class Table(dict):
+    """A memo that fills itself: reading a missing key stores ``fill(key)``
+    under it and returns it.
+
+    A hit is one subscript, answered by ``dict`` with no Python frame; ``get``
+    and ``in`` read without filling.  Values must be treated as immutable.
+    """
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class View(Table):
+    """A table that stores nothing: every read returns ``fill(key)`` afresh.
+
+    For reads through ``merge_images`` of a source that keeps its own memo,
+    or must not be memoised here.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return self.fill(key)
+
+
+def owned_table(owner, fill: Callable, kind: type = Table) -> Table:
+    """A table of ``owner`` filled by ``fill(owner, key)``.
+
+    The fill holds the owner by a weak reference, so an owner and its tables
+    form no reference cycle and are freed by reference counting alone.
+    """
+    ref = weakref.ref(owner)
+    return kind(lambda key: fill(ref(), key))
+
+
 def word_table(space: GradedSpace) -> dict[Word, Word]:
     """The intern table of ``space``: maps each word it has seen to the one
     tuple object that stands for it.
 
     Words pass through it where they are made (``words_up_to``,
-    ``shuffle_terms``, the coderivation lifts), so the caches share one
+    ``shuffle_terms``, the coderivation lifts), so the tables share one
     object per word; intern with ``table.setdefault(w, w)``.  Like the
-    shuffle cache, it is not pickled.
+    shuffle table, it is not pickled.
     """
     return space._word_table
+
+
+def shuffle_table(space: GradedSpace) -> Table:
+    """A new table of the shuffle products of pairs of words of ``space``:
+    (u, v) -> the terms of u * v, filled by ``shuffle_terms``.  Each space
+    keeps one, for its life; see ``shuffle``."""
+    return owned_table(space, _shuffle_fill)
+
+
+def shuffle_peek(space: GradedSpace) -> View:
+    """The shuffle table of ``space`` read through ``peek_shuffle_terms``:
+    cached pairs are read, the others computed afresh, none stored."""
+    return View(lambda key: peek_shuffle_terms(space, *key))
 
 
 def word_degree(space: GradedSpace, w: Word) -> int:
@@ -259,6 +314,26 @@ def merge_scaled(acc, terms, coeff):
     return acc
 
 
+def merge_images(acc, terms, table, coeff):
+    """acc += coeff * sum(c * table[w] for w, c in terms), dropping zero entries.
+
+    The fused form of ``merge_scaled(acc, table[w], coeff * c)`` over the
+    terms: reads each image by subscript, so a ``Table`` fills its misses.
+    Mutates and returns ``acc``; ``coeff`` and the coefficients of ``terms``
+    and of the images must be nonzero.
+    """
+    get = acc.get
+    for w, c in terms.items():
+        c *= coeff
+        for w2, c2 in table[w].items():
+            val = get(w2, 0) + c * c2
+            if val:
+                acc[w2] = val
+            else:
+                del acc[w2]
+    return acc
+
+
 def shuffle_signed(u, v, pu, pv):
     """All interleavings of the sequences u and v, each with its Koszul sign.
 
@@ -304,25 +379,25 @@ def shuffle_signed(u, v, pu, pv):
     return out
 
 
+def _shuffle_plan(parities: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[tuple, tuple[int, ...]]:
+    """(getters, signs) of the shuffles of two nonempty words whose letters
+    have the parities ``parities`` = (pu, pv); the fill of ``_shuffle_plans``."""
+    pu, pv = parities
+    n, m = len(pu), len(pv)
+    slots = shuffle_signed(tuple(range(n)), tuple(range(n, n + m)), pu, pv)
+    getters = _shuffle_getters.get((n, m))
+    if getters is None:
+        getters = _shuffle_getters[n, m] = tuple(itemgetter(*w) for w, _ in slots)
+    return getters, tuple(s for _, s in slots)
+
+
 # Shuffle plans, filled by ``shuffle_signed`` on the letter positions of u + v
 # and kept for the life of the process (they depend on lengths and parities
 # only): one itemgetter per shuffle, picking the shuffled word out of u + v,
 # per pair of lengths; and per parity pattern of the letters, that getter
 # tuple beside the shuffles' Koszul signs in the same order.
 _shuffle_getters: dict[tuple[int, int], tuple[itemgetter, ...]] = {}
-_shuffle_plans: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple, tuple[int, ...]]] = {}
-
-
-def _shuffle_plan(pu: tuple[int, ...], pv: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
-    """(getters, signs) of the shuffles of two nonempty words whose letters
-    have the parities ``pu`` and ``pv``."""
-    n, m = len(pu), len(pv)
-    slots = shuffle_signed(tuple(range(n)), tuple(range(n, n + m)), pu, pv)
-    getters = _shuffle_getters.get((n, m))
-    if getters is None:
-        getters = _shuffle_getters[n, m] = tuple(itemgetter(*w) for w, _ in slots)
-    plan = _shuffle_plans[pu, pv] = (getters, tuple(s for _, s in slots))
-    return plan
+_shuffle_plans = Table(_shuffle_plan)
 
 
 def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
@@ -338,7 +413,7 @@ def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     uv = tuple(u) + tuple(v)
     if not u or not v:
         return {intern(uv, uv): 1}
-    getters, signs = _shuffle_plans.get((pu, pv)) or _shuffle_plan(pu, pv)
+    getters, signs = _shuffle_plans[pu, pv]
     terms: dict[Word, Scalar] = {}
     get = terms.get
     for g, s in zip(getters, signs):
@@ -351,19 +426,17 @@ def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     return {intern(w, w): c for w, c in terms.items()}
 
 
+def _shuffle_fill(space: GradedSpace, key: tuple[Word, Word]) -> dict[Word, Scalar]:
+    return shuffle_terms(space, *key)
+
+
 def shuffle(space: GradedSpace, u: Word, v: Word) -> TElement:
     """Shuffle product of two words, with Koszul signs on shifted degrees.
 
-    Results are cached on the space: axiom sweeps hit the same pairs often.
+    Read from the space's shuffle table: axiom sweeps hit the same pairs
+    often.
     """
-    u, v = tuple(u), tuple(v)
-    cache = space._shuffle_cache
-    key = (u, v)
-    hit = cache.get(key)
-    if hit is None:
-        hit = TElement._make(space, shuffle_terms(space, u, v))
-        cache[key] = hit
-    return hit
+    return TElement._make(space, space._shuffle_cache[tuple(u), tuple(v)])
 
 
 def peek_shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
@@ -371,7 +444,7 @@ def peek_shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scala
     pair is cached, computed afresh otherwise.  Never fills the cache; for
     callers that keep their own memo of what they build from it."""
     hit = space._shuffle_cache.get((u, v))
-    return shuffle_terms(space, u, v) if hit is None else hit.terms
+    return shuffle_terms(space, u, v) if hit is None else hit
 
 
 def shuffle_elements(x: TElement, y: TElement) -> TElement:
@@ -380,9 +453,9 @@ def shuffle_elements(x: TElement, y: TElement) -> TElement:
         raise InvalidInputError("elements live in different spaces")
     space = x.space
     acc: dict[Word, Scalar] = {}
+    shuffles = space._shuffle_cache
     for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
-            merge_scaled(acc, shuffle(space, u, v).terms, cu * cv)
+        merge_images(acc, {(u, v): cv for v, cv in y.terms.items()}, shuffles, cu)
     return TElement._make(space, acc)
 
 

@@ -331,6 +331,33 @@ def test_leibniz_sweep_is_signed_order_2_sweep(end2, monkeypatch):
             assert fl.defect.terms == {w: s * c for w, c in fo.defect.terms.items()}, fl.inputs
 
 
+def test_leibniz_defect_is_signed_order_2_defect_on_random_odd_lifts():
+    # The same identity on criterion 4's random arity-3 lifts of odd degree,
+    # none of them BV: at every triple of words of length <= 2 the Leibniz
+    # sweep's defect is (-1)^(|x|+|y|) times the order-2 sweep's F_3.  The
+    # two sweeps share no code but the defect memo, so a sign slip in the
+    # bracket or in Koszul's recursion shows as a mismatch.
+    from types import SimpleNamespace
+
+    sp = GradedSpace("rand2", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    sign = lambda x, y: (-1) ** (word_degree(sp, x) + word_degree(sp, y))
+    bounds = Bounds(unary=0, binary=0, ternary=2, fail_cap=10_000)
+    lifts = [D for arity, _, D in _random_lifts(sp) if arity == 3 and D.degree & 1]
+    assert len(lifts) == 6
+    nonzero = []
+    for D in lifts:
+        by_name = {r.name: r for r in check_dbv(SimpleNamespace(space=sp, d_op=D, delta_op=D), bounds)}
+        leibniz, order2 = by_name["bracket_leibniz"], by_name["delta_order_2"]
+        assert leibniz.cases == order2.cases == 7 ** 3
+        assert [f.inputs for f in leibniz.failures] == [f.inputs for f in order2.failures]
+        for fl, fo in zip(leibniz.failures, order2.failures):
+            s = sign(*fl.inputs[:2])
+            assert fl.defect.terms == {w: s * c for w, c in fo.defect.terms.items()}, fl.inputs
+        nonzero.append(order2.failure_count)
+    # F_3 is nonzero on 114 triples for half of the lifts: the check is not vacuous
+    assert sorted(nonzero) == [0, 0, 0, 114, 114, 114]
+
+
 def _degree_consistent_perturbations(spec):
     """All single-structure-constant modifications that keep degrees intact."""
     space = spec.space()

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import multiprocessing
 import os
 import pickle
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from defect_reference import bracket_reference, order_defect_reference
 
 import shufflebv.bv
+import shufflebv.operators
 from shufflebv.algebra_io import DGAlgebra, builtin, validate_ainf, validate_dga, validate_morphism
 from shufflebv.bv import (
     Bounds,
@@ -240,7 +242,7 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
         return run_sweeps_orig(sweeps, *args, **kwargs)
 
     fake = InProcessContext()
-    monkeypatch.setattr(shufflebv.bv.multiprocessing, "get_context", fake)
+    monkeypatch.setattr(multiprocessing, "get_context", fake)
     monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(shufflebv.bv, "run_axiom", watched)
     monkeypatch.setattr(shufflebv.bv, "run_sweeps", watched_sweeps)
@@ -252,6 +254,31 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
         assert empty()
         assert all(op._defects is memo for op, memo in zip(ops, memos))
     assert fake.pool_sizes == [2, 2]  # --jobs 2 did take the pool path
+
+
+def test_defect_memo_fills_each_entry_once(end2, monkeypatch):
+    # every F-value is computed by one Koszul step, however often the sweeps
+    # and the recursion read it; the images (F_1) come from the image table
+    calls = []
+    step = shufflebv.operators._koszul_step
+
+    def counted(D, key, shuffles):
+        calls.append(key)
+        return step(D, key, shuffles)
+
+    monkeypatch.setattr(shufflebv.operators, "_koszul_step", counted)
+    op = lift_coderivation(end2.mu)
+    memo = op._defects
+    words = words_up_to(end2.space, 2)
+    for _ in range(2):
+        for t in itertools.product(words, repeat=3):
+            order_defect(op, 2, [el(end2, w) for w in t])
+    stored = [X + (w,) for X, level in memo.items() if X for w in level]
+    assert memo[()] is op._cache
+    assert stored and sorted(stored) == sorted(set(stored))
+    # the top-level steps of order_defect are not stored; each entry is filled once
+    filled = [key for key in calls if key in set(stored)]
+    assert sorted(filled) == sorted(stored)
 
 
 def test_pickled_operator_drops_its_memos(end2):
@@ -289,7 +316,7 @@ def test_cached_words_are_interned():
     check_dbv(dga, Bounds(unary=3, binary=2, ternary=1))
     table = word_table(dga.space)
     images = [op._cache.values() for op in (dga.d_op, dga.delta_op)]
-    images.append(hit.terms for hit in dga.space._shuffle_cache.values())
+    images.append(dga.space._shuffle_cache.values())
     seen = 0
     for terms in itertools.chain.from_iterable(images):
         for w in terms:
@@ -303,7 +330,7 @@ def test_cached_words_are_interned():
 
 def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):
     fake = InProcessContext()
-    monkeypatch.setattr(shufflebv.bv.multiprocessing, "get_context", fake)
+    monkeypatch.setattr(multiprocessing, "get_context", fake)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     cases = [(("a",),)] * 40
     evaluate = lambda case: None
@@ -414,6 +441,19 @@ def test_bracket_and_order_defect_reject_foreign_elements(end2, full2):
         bracket(x, other, end2.delta_op)
     with pytest.raises(InvalidInputError):
         order_defect(end2.delta_op, 1, [x, other])
+
+
+def test_bracket_rejects_an_operator_over_another_space():
+    # B swaps A's degrees: B's product lift applied to A's words would sign
+    # them by B's degrees and label the result as an element of A
+    A = GradedSpace("A", [BasisLetter("a", 0), BasisLetter("b", 1)])
+    B = GradedSpace("B", [BasisLetter("a", 1), BasisLetter("b", 0)])
+    delta_B = lift_coderivation(MultilinearMap(B, 2, 0, {("a", "b"): {"a": 1}}))
+    x, y = TElement.word(A, ("a",)), TElement.word(A, ("b",))
+    with pytest.raises(InvalidInputError, match="different space"):
+        bracket(x, y, delta_B)
+    with pytest.raises(InvalidInputError, match="different spaces"):
+        order_defect(delta_B, 1, [x, y])
 
 
 def test_order_defect_zero_input_gives_zero(end2):

@@ -218,6 +218,24 @@ def test_check_json_report_deterministic_across_processes(fixture_file):
     assert outputs[0] == outputs[1]
 
 
+def test_serial_commands_do_not_import_multiprocessing(fixture_file):
+    # only a check that starts a fork pool pays for importing multiprocessing
+    path = fixture_file("end-two-term-complex")
+    script = (
+        "import contextlib, io, sys\n"
+        "from shufflebv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['validate', {path!r}]),\n"
+        f"             main(['check', {path!r}, '--max-len', '2', '--pair-len', '1', '--triple-len', '1'])]\n"
+        "print(codes, 'multiprocessing' in sys.modules)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(shufflebv.__file__)))
+    env = dict(PATH="/usr/bin:/bin", PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"]
+
+
 def corrupt_mu3(doc):
     # two products into r: the composition relations of degree -2 and -4 fail
     doc["operations"]["mu2"].append({"inputs": ["p", "q"], "output": [["r", "1"]]})

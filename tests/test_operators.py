@@ -1,6 +1,8 @@
 """Coderivation lifts, operator algebra, induced morphisms."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from shufflebv.graded import AElement, BasisLetter, GradedSpace, InvalidInputErr
 from shufflebv.operators import (
     IdentityOperator,
     MultilinearMap,
+    LiftedCoderivation,
     Operator,
     ZeroOperator,
     coderivation_defect,
@@ -197,8 +200,43 @@ def test_anticommutator(end2):
     anti = graded_anticommutator(end2.d_op, zero)
     for w in words_up_to(sp, 3):
         assert anti.apply_word(w) == {}
-    # composites and sums store nothing; their parts cache their own results
-    assert not (dd2._cache or dd._cache or mixed._cache or mixed.parts[0][1]._cache)
+    # composites and sums keep no table; their parts cache their own results
+    assert not any(hasattr(op, "_cache") for op in (dd2, dd, mixed, mixed.parts[0][1]))
+    assert end2.d_op._cache and end2.delta_op._cache
+
+
+def test_image_table_fills_each_word_once(end2, monkeypatch):
+    calls = []
+    fill = LiftedCoderivation._apply_word
+
+    def counted(self, w):
+        calls.append(w)
+        return fill(self, w)
+
+    monkeypatch.setattr(LiftedCoderivation, "_apply_word", counted)
+    op = lift_coderivation(end2.mu)
+    dd = compose(op, op)
+    ws = words_up_to(end2.space, 3)
+    for _ in range(2):
+        for w in ws:
+            assert op.apply_word(w) is op._cache[w]
+            dd.apply_word(w)
+    assert sorted(calls) == sorted(op._cache) and len(calls) == len(set(calls))
+    assert set(ws) <= set(calls)
+
+
+def test_an_operator_and_its_tables_form_no_cycle(end2):
+    gc.collect()
+    gc.disable()
+    try:
+        op = lift_coderivation(end2.mu)
+        op(TElement.word(end2.space, ("b", "c")))
+        assert op._cache
+        ref = weakref.ref(op)
+        del op
+        assert ref() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
 
 
 # -- coderivation defect --------------------------------------------------------

@@ -1,6 +1,9 @@
 """Words, the shuffle product, and deconcatenation."""
 
+import gc
 import itertools
+import weakref
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -10,9 +13,12 @@ from shufflebv import bv, operators, words
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError, koszul_sign
 from shufflebv.words import (
     Shuffle,
+    Table,
     TElement,
+    View,
     deconcatenations,
     enumerate_shuffles,
+    merge_images,
     merge_scaled,
     peek_shuffle_terms,
     render_telement,
@@ -210,6 +216,91 @@ def test_merge_scaled_has_one_implementation():
     # module sees every call
     assert operators.merge_scaled is merge_scaled
     assert bv.merge_scaled is merge_scaled
+
+
+def _merge_loop(acc, terms, table, coeff):
+    """The loop that ``merge_images`` fuses."""
+    for w, c in terms.items():
+        merge_scaled(acc, table[w], coeff * c)
+    return acc
+
+
+_IMAGES = {
+    ("a",): {("a", "b"): 1, ("b",): -2},
+    ("b",): {("a", "b"): -1, ("c",): 3},
+    ("c",): {("b",): Fraction(1, 2), ("c",): Fraction(-3, 4)},
+    ("d",): {("a", "b"): 1, ("b",): -2},
+}
+
+
+@pytest.mark.parametrize("coeff", [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+@pytest.mark.parametrize("terms", [
+    {},
+    {("a",): 1},
+    {("a",): 1, ("b",): 1, ("c",): 2},
+    {("c",): Fraction(2, 3), ("a",): -5},
+    {("a",): 1, ("d",): -1},  # the images cancel completely
+])
+def test_merge_images_is_the_merge_scaled_loop(terms, coeff):
+    for start in ({}, {("b",): 2, ("z",): Fraction(1, 3)}):
+        want = _merge_loop(dict(start), terms, _IMAGES, coeff)
+        acc = dict(start)
+        got = merge_images(acc, terms, _IMAGES, coeff)
+        assert got is acc
+        assert list(got.items()) == list(want.items())  # term for term, in order
+        assert all(got.values())
+    assert merge_images({}, {("a",): 1, ("d",): -1}, _IMAGES, coeff) == {}
+    acc = {("b",): 2 * coeff}
+    assert merge_images(acc, {("a",): 1}, _IMAGES, coeff) == {("a", "b"): coeff}
+
+
+def test_table_fills_each_key_once():
+    calls = []
+
+    def fill(key):
+        calls.append(key)
+        return {key: 1}
+
+    table = Table(fill)
+    for _ in range(3):
+        for key in ("x", "y", "x"):
+            assert table[key] == {key: 1}
+    assert calls == ["x", "y"]
+    assert table.get("z") is None and "z" not in table  # reads that never fill
+    assert table == {"x": {"x": 1}, "y": {"y": 1}}
+    view = View(fill)
+    assert view["x"] == {"x": 1} and view["x"] == {"x": 1}
+    assert view == {} and calls == ["x", "y", "x", "x"]  # a view stores nothing
+
+
+def test_shuffle_table_fills_each_pair_once(monkeypatch):
+    calls = []
+    fill = words.shuffle_terms
+
+    def counted(space, u, v):
+        calls.append((u, v))
+        return fill(space, u, v)
+
+    monkeypatch.setattr(words, "shuffle_terms", counted)
+    space = GradedSpace("once", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    pairs = list(itertools.product(words_up_to(space, 2), repeat=2))
+    for _ in range(2):
+        for u, v in pairs:
+            assert shuffle(space, u, v).terms is space._shuffle_cache[u, v]
+    assert sorted(calls) == sorted(pairs)
+
+
+def test_a_space_and_its_table_form_no_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        space = GradedSpace("gone", [BasisLetter("x", 0), BasisLetter("y", 1)])
+        shuffle(space, ("x",), ("y",))
+        ref = weakref.ref(space)
+        del space
+        assert ref() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
 
 
 def test_shuffle_graded_commutativity(mixed):
