@@ -26,7 +26,7 @@ from .graded import (
     parse_scalar,
     render_scalar,
 )
-from .operators import MultilinearMap, Operator, lift_coderivation
+from .operators import MultilinearMap, Operator, composition_relations, lift_coderivation
 from .words import TElement, render_telement, words_up_to
 
 Table = dict[tuple[str, ...], dict[str, Scalar]]
@@ -104,6 +104,11 @@ def _parse_table(raw, label: str, arity: int) -> Table:
         key = tuple(inputs)
         if key in table:
             raise InvalidInputError(f"operation {label!r}: duplicate entry {key}")
+        if not isinstance(entry["output"], list):
+            raise InvalidInputError(
+                f"operation {label!r}: 'output' must be a list of "
+                f"[id, coefficient-string] pairs, got {entry['output']!r}"
+            )
         out: dict[str, Scalar] = {}
         for pair in entry["output"]:
             if (
@@ -295,9 +300,6 @@ class DGAlgebra:
         space = spec.space()
         return cls(space, spec.multilinear("d", space), spec.multilinear("mu2", space))
 
-    def as_ainf(self) -> "AinfAlgebra":
-        return AinfAlgebra(self.space, {1: self.d, 2: self.mu})
-
 
 class AinfAlgebra:
     """An A-infinity algebra: one structure map per arity (absent = zero)."""
@@ -401,25 +403,15 @@ def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
         for k in range(1, K + 1)
     }
     alg = AinfAlgebra(space, maps)
-    ops = {3 - 2 * k: alg.delta_op(k) for k in range(1, K + 1)}
     words = words_up_to(space, K + 2)
     violations: list[Violation] = []
-    totals = sorted({a + b for a in ops for b in ops}, reverse=True)
-    for total in totals:
-        pairs = [
-            (ops[a], ops[b])
-            for a in sorted(ops, reverse=True)
-            for b in sorted(ops, reverse=True)
-            if a + b == total
-        ]
+    for n, relation in composition_relations([alg.delta_op(k) for k in maps]):
         for w in words:
-            acc = TElement.zero(space)
-            for P, Q in pairs:
-                acc = acc + P(TElement._make(space, Q.apply_word(w)))
-            if not acc.is_zero():
-                violations.append(
-                    Violation(f"sum_relation_n_{total}", (w,), acc, TElement.zero(space))
-                )
+            terms = relation(w)
+            if terms:
+                violations.append(Violation(
+                    f"sum_relation_n_{n}", (w,), TElement._make(space, terms), TElement.zero(space)
+                ))
     if violations:
         raise ValidationFailure(violations)
     return alg

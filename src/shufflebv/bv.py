@@ -29,8 +29,7 @@ from .operators import (
     MultilinearMap,
     Operator,
     _koszul_step,
-    defect_table,
-    image_table,
+    composition_relations,
     induced_morphism,
 )
 from .words import (
@@ -267,27 +266,15 @@ def run_sweeps(
 # --------------------------------------------------------------------------
 
 
-def _defect_memo(D) -> dict[tuple[Word, ...], dict[Word, Scalar]]:
-    """The defect memo kept on ``D``, attached on first use to an
-    operator-like object without one (one with ``space``, ``degree`` and
-    ``apply_word``)."""
-    memo = getattr(D, "_defects", None)
-    if memo is None:
-        memo = D._defects = defect_table(D)
-    return memo
-
-
-def _forget_defects(*ops) -> None:
+def _forget_defects(*ops: Operator) -> None:
     """Empty the defect memos of ``ops``; the sweep driver calls this when a
     sweep ends."""
     for op in ops:
-        memo = getattr(op, "_defects", None)
-        if memo:
-            memo.clear()
+        op._defects.clear()
 
 
 def _add_bracket(
-    acc: dict[Word, Scalar], delta, memo: dict, xterms: dict[Word, Scalar],
+    acc: dict[Word, Scalar], delta: Operator, memo: dict, xterms: dict[Word, Scalar],
     yterms: dict[Word, Scalar], coeff: Scalar = 1,
 ) -> dict[Word, Scalar]:
     """acc += coeff * {x, y} over the words u of x and v of y, where
@@ -317,7 +304,7 @@ def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
         raise InvalidInputError("elements live in different spaces")
     if delta.space != space:
         raise InvalidInputError("the operator acts on a different space")
-    return TElement._make(space, _add_bracket({}, delta, _defect_memo(delta), x.terms, y.terms))
+    return TElement._make(space, _add_bracket({}, delta, delta._defects, x.terms, y.terms))
 
 
 def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
@@ -343,7 +330,6 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
         x.degree()  # raises on inhomogeneous input
         if x.space != space:
             raise InvalidInputError("elements live in different spaces")
-    _defect_memo(D)
     shuffles = space._shuffle_cache
     acc: dict[Word, Scalar] = {}
     for combo in itertools.product(*(x.terms.items() for x in inputs)):
@@ -446,9 +432,9 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     # each case's identity is merged term by term into one dict, every image,
     # shuffle and F-value read by subscript: from the operators' and the
     # space's tables, and from delta's per-sweep defect memo
-    d_img, delta_img = image_table(d), image_table(delta)
+    d_img, delta_img = d._cache, delta._cache
     shuffles = space._shuffle_cache
-    memo = _defect_memo(delta)
+    memo = delta._defects
 
     def square(img):
         return lambda c: TElement._make(space, merge_images({}, img[c[0]], img, 1))
@@ -526,25 +512,23 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
         raise InvalidInputError("max arity must be >= 2")
     space = ainf.space
     ops = {k: ainf.delta_op(k) for k in range(1, K + 1)}
-    img = {k: image_table(op) for k, op in ops.items()}
     shuffles = space._shuffle_cache
     singles = [(w,) for w in words_up_to(space, bounds.unary)]
     sweeps = []
 
     # delta_1_is_d holds by construction: ops[1] is d_lift, one cached lift
-    d_img = image_table(ainf.delta_op(1))
+    one_img, d_img = ops[1]._cache, ainf.delta_op(1)._cache
     sweeps.append(Sweep(
         "delta_1_is_d",
         f"words <= {bounds.unary}",
         singles,
-        lambda c: TElement._make(space, merge_scaled(dict(img[1][c[0]]), d_img[c[0]], -1)),
+        lambda c: TElement._make(space, merge_scaled(dict(one_img[c[0]]), d_img[c[0]], -1)),
     ))
 
-    for k in range(1, K + 1):
+    for k, op in ops.items():
         g = 3 - 2 * k
-        op = ops[k]
 
-        def degree_defect(case, op_img=img[k], g=g):
+        def degree_defect(case, op_img=op._cache, g=g):
             w = case[0]
             base = word_degree(space, w)
             bad = {
@@ -561,9 +545,7 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             degree_defect,
         ))
         tuples = word_tuples_with_total(space, k + 1, (k + 1) + bounds.order_slack)
-        # the order-k defect of k + 1 basis words, from op's F-memo, which
-        # an operator-like object without one is given here
-        _defect_memo(op)
+        # the order-k defect of k + 1 basis words, from op's defect memo
         sweeps.append(Sweep(
             f"order_{k}_delta_{g}",
             f"{k + 1} nonempty words, total <= {k + 1 + bounds.order_slack}",
@@ -571,27 +553,12 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             lambda case, op=op: TElement._make(space, _koszul_step(op, case, shuffles)),
         ))
 
-    degrees = {3 - 2 * k: img[k] for k in ops}
-    totals = sorted({a + b for a in degrees for b in degrees}, reverse=True)
-    for total in totals:
-        pairs = [
-            (degrees[a], degrees[b])
-            for a in sorted(degrees, reverse=True)
-            for b in sorted(degrees, reverse=True)
-            if a + b == total
-        ]
-
-        def relation_defect(case, pairs=pairs):
-            acc: dict[Word, Scalar] = {}
-            for P, Q in pairs:
-                merge_images(acc, Q[case[0]], P, 1)
-            return TElement._make(space, acc)
-
+    for n, relation in composition_relations(ops.values()):
         sweeps.append(Sweep(
-            f"sum_relation_n_{total}",
+            f"sum_relation_n_{n}",
             f"words <= {bounds.unary}",
             singles,
-            relation_defect,
+            lambda case, relation=relation: TElement._make(space, relation(case[0])),
         ))
     return run_sweeps(sweeps, tuple(ops.values()), fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 

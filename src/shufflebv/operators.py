@@ -23,7 +23,7 @@ checker in algebra_io pins the convention; see the README).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .graded import (
     AElement,
@@ -35,7 +35,6 @@ from .graded import (
 from .words import (
     Table,
     TElement,
-    View,
     Word,
     deconcatenations,
     merge_images,
@@ -126,11 +125,12 @@ class MultilinearMap:
 class Operator:
     """A degree-homogeneous endomorphism of the word space, given by a rule.
 
-    Subclasses implement ``_apply_word``.  An operator keeps two tables,
-    made with it and dropped when it is pickled: ``_cache``, the image of
-    each basis word, kept for the operator's life; and ``_defects``, its
-    defect memo (see ``defect_table``), which the sweep driver empties when
-    a sweep ends.  Images must be treated as immutable by callers.
+    To define one, subclass and implement ``_apply_word``.  Every operator
+    keeps two tables, made with it and dropped when it is pickled:
+    ``_cache``, the image of each basis word, kept for the operator's life;
+    and ``_defects``, its defect memo (see ``defect_table``), which the sweep
+    driver empties when a sweep ends.  Callers read both by subscript, and
+    must treat images as immutable.
     """
 
     def __init__(self, space: GradedSpace, degree: int):
@@ -151,7 +151,7 @@ class Operator:
     def __call__(self, x: TElement | Word) -> TElement:
         if not isinstance(x, TElement):
             return TElement._make(self.space, self.apply_word(x))
-        return TElement._make(x.space, merge_images({}, x.terms, image_table(self), 1))
+        return TElement._make(x.space, merge_images({}, x.terms, self._cache, 1))
 
     def is_zero_operator(self) -> bool:
         return False
@@ -167,16 +167,8 @@ class Operator:
         self._tables()
 
 
-def image_table(op) -> Table:
-    """The images of basis words under ``op``, read by subscript: an
-    operator's own table, or a view that calls ``apply_word`` on every read
-    for a composite or an operator-like object without one."""
-    table = getattr(op, "_cache", None)
-    return table if type(table) is Table else owned_table(op, type(op).apply_word, View)
-
-
-def defect_table(D) -> Table:
-    """A new defect memo for the operator-like ``D``, by prefix:
+def defect_table(D: Operator) -> Table:
+    """A new defect memo for the operator ``D``, by prefix:
     ``memo[X][w]`` is F_m(X + (w,)) on m = len(X) + 1 basis words.
 
     ``memo[()]`` is D's image table (F_1 = D); beyond it each prefix has a
@@ -188,13 +180,13 @@ def defect_table(D) -> Table:
 
     def level(D, X):
         if not X:
-            return image_table(D)
+            return D._cache
         return owned_table(D, lambda D, w: _koszul_step(D, X + (w,), shuffles))
 
     return owned_table(D, level)
 
 
-def _koszul_step(D, key: tuple[Word, ...], shuffles) -> dict[Word, Scalar]:
+def _koszul_step(D: Operator, key: tuple[Word, ...], shuffles) -> dict[Word, Scalar]:
     """F_m(X, b, c) for m = len(key) >= 2, by Koszul's recursion
 
         F_m(X, b, c) = sum_w [b*c]_w F_(m-1)(X, w) - F_(m-1)(X, b) * c
@@ -288,11 +280,7 @@ def lift_coderivation(c: MultilinearMap) -> Operator:
 
 
 class ComposedOperator(Operator):
-    """(P o Q)(w) = P(Q(w)); degrees add.
-
-    Results are not memoised: P and Q cache their own, and a composite is
-    applied once per word.  It keeps no table.
-    """
+    """(P o Q)(w) = P(Q(w)); degrees add."""
 
     def __init__(self, P: Operator, Q: Operator):
         if P.space != Q.space:
@@ -301,19 +289,12 @@ class ComposedOperator(Operator):
         self.outer = P
         self.inner = Q
 
-    def _tables(self) -> None:
-        pass
-
-    def apply_word(self, w: Word) -> dict[Word, Scalar]:
-        return merge_images({}, self.inner.apply_word(w), image_table(self.outer), 1)
+    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
+        return merge_images({}, self.inner._cache[w], self.outer._cache, 1)
 
 
 class OperatorSum(Operator):
-    """A finite linear combination of operators of one common degree.
-
-    Not memoised, for the same reason as ``ComposedOperator``; it keeps no
-    table.
-    """
+    """A finite linear combination of operators of one common degree."""
 
     def __init__(self, parts: list[tuple[Scalar, Operator]]):
         if not parts:
@@ -330,14 +311,11 @@ class OperatorSum(Operator):
         super().__init__(first.space, first.degree)
         self.parts = [(normalize_scalar(c), op) for c, op in parts]
 
-    def _tables(self) -> None:
-        pass
-
-    def apply_word(self, w: Word) -> dict[Word, Scalar]:
+    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
         acc: dict[Word, Scalar] = {}
         for c, op in self.parts:
             if c:
-                merge_scaled(acc, op.apply_word(w), c)
+                merge_scaled(acc, op._cache[w], c)
         return acc
 
 
@@ -348,6 +326,30 @@ def compose(P: Operator, Q: Operator) -> Operator:
 def graded_anticommutator(P: Operator, Q: Operator) -> Operator:
     """P o Q + Q o P (the graded commutator for odd-degree operators)."""
     return OperatorSum([(1, ComposedOperator(P, Q)), (1, ComposedOperator(Q, P))])
+
+
+def composition_relations(
+    ops: Iterable[Operator],
+) -> Iterator[tuple[int, Callable[[Word], dict[Word, Scalar]]]]:
+    """The composition relations of ``ops``, highest total degree first.
+
+    Yields (n, relation), where relation(w) is the terms of the sum of
+    P(Q(w)) over the ordered pairs of ``ops`` whose degrees add to n, pairs
+    in decreasing degree of P, then of Q.  For the lifts of an A-infinity
+    algebra's structure maps these are its A-infinity relations, and every
+    relation(w) is zero.  Images are read from the operators' tables.
+    """
+    ops = sorted(ops, key=lambda op: -op.degree)
+    for n in sorted({P.degree + Q.degree for P in ops for Q in ops}, reverse=True):
+        pairs = [(P, Q) for P in ops for Q in ops if P.degree + Q.degree == n]
+
+        def relation(w: Word, pairs=pairs) -> dict[Word, Scalar]:
+            acc: dict[Word, Scalar] = {}
+            for P, Q in pairs:
+                merge_images(acc, Q._cache[w], P._cache, 1)
+            return acc
+
+        yield n, relation
 
 
 def coderivation_defect(D: Operator, w: Word) -> dict[tuple[Word, Word], Scalar]:

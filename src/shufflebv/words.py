@@ -46,8 +46,8 @@ class Table(dict):
 class View(Table):
     """A table that stores nothing: every read returns ``fill(key)`` afresh.
 
-    For reads through ``merge_images`` of a source that keeps its own memo,
-    or must not be memoised here.
+    For reads through ``merge_images`` of a source that must not be
+    memoised here (see ``shuffle_peek``).
     """
 
     __slots__ = ()
@@ -56,14 +56,14 @@ class View(Table):
         return self.fill(key)
 
 
-def owned_table(owner, fill: Callable, kind: type = Table) -> Table:
+def owned_table(owner, fill: Callable) -> Table:
     """A table of ``owner`` filled by ``fill(owner, key)``.
 
     The fill holds the owner by a weak reference, so an owner and its tables
     form no reference cycle and are freed by reference counting alone.
     """
     ref = weakref.ref(owner)
-    return kind(lambda key: fill(ref(), key))
+    return Table(lambda key: fill(ref(), key))
 
 
 def word_table(space: GradedSpace) -> dict[Word, Word]:

@@ -16,6 +16,7 @@ from defect_reference import bracket_reference, order_defect_reference
 
 from shufflebv.algebra_io import (
     DGAlgebra,
+    DGMorphism,
     builtin,
     render_document,
     validate_ainf,
@@ -25,7 +26,7 @@ from shufflebv.algebra_io import (
 from shufflebv.bv import Bounds, bracket, check_bvinf, check_dbv, check_functoriality, order_defect
 from shufflebv.cli import main
 from shufflebv.graded import BasisLetter, GradedSpace
-from shufflebv.operators import MultilinearMap, compose, lift_coderivation
+from shufflebv.operators import MultilinearMap, Operator, OperatorSum, compose, lift_coderivation
 from shufflebv.words import (
     TElement,
     shuffle,
@@ -227,43 +228,39 @@ def test_criterion_7_functoriality():
         assert all(r.passed for r in reports)
 
 
-class _NoPrefixSignLift:
+class _NoPrefixSignLift(Operator):
     """The lift of the differential or of the product with its
     position-dependent sign dropped (the product keeps its twist
     (-1)^|a_1|): no longer a coderivation.  For the product, both the
     Leibniz and the order-2 sweeps must fail."""
 
     def __init__(self, mu):
-        self.space = mu.space
+        super().__init__(mu.space, mu.degree + 1 - mu.arity)
         self.mu = mu
-        self.degree = mu.degree + 1 - mu.arity
-        self._cache = {}
 
-    def apply_word(self, w):
-        hit = self._cache.get(w)
-        if hit is None:
-            out = {}
-            k = self.mu.arity
-            for i in range(len(w) - k + 1):
-                entry = self.mu.table.get(w[i : i + k])
-                if entry:
-                    tw = -1 if k == 2 and self.space.degree(w[i]) & 1 else 1
-                    for b, c in entry.items():
-                        w2 = w[:i] + (b,) + w[i + k :]
-                        out[w2] = out.get(w2, 0) + tw * c
-            hit = {k: v for k, v in out.items() if v}
-            self._cache[w] = hit
-        return hit
+    def _apply_word(self, w):
+        out = {}
+        k = self.mu.arity
+        for i in range(len(w) - k + 1):
+            entry = self.mu.table.get(w[i : i + k])
+            if entry:
+                tw = -1 if k == 2 and self.space.degree(w[i]) & 1 else 1
+                for b, c in entry.items():
+                    w2 = w[:i] + (b,) + w[i + k :]
+                    out[w2] = out.get(w2, 0) + tw * c
+        return {k: v for k, v in out.items() if v}
 
-    def __call__(self, x):
-        acc = TElement.zero(self.space)
-        for w, c in x.terms.items():
-            acc = acc + c * TElement(self.space, self.apply_word(w))
-        return acc
+
+class _RepeatFirstLetter(Operator):
+    """w -> w[0] (x) w on nonempty words: it raises a word's degree by
+    |w[0]| + 1 whatever degree it is given."""
+
+    def _apply_word(self, w):
+        return {(w[0],) + w: 1} if w else {}
 
 
 def test_memo_matches_reference_on_unsigned_lift(end2):
-    # an operator-like object that is not an Operator gets a memo too
+    # a subclass of Operator gets its image table and defect memo too
     lift = _NoPrefixSignLift(end2.mu)
     el = lambda w: TElement.word(end2.space, w)
     for u, v in itertools.product(words_up_to(end2.space, 2), repeat=2):
@@ -475,12 +472,35 @@ def test_every_dbv_axiom_has_a_negative_control(end2, monkeypatch):
     assert caught == {r.name for r in check_dbv(end2, Bounds(unary=1, binary=1, ternary=1))}
 
 
+def _reports_at_jobs_1_and_2(monkeypatch, check):
+    """(name, cases, failure count) of each report of ``check(jobs)``, which
+    must be the same, witnesses included, at --jobs 1 and through a pool of
+    two workers."""
+    import shufflebv.bv
+
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    runs = []
+    for jobs in (1, 2):
+        runs.append([
+            (r.name, r.cases, r.failure_count, [(f.inputs, f.defect.terms) for f in r.failures])
+            for r in check(jobs)
+        ])
+    assert runs[0] == runs[1]
+    return [(name, cases, count) for name, cases, count, _ in runs[0]]
+
+
+def _bvinf_failures(monkeypatch, ainf):
+    """{name: failure count} of the failing axioms of check_bvinf at the
+    default bounds, the same at --jobs 1 and 2."""
+    rows = _reports_at_jobs_1_and_2(monkeypatch, lambda jobs: check_bvinf(ainf, 3, Bounds(jobs=jobs)))
+    return {name: count for name, _, count in rows if count}
+
+
 def test_bvinf_negative_control_sign_dropped_product(monkeypatch):
     # the product lift with its prefix sign dropped, in place of delta_2 on
     # ainf-mu3: its order-2 sweep fails, and so do the composition relations
     # where it meets itself (n = -2) or delta_3 (n = -4); its degree, and the
     # relation n = 0 with d, still hold
-    import shufflebv.bv
     from types import SimpleNamespace
 
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
@@ -490,14 +510,45 @@ def test_bvinf_negative_control_sign_dropped_product(monkeypatch):
         maps=ainf.maps,
         delta_op=lambda k: lift if k == 2 else ainf.delta_op(k),
     )
-    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
-    runs = []
-    for jobs in (1, 2):
-        reports = check_bvinf(bad, 3, Bounds(jobs=jobs))
-        runs.append([
-            (r.name, r.cases, r.failure_count, [(f.inputs, f.defect.terms) for f in r.failures])
-            for r in reports
-        ])
-    assert runs[0] == runs[1]
-    failed = {name: count for name, _, count, _ in runs[0] if count}
-    assert failed == {"order_2_delta_-1": 384, "sum_relation_n_-2": 8, "sum_relation_n_-4": 1}
+    assert _bvinf_failures(monkeypatch, bad) == {
+        "order_2_delta_-1": 384, "sum_relation_n_-2": 8, "sum_relation_n_-4": 1,
+    }
+
+
+def test_bvinf_negative_control_degree(monkeypatch):
+    # delta_2 plus w -> w[0] (x) w in place of delta_2 on ainf-mu3: the new
+    # term has the wrong degree on every nonempty word, is not of order 2,
+    # and breaks the relations where delta_2 meets itself or delta_3
+    from types import SimpleNamespace
+
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    delta2 = ainf.delta_op(2)
+    bad_op = OperatorSum([(1, delta2), (1, _RepeatFirstLetter(ainf.space, delta2.degree))])
+    bad = SimpleNamespace(
+        space=ainf.space,
+        maps=ainf.maps,
+        delta_op=lambda k: bad_op if k == 2 else ainf.delta_op(k),
+    )
+    assert _bvinf_failures(monkeypatch, bad) == {
+        "degree_delta_-1": 363,
+        "order_2_delta_-1": 1645,
+        "sum_relation_n_-2": 363,
+        "sum_relation_n_-4": 48,
+    }
+
+
+def test_functoriality_negative_control_swap(end2, monkeypatch):
+    # the a <-> e swap on end-two-term-complex, unchecked: it commutes with
+    # neither d nor the product, but, like every degree-0 letterwise map,
+    # with the shuffle product
+    swap = MultilinearMap(
+        end2.space, 1, 0,
+        {("a",): {"e": 1}, ("b",): {"b": 1}, ("c",): {"c": 1}, ("e",): {"a": 1}},
+    )
+    morph = DGMorphism(end2, end2, swap)
+    check = lambda jobs: check_functoriality(morph, Bounds(unary=3, binary=2, jobs=jobs))
+    assert _reports_at_jobs_1_and_2(monkeypatch, check) == [
+        ("morphism_commutes_d", 85, 70),
+        ("morphism_commutes_delta", 85, 60),
+        ("morphism_commutes_shuffle", 441, 0),
+    ]

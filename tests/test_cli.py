@@ -85,6 +85,20 @@ def test_validate_unknown_key_is_2(fixture_file):
     assert main(["validate", fixture_file("dual-numbers", mutate=add_key)]) == 2
 
 
+@pytest.mark.parametrize("output", [5, None, {}, "one"])
+def test_non_list_output_is_2(fixture_file, capsys, output):
+    # an entry's output must be a list of pairs: anything else is invalid
+    # input (2) on every command, never a crash read as an axiom failure (1)
+    def set_output(doc):
+        doc["operations"]["mu2"][0]["output"] = output
+
+    path = fixture_file("dual-numbers", mutate=set_output)
+    for args in (["validate", path], ["check", path],
+                 ["eval", path, "--op", "shuffle", "--x", "one", "--y", "eps"]):
+        assert main(args) == 2, args
+        assert "'output' must be a list" in capsys.readouterr().err, args
+
+
 # -- check ------------------------------------------------------------------
 
 

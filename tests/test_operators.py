@@ -200,8 +200,10 @@ def test_anticommutator(end2):
     anti = graded_anticommutator(end2.d_op, zero)
     for w in words_up_to(sp, 3):
         assert anti.apply_word(w) == {}
-    # composites and sums keep no table; their parts cache their own results
-    assert not any(hasattr(op, "_cache") for op in (dd2, dd, mixed, mixed.parts[0][1]))
+    # composites and sums fill their own table once per word, like their parts
+    for op, n in ((dd2, 3), (dd, 3), (mixed, 4), (mixed.parts[0][1], 4)):
+        assert set(op._cache) == set(words_up_to(sp, n))
+        assert all(op.apply_word(w) is op._cache[w] for w in op._cache)
     assert end2.d_op._cache and end2.delta_op._cache
 
 
