@@ -142,6 +142,12 @@ def _parse_basis(raw) -> list[tuple[str, int]]:
             or isinstance(item[1], bool)
         ):
             raise InvalidInputError(f"basis entries are [id, integer-degree]: {item!r}")
+        # the CLI reads a word as letter ids split at commas and stripped
+        if not item[0] or "," in item[0] or item[0] != item[0].strip():
+            raise InvalidInputError(
+                f"letter id {item[0]!r} cannot be written in a word: it must be "
+                "nonempty, without commas or surrounding whitespace"
+            )
         basis.append((item[0], item[1]))
     return basis
 

@@ -118,21 +118,21 @@ class GradedSpace:
     def ids(self) -> tuple[str, ...]:
         return tuple(l.id for l in self.letters)
 
+    def unknown(self, letter_id) -> InvalidInputError:
+        """The error for a letter id that is not in this space."""
+        return InvalidInputError(f"unknown letter {letter_id!r} in space {self.name!r}")
+
     def degree(self, letter_id: str) -> int:
         try:
             return self._degree[letter_id]
         except KeyError:
-            raise InvalidInputError(
-                f"unknown letter {letter_id!r} in space {self.name!r}"
-            ) from None
+            raise self.unknown(letter_id) from None
 
     def shifted_parity(self, letter_id: str) -> int:
         try:
             return self._sparity[letter_id]
         except KeyError:
-            raise InvalidInputError(
-                f"unknown letter {letter_id!r} in space {self.name!r}"
-            ) from None
+            raise self.unknown(letter_id) from None
 
     def __getstate__(self):
         return (self.name, self.letters)
@@ -189,9 +189,7 @@ class AElement:
         clean: dict[str, Scalar] = {}
         for letter_id, c in (terms or {}).items():
             if letter_id not in space:
-                raise InvalidInputError(
-                    f"unknown letter {letter_id!r} in space {space.name!r}"
-                )
+                raise space.unknown(letter_id)
             c = normalize_scalar(c)
             if c:
                 clean[letter_id] = c

@@ -143,7 +143,9 @@ class Operator:
         self._defects = defect_table(self)
 
     def apply_word(self, w: Word) -> dict[Word, Scalar]:
-        return self._cache[tuple(w)]
+        w = tuple(w)
+        word_parity(self.space, w)  # an unknown letter raises before any fill
+        return self._cache[w]
 
     def _apply_word(self, w: Word) -> dict[Word, Scalar]:
         raise NotImplementedError
@@ -224,55 +226,70 @@ class IdentityOperator(Operator):
 
 
 class LiftedCoderivation(Operator):
-    """The coderivation lift of a multilinear map (see module docstring)."""
+    """The coderivation lift of a multilinear map (see module docstring).
+
+    Each image is filled from the image of the word's prefix.  Appending a
+    letter a keeps every block of the prefix p, and its sign, so
+
+        D(p (x) a) = sum_(c q in D(p)) c (q (x) a)
+                     + (-1)^(g s(h)) h (x) cbar(last k letters of p (x) a),
+
+    where h is p (x) a without its last k letters and s(h) the sum of its
+    shifted degrees.  The last block's terms are merged with cancellation:
+    one can equal a shifted term, as with a unit-like product.  D(p) is
+    read from the image table by subscript.
+    """
 
     def __init__(self, c: MultilinearMap):
         if c.target != c.space:
             raise InvalidInputError("only endomorphism-valued maps lift")
         super().__init__(c.space, c.degree + 1 - c.arity)
         self.component = c
-        self._gpar = self.degree & 1
-        # letters j (0-based) with odd weight k-1-j contribute to the twist
-        self._twist_slots = tuple(
-            j for j in range(c.arity) if (c.arity - 1 - j) & 1
-        )
+        k = c.arity
+        # cbar: each entry of c times (-1)^(sum_j (k-j)|a_j|)
+        deg = c.space.degree
+        self._cbar = {}
+        for block, entry in c.table.items():
+            twist = sum(deg(block[j]) for j in range(k) if (k - 1 - j) & 1) & 1
+            self._cbar[block] = {b: -v if twist else v for b, v in entry.items()}
 
     def is_zero_operator(self) -> bool:
         return self.component.is_zero()
 
-    def _twist_parity(self, block: tuple[str, ...]) -> int:
-        deg = self.space.degree
-        p = 0
-        for j in self._twist_slots:
-            p ^= deg(block[j]) & 1
-        return p
-
     def _apply_word(self, w: Word) -> dict[Word, Scalar]:
-        k = self.component.arity
-        n = len(w)
-        out: dict[Word, Scalar] = {}
-        if n < k:
-            return out
-        table = self.component.table
-        sparity = self.space.shifted_parity
+        if not w:
+            return {}
+        table = self._cache
         intern = word_table(self.space).setdefault
-        prefix_par = 0
-        for i in range(n - k + 1):
-            if i:
-                prefix_par ^= sparity(w[i - 1])
-            block = w[i : i + k]
-            entry = table.get(block)
-            if entry:
-                sign = -1 if ((self._gpar and prefix_par) ^ self._twist_parity(block)) else 1
-                head, tail = w[:i], w[i + k :]
-                for b, c in entry.items():
-                    w2 = head + (b,) + tail
-                    val = out.get(w2, 0) + sign * c
-                    if val:
-                        out[w2] = val
-                    elif w2 in out:
-                        del out[w2]
-        return {intern(w2, w2): c for w2, c in out.items()}
+        prefix = w[:-1]
+        if prefix not in table:
+            # fill the missing prefixes shortest first, each through the
+            # table, so that no fill recurses
+            missing = [prefix]
+            while missing[-1] and missing[-1][:-1] not in table:
+                missing.append(missing[-1][:-1])
+            for p in reversed(missing):
+                table[intern(p, p)]
+        image = table[prefix]
+        last = w[-1:]
+        shifted = [q + last for q in image]
+        out = dict(zip(map(intern, shifted, shifted), image.values()))
+        h = len(w) - self.component.arity
+        entry = self._cbar.get(w[h:]) if h >= 0 else None
+        if entry:
+            head = w[:h]
+            sign = -1 if self.degree & 1 and word_parity(self.space, head) else 1
+            for b, c in entry.items():
+                w2 = head + (b,)
+                w2 = intern(w2, w2)
+                val = out.get(w2, 0) + sign * c
+                if val:
+                    out[w2] = val
+                else:
+                    del out[w2]
+        # an image that cancelled to zero still holds its key table; a new
+        # empty dict holds none, and many images of a product lift are zero
+        return out or {}
 
 
 def lift_coderivation(c: MultilinearMap) -> Operator:

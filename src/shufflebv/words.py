@@ -93,14 +93,19 @@ def shuffle_peek(space: GradedSpace) -> View:
 
 def word_degree(space: GradedSpace, w: Word) -> int:
     """Degree of a word: the sum of its shifted letter degrees."""
-    return sum(space.degree(a) + 1 for a in w)
+    try:
+        return sum(map(space._degree.__getitem__, w)) + len(w)
+    except KeyError as exc:
+        raise space.unknown(exc.args[0]) from None
 
 
 def word_parity(space: GradedSpace, w: Word) -> int:
-    p = 0
-    for a in w:
-        p ^= space.shifted_parity(a)
-    return p
+    """Parity of a word's degree; an unknown letter raises
+    ``InvalidInputError``, so this also validates the word."""
+    try:
+        return sum(map(space._sparity.__getitem__, w)) & 1
+    except KeyError as exc:
+        raise space.unknown(exc.args[0]) from None
 
 
 def deconcatenations(w: Word) -> list[tuple[Word, Word]]:
@@ -168,9 +173,7 @@ class TElement:
             w = tuple(w)
             for a in w:
                 if a not in space:
-                    raise InvalidInputError(
-                        f"unknown letter {a!r} in space {space.name!r}"
-                    )
+                    raise space.unknown(a)
             c = normalize_scalar(c)
             if c:
                 clean[w] = c
@@ -407,8 +410,12 @@ def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     memo of what they build from it.  Each shuffled word is read out of
     u + v by the cached plan of the words' lengths and parities.
     """
-    pu = tuple(space.shifted_parity(a) for a in u)  # also validates letters
-    pv = tuple(space.shifted_parity(a) for a in v)
+    parity = space._sparity.__getitem__
+    try:
+        pu = tuple(map(parity, u))
+        pv = tuple(map(parity, v))
+    except KeyError as exc:
+        raise space.unknown(exc.args[0]) from None
     intern = word_table(space).setdefault
     uv = tuple(u) + tuple(v)
     if not u or not v:

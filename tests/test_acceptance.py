@@ -15,6 +15,7 @@ import pytest
 from defect_reference import bracket_reference, order_defect_reference
 
 from shufflebv.algebra_io import (
+    AinfAlgebra,
     DGAlgebra,
     DGMorphism,
     builtin,
@@ -489,10 +490,11 @@ def _reports_at_jobs_1_and_2(monkeypatch, check):
     return [(name, cases, count) for name, cases, count, _ in runs[0]]
 
 
-def _bvinf_failures(monkeypatch, ainf):
+def _bvinf_failures(monkeypatch, ainf, **bounds):
     """{name: failure count} of the failing axioms of check_bvinf at the
-    default bounds, the same at --jobs 1 and 2."""
-    rows = _reports_at_jobs_1_and_2(monkeypatch, lambda jobs: check_bvinf(ainf, 3, Bounds(jobs=jobs)))
+    default bounds, or at ``bounds``, the same at --jobs 1 and 2."""
+    check = lambda jobs: check_bvinf(ainf, 3, Bounds(**bounds, jobs=jobs))
+    rows = _reports_at_jobs_1_and_2(monkeypatch, check)
     return {name: count for name, _, count in rows if count}
 
 
@@ -535,6 +537,56 @@ def test_bvinf_negative_control_degree(monkeypatch):
         "sum_relation_n_-2": 363,
         "sum_relation_n_-4": 48,
     }
+
+
+class _SignFlippedOnLength(Operator):
+    """An operator with its images negated on the words of one length."""
+
+    def __init__(self, op, length):
+        super().__init__(op.space, op.degree)
+        self.op = op
+        self.length = length
+
+    def _apply_word(self, w):
+        image = self.op._cache[w]
+        return {w2: -c for w2, c in image.items()} if len(w) == self.length else image
+
+
+def test_bvinf_negative_control_delta_1_flipped(end2, monkeypatch):
+    # ainf-mu3 has no mu1, so its delta_1 is zero and a sign flip changes
+    # nothing.  end-two-term-complex, read as an A-infinity algebra with
+    # no higher products, passes every sweep; with delta_1 = d negated on
+    # words of length 2, d is no longer a derivation of the shuffle
+    # product, and d o delta_2 + delta_2 o d no longer vanishes
+    from types import SimpleNamespace
+
+    ainf = AinfAlgebra(end2.space, {1: end2.d, 2: end2.mu})
+    assert _bvinf_failures(monkeypatch, ainf, unary=4, order_slack=1) == {}
+    flipped = _SignFlippedOnLength(ainf.delta_op(1), 2)
+    bad = SimpleNamespace(
+        space=ainf.space,
+        maps=ainf.maps,
+        delta_op=lambda k: flipped if k == 1 else ainf.delta_op(k),
+    )
+    assert _bvinf_failures(monkeypatch, bad, unary=4, order_slack=1) == {
+        "order_1_delta_1": 133, "sum_relation_n_0": 40,
+    }
+
+
+def test_bvinf_negative_control_delta_3_flipped(monkeypatch):
+    # delta_3 of ainf-mu3 negated on words of length 4: no longer of order
+    # 3.  Only its order sweep fails: every composite of two lifts that
+    # involves it vanishes term by term, whatever its sign
+    from types import SimpleNamespace
+
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    flipped = _SignFlippedOnLength(ainf.delta_op(3), 4)
+    bad = SimpleNamespace(
+        space=ainf.space,
+        maps=ainf.maps,
+        delta_op=lambda k: flipped if k == 3 else ainf.delta_op(k),
+    )
+    assert _bvinf_failures(monkeypatch, bad) == {"order_3_delta_-3": 1237}
 
 
 def test_functoriality_negative_control_swap(end2, monkeypatch):

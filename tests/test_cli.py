@@ -367,6 +367,20 @@ def test_fixtures_list(capsys):
     assert "end-two-term-complex" in names and "ainf-mu3" in names
 
 
+@pytest.mark.parametrize("letter", ["", "e,ps", " eps", "eps\t"])
+def test_letter_id_a_word_cannot_express_is_2(fixture_file, capsys, letter):
+    # eval reads a word as ids split at commas and stripped, so no word
+    # could name such a letter
+    def renamed(new):
+        def mutate(doc):
+            doc.update(json.loads(json.dumps(doc).replace('"eps"', json.dumps(new))))
+        return fixture_file("dual-numbers", mutate=mutate)
+
+    assert main(["validate", renamed(letter)]) == 2
+    assert "cannot be written in a word" in capsys.readouterr().err
+    assert main(["validate", renamed(letter.strip().replace(",", "") or "e")]) == 0
+
+
 def test_fixtures_dump_roundtrip(capsys):
     assert main(["fixtures", "dump", "end-two-term-complex"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -6,8 +6,15 @@ import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from lift_reference import lift_image_reference
 
-from shufflebv.algebra_io import builtin, validate_dga
+from shufflebv.algebra_io import (
+    MorphismSpec,
+    builtin,
+    builtin_names,
+    validate_ainf,
+    validate_dga,
+)
 from shufflebv.graded import AElement, BasisLetter, GradedSpace, InvalidInputError
 from shufflebv.operators import (
     IdentityOperator,
@@ -21,7 +28,7 @@ from shufflebv.operators import (
     induced_morphism,
     lift_coderivation,
 )
-from shufflebv.words import TElement, words_up_to
+from shufflebv.words import TElement, word_table, words_up_to
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +143,105 @@ def test_lift_matches_printed_formulas_random_degrees(data):
     w = tuple(data.draw(st.sampled_from(ids)) for _ in range(data.draw(st.integers(0, 4))))
     assert dop.apply_word(w) == d_lift_oracle(sp, dmap, w)
     assert muop.apply_word(w) == delta_lift_oracle(sp, mu, w)
+
+
+def _builtin_lifts():
+    for name in builtin_names():
+        spec = builtin(name)
+        if isinstance(spec, MorphismSpec):
+            continue
+        if spec.kind == "dga":
+            alg = validate_dga(spec)
+            yield name, "d", alg.d_op
+            yield name, "delta", alg.delta_op
+        else:
+            alg = validate_ainf(spec)
+            for k in sorted(alg.maps):
+                yield name, f"delta_{k}", alg.delta_op(k)
+
+
+def test_prefix_fill_matches_block_scan_on_builtin_fixtures():
+    # longest words first, so that most fills go through the loop that
+    # fills the missing prefixes
+    seen = 0
+    for name, label, op in _builtin_lifts():
+        for w in reversed(words_up_to(op.space, 5)):
+            assert op.apply_word(w) == lift_image_reference(op, w), (name, label, w)
+        seen += 1
+    assert seen == 15  # six DG algebras, and ainf-mu3 in arities 1 to 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_fill_matches_block_scan_random(data):
+    # with ``unit`` set, the letter l0 has degree 0, the map has intrinsic
+    # degree 0, and every block l0 ... l0 x that the degrees allow maps to
+    # x: then on l0 ... l0 x the last block's output coincides with the
+    # prefix's term shifted by x, and the two are merged with cancellation
+    unit = data.draw(st.booleans())
+    degrees = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    if unit:
+        degrees[0] = 0
+    sp = GradedSpace("h", [BasisLetter(f"l{i}", d) for i, d in enumerate(degrees)])
+    ids = sp.ids
+    k = data.draw(st.integers(1, 3))
+    g0 = 0 if unit else data.draw(st.integers(-1, 1))
+    coeff = st.integers(-2, 2)
+    table = {}
+    for key in itertools.product(ids, repeat=k):
+        want = sum(sp.degree(a) for a in key) + g0
+        outs = {a: data.draw(coeff) for a in ids if sp.degree(a) == want}
+        if unit and set(key[:-1]) <= {"l0"}:
+            outs[key[-1]] = data.draw(coeff.filter(bool))
+        outs = {a: c for a, c in outs.items() if c}
+        if outs:
+            table[key] = outs
+    op = lift_coderivation(MultilinearMap(sp, k, g0, table))
+    words = words_up_to(sp, 4)
+    for w in data.draw(st.permutations(words)):
+        assert op.apply_word(w) == lift_image_reference(op, w), w
+
+
+def test_prefix_fill_merges_the_last_block_with_cancellation():
+    # u of degree 0 with m(u, u) = u: D(u u) = u, and D(u u u) = u u - u u,
+    # the prefix's term u (x) u and the last block's cancelling
+    sp = GradedSpace("u", [BasisLetter("u", 0)])
+    op = lift_coderivation(MultilinearMap(sp, 2, 0, {("u", "u"): {"u": 1}}))
+    assert op.apply_word(("u", "u")) == {("u",): 1}
+    assert op.apply_word(("u", "u", "u")) == {} == lift_image_reference(op, ("u", "u", "u"))
+    assert op.apply_word(("u",) * 4) == {("u",) * 3: 1}
+
+
+def test_long_word_fills_without_recursion(end2):
+    # c is killed by d and c c by the product, so every prefix of c...c a
+    # has an image of at most one term
+    w = ("c",) * 1999 + ("a",)
+    for op in (lift_coderivation(end2.d), lift_coderivation(end2.mu)):
+        assert op.apply_word(w) == lift_image_reference(op, w)
+        assert len(op._cache) == len(w) + 1  # w and each of its prefixes
+        assert len(op.apply_word(w)) == 1
+
+
+def test_unknown_letter_raises_and_leaves_tables_unchanged():
+    alg = validate_dga(builtin("end-two-term-complex"))
+    ops = [alg.d_op, alg.delta_op, compose(alg.d_op, alg.delta_op)]
+    for op in ops:
+        for w in words_up_to(alg.space, 2):
+            op.apply_word(w)
+
+    def tables():
+        return [dict(op._cache) for op in ops] + [dict(word_table(alg.space))]
+
+    before = tables()
+    word = ("a", "b", "c")
+    for i in range(len(word) + 1):
+        bad = word[:i] + ("zz",) + word[i:]
+        for op in ops:
+            with pytest.raises(InvalidInputError, match="zz"):
+                op.apply_word(bad)
+            with pytest.raises(InvalidInputError, match="zz"):
+                op(bad)
+            assert tables() == before, (bad, op)
 
 
 def test_lift_degree_bookkeeping():
