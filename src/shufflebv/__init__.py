@@ -10,12 +10,10 @@ exhaustive exact-rational evaluation up to word-length bounds.
 from .graded import (
     AElement,
     BasisLetter,
-    DegreeUndefinedError,
     GradedSpace,
     InhomogeneousError,
     InvalidInputError,
     Scalar,
-    degree_of,
     koszul_sign,
     parse_scalar,
     render_scalar,
@@ -30,16 +28,12 @@ from .words import (
     render_telement,
     shuffle,
     shuffle_elements,
-    shuffle_many,
     word_degree,
 )
 from .operators import (
     InducedMap,
     MultilinearMap,
     Operator,
-    coderivation_defect,
-    compose,
-    graded_anticommutator,
     induced_morphism,
     lift_coderivation,
 )

@@ -416,7 +416,8 @@ def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
             terms = relation(w)
             if terms:
                 violations.append(Violation(
-                    f"sum_relation_n_{n}", (w,), TElement._make(space, terms), TElement.zero(space)
+                    f"sum_relation_n_{n}", (space.decode(w),), TElement._make(space, terms),
+                    TElement.zero(space),
                 ))
     if violations:
         raise ValidationFailure(violations)

@@ -14,7 +14,8 @@ are collected as data, never raised.  Each case's identity is merged into
 one dict by ``merge_images``, its images, shuffles, brackets and defects
 read by subscript from the tables of the operators, the space and the
 memo.  Every suite builds its sweeps first and hands them to one driver,
-``run_sweeps``.
+``run_sweeps``.  Case words, like every table key, are stored words (``Word``,
+a str; see ``words``); a failure decodes its inputs to letter ids.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .graded import InvalidInputError, Scalar, render_scalar
+from .graded import GradedSpace, InvalidInputError, Scalar, render_scalar
 from .operators import (
     MultilinearMap,
     Operator,
@@ -42,7 +43,6 @@ from .words import (
     render_telement,
     shuffle_elements,
     shuffle_peek,
-    sorted_terms,
     word_degree,
     word_parity,
     word_tuples_with_total,
@@ -57,17 +57,17 @@ from .words import (
 
 @dataclass
 class Failure:
-    inputs: tuple[Word, ...]
+    """A failing case: its input words, each as its letter ids, and the
+    nonzero defect."""
+
+    inputs: tuple[tuple[str, ...], ...]
     defect: TElement
 
     def to_json(self) -> dict:
         return {
             "inputs": [list(w) for w in self.inputs],
             "defect": {
-                "terms": [
-                    [render_scalar(c), list(w)]
-                    for w, c in sorted_terms(self.defect.terms)
-                ],
+                "terms": [[render_scalar(c), list(w)] for w, c in self.defect],
                 "pretty": render_telement(self.defect, tensor="⊗"),
             },
         }
@@ -196,12 +196,13 @@ def run_axiom(
     bound: str,
     cases: Sequence[tuple[Word, ...]],
     evaluate: Callable[[tuple[Word, ...]], TElement | None],
+    space: GradedSpace,
     *,
     fail_cap: int = 10,
     blocks: Iterable[tuple[int, list[tuple[int, TElement]]]] | None = None,
 ) -> AxiomReport:
-    """Report one identity over a case list, keeping the first ``fail_cap``
-    failures in case order.
+    """Report one identity over a case list of words of ``space``, keeping
+    the first ``fail_cap`` failures in case order.
 
     ``blocks`` are the failures of consecutive blocks of the cases, as the
     check's pool returns them; without it ``evaluate`` runs here on every
@@ -213,14 +214,21 @@ def run_axiom(
     for count, kept in blocks:
         report.failure_count += count
         for offset, defect in kept[: fail_cap - len(report.failures)]:
-            report.failures.append(Failure(tuple(cases[offset]), defect))
+            inputs = tuple(map(space.decode, cases[offset]))
+            report.failures.append(Failure(inputs, defect))
     return report
 
 
 def run_sweeps(
-    sweeps: Sequence[Sweep], memo_ops: Sequence = (), *, fail_cap: int = 10, jobs: int = 1
+    sweeps: Sequence[Sweep],
+    memo_ops: Sequence = (),
+    *,
+    space: GradedSpace,
+    fail_cap: int = 10,
+    jobs: int = 1,
 ) -> list[AxiomReport]:
-    """Run a check's sweeps in order and report each one.
+    """Run a check's sweeps, whose cases are words of ``space``, in order
+    and report each one.
 
     ``memo_ops`` are the operators whose defect memos the sweeps fill; a
     memo lives for one sweep and is empty when the check returns.  With
@@ -243,7 +251,9 @@ def run_sweeps(
     reports = []
     if ctx is None:
         for s in sweeps:
-            reports.append(run_axiom(s.name, s.bound, s.cases, s.evaluate, fail_cap=fail_cap))
+            reports.append(
+                run_axiom(s.name, s.bound, s.cases, s.evaluate, space, fail_cap=fail_cap)
+            )
             _forget_defects(*memo_ops)
         return reports
     plan = [_blocks(len(s.cases), workers) for s in sweeps]
@@ -253,7 +263,7 @@ def run_sweeps(
         results = pool.imap(_run_block, tasks)
         for s, spans in zip(sweeps, plan):
             reports.append(
-                run_axiom(s.name, s.bound, s.cases, s.evaluate, fail_cap=fail_cap,
+                run_axiom(s.name, s.bound, s.cases, s.evaluate, space, fail_cap=fail_cap,
                           blocks=itertools.islice(results, len(spans)))
             )
     # the workers' memos end with them; this process's are emptied too
@@ -366,8 +376,11 @@ def c_set(sh: Shuffle) -> CSet:
     return CSet(sh, positions)
 
 
-def bracket_support_check(u: Word, v: Word, mu: MultilinearMap) -> AxiomReport:
-    """Verify the support pattern of the bracket of two words.
+def bracket_support_check(
+    u: Sequence[str], v: Sequence[str], mu: MultilinearMap
+) -> AxiomReport:
+    """Verify the support pattern of the bracket of two words, each given by
+    its letter ids.
 
     Every monomial of {u, v} must have length |u|+|v|-1 and be obtainable
     from some shuffle of u and v by multiplying a cross-block adjacent pair
@@ -378,9 +391,9 @@ def bracket_support_check(u: Word, v: Word, mu: MultilinearMap) -> AxiomReport:
     from .operators import lift_coderivation
 
     space = mu.space
+    x, y = TElement.word(space, u), TElement.word(space, v)
     u, v = tuple(u), tuple(v)
-    delta = lift_coderivation(mu)
-    b = bracket(TElement.word(space, u), TElement.word(space, v), delta)
+    b = bracket(x, y, lift_coderivation(mu))
     report = AxiomReport(
         name="bracket_support",
         bound=f"|u|={len(u)}, |v|={len(v)}",
@@ -391,14 +404,14 @@ def bracket_support_check(u: Word, v: Word, mu: MultilinearMap) -> AxiomReport:
             report.failure_count = 1
             report.failures.append(Failure((u, v), b))
         return report
-    support: set[Word] = set()
+    support: set[tuple[str, ...]] = set()
     for sh in enumerate_shuffles(len(u), len(v)):
         word = sh.interleave(u, v)
         for j in c_set(sh).positions:
             for out_id in mu.table.get((word[j], word[j + 1]), {}):
                 support.add(word[:j] + (out_id,) + word[j + 2 :])
     want_len = len(u) + len(v) - 1
-    for w, c in sorted_terms(b.terms):
+    for w, c in b:
         if len(w) != want_len or w not in support:
             report.failure_count += 1
             if len(report.failures) < 10:
@@ -493,7 +506,9 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         Sweep("delta_order_2", f"triples <= {bounds.ternary}", triples,
               lambda c: TElement._make(space, _koszul_step(delta, c, shuffles))),
     ]
-    return run_sweeps(sweeps, (d, delta), fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+    return run_sweeps(
+        sweeps, (d, delta), space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs
+    )
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -560,7 +575,9 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             singles,
             lambda case, relation=relation: TElement._make(space, relation(case[0])),
         ))
-    return run_sweeps(sweeps, tuple(ops.values()), fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+    return run_sweeps(
+        sweeps, tuple(ops.values()), space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs
+    )
 
 
 def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -583,4 +600,4 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
               lambda c: F(shuffle_elements(el(c[0]), el(c[1])))
               - shuffle_elements(F(el(c[0])), F(el(c[1])))),
     ]
-    return run_sweeps(sweeps, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+    return run_sweeps(sweeps, space=src.space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)

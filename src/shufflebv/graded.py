@@ -23,10 +23,6 @@ class InhomogeneousError(ValueError):
     """An element mixes several degrees where a homogeneous one is required."""
 
 
-class DegreeUndefinedError(ValueError):
-    """The zero element has no degree."""
-
-
 def normalize_scalar(c) -> Scalar:
     """Coerce to an exact rational (int when the denominator is 1)."""
     t = type(c)
@@ -76,7 +72,14 @@ def shifted_degree(letter: BasisLetter) -> int:
 
 
 class GradedSpace:
-    """A finite graded basis.  Immutable after construction."""
+    """A finite graded basis.  Immutable after construction.
+
+    Words over the space are stored as strings with one code point per
+    letter (see ``words``): the letter ids, in sorted order, take
+    consecutive code points, so comparing two encoded words of one length
+    compares their letter ids.  ``encode`` and ``decode`` translate between
+    the two at the package's boundary.
+    """
 
     def __init__(self, name: str, letters: Iterable[BasisLetter]):
         letters = tuple(letters)
@@ -87,13 +90,16 @@ class GradedSpace:
             raise InvalidInputError(f"duplicate letter ids in {name!r}")
         self.name = name
         self.letters = letters
-        self._degree = {l.id: l.degree for l in letters}
-        # parity of the shifted degree, the only part signs ever need
-        self._sparity = {l.id: (l.degree + 1) & 1 for l in letters}
+        self._code = {a: chr(_FIRST_CODE + i) for i, a in enumerate(sorted(ids))}
+        self._letter = {c: a for a, c in self._code.items()}
+        # by code point: the degree, and the parity of the shifted degree,
+        # the only part signs ever need
+        self._degree = {self._code[l.id]: l.degree for l in letters}
+        self._sparity = {self._code[l.id]: (l.degree + 1) & 1 for l in letters}
         from .words import shuffle_table  # words builds on this module
 
         self._shuffle_cache = shuffle_table(self)
-        # one tuple object per basis word; see ``words.word_table``
+        # one str object per basis word; see ``words.word_table``
         self._word_table: dict = {}
 
     def __eq__(self, other):
@@ -112,7 +118,7 @@ class GradedSpace:
         return f"GradedSpace({self.name!r}, {len(self.letters)} letters)"
 
     def __contains__(self, letter_id: str) -> bool:
-        return letter_id in self._degree
+        return letter_id in self._code
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -124,21 +130,39 @@ class GradedSpace:
 
     def degree(self, letter_id: str) -> int:
         try:
-            return self._degree[letter_id]
+            return self._degree[self._code[letter_id]]
         except KeyError:
             raise self.unknown(letter_id) from None
 
-    def shifted_parity(self, letter_id: str) -> int:
+    def encode(self, ids: Iterable[str]) -> str:
+        """The stored word of a sequence of letter ids.
+
+        An unknown letter raises ``InvalidInputError``, and so does a bare
+        string: it would otherwise be read as a word of one-character ids.
+        """
+        if isinstance(ids, str):
+            raise InvalidInputError(
+                f"a word is a sequence of letter ids, not the string {ids!r}"
+            )
         try:
-            return self._sparity[letter_id]
-        except KeyError:
-            raise self.unknown(letter_id) from None
+            return "".join(map(self._code.__getitem__, ids))
+        except KeyError as exc:
+            raise self.unknown(exc.args[0]) from None
+
+    def decode(self, w: str) -> tuple[str, ...]:
+        """The letter ids of a stored word."""
+        return tuple(map(self._letter.__getitem__, w))
 
     def __getstate__(self):
         return (self.name, self.letters)
 
     def __setstate__(self, state):
         self.__init__(*state)
+
+
+# The code point of a space's first letter id: the first 191 letters take
+# one byte each in a string, and print as "A", "B", ... when debugging.
+_FIRST_CODE = 0x41
 
 
 def koszul_parity(perm, parities):
@@ -239,13 +263,3 @@ class AElement:
             f"{render_scalar(c)}*{k}" for k, c in sorted(self.terms.items())
         )
         return f"AElement({body})"
-
-
-def degree_of(x: AElement) -> int:
-    """Common degree of a homogeneous nonzero element."""
-    if not x.terms:
-        raise DegreeUndefinedError("the zero element has no degree")
-    degs = {x.space.degree(k) for k in x.terms}
-    if len(degs) > 1:
-        raise InhomogeneousError(f"mixed degrees {sorted(degs)}")
-    return degs.pop()

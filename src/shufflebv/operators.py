@@ -23,7 +23,7 @@ checker in algebra_io pins the convention; see the README).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graded import (
     AElement,
@@ -36,7 +36,6 @@ from .words import (
     Table,
     TElement,
     Word,
-    deconcatenations,
     merge_images,
     merge_scaled,
     owned_table,
@@ -125,12 +124,13 @@ class MultilinearMap:
 class Operator:
     """A degree-homogeneous endomorphism of the word space, given by a rule.
 
-    To define one, subclass and implement ``_apply_word``.  Every operator
-    keeps two tables, made with it and dropped when it is pickled:
-    ``_cache``, the image of each basis word, kept for the operator's life;
-    and ``_defects``, its defect memo (see ``defect_table``), which the sweep
-    driver empties when a sweep ends.  Callers read both by subscript, and
-    must treat images as immutable.
+    To define one, subclass and implement ``_apply_word``, which maps a
+    stored word (a str, see ``words``) to the terms of its image.  Every
+    operator keeps two tables, keyed by stored words, made with it and
+    dropped when it is pickled: ``_cache``, the image of each basis word,
+    kept for the operator's life; and ``_defects``, its defect memo (see
+    ``defect_table``), which the sweep driver empties when a sweep ends.
+    Callers read both by subscript, and must treat images as immutable.
     """
 
     def __init__(self, space: GradedSpace, degree: int):
@@ -142,21 +142,22 @@ class Operator:
         self._cache = owned_table(self, type(self)._apply_word)
         self._defects = defect_table(self)
 
-    def apply_word(self, w: Word) -> dict[Word, Scalar]:
-        w = tuple(w)
-        word_parity(self.space, w)  # an unknown letter raises before any fill
-        return self._cache[w]
+    def apply_word(self, ids: Sequence[str]) -> dict[tuple[str, ...], Scalar]:
+        """The image of one word, both given by their letter ids."""
+        decode = self.space.decode
+        return {decode(w): c for w, c in self._cache[self.space.encode(ids)].items()}
 
     def _apply_word(self, w: Word) -> dict[Word, Scalar]:
         raise NotImplementedError
 
-    def __call__(self, x: TElement | Word) -> TElement:
+    def __call__(self, x: TElement | Sequence[str]) -> TElement:
+        """The image of an element of this operator's space, or of one word
+        given by its letter ids."""
         if not isinstance(x, TElement):
-            return TElement._make(self.space, self.apply_word(x))
+            return TElement._make(self.space, self._cache[self.space.encode(x)])
+        if x.space != self.space:
+            raise InvalidInputError("the operator acts on a different space")
         return TElement._make(x.space, merge_images({}, x.terms, self._cache, 1))
-
-    def is_zero_operator(self) -> bool:
-        return False
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -209,22 +210,6 @@ def _koszul_step(D: Operator, key: tuple[Word, ...], shuffles) -> dict[Word, Sca
     return merge_images(acc, {(b, w): s for w, s in lower[c].items()}, shuffles, sign)
 
 
-class ZeroOperator(Operator):
-    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
-        return {}
-
-    def is_zero_operator(self) -> bool:
-        return True
-
-
-class IdentityOperator(Operator):
-    def __init__(self, space: GradedSpace):
-        super().__init__(space, 0)
-
-    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
-        return {w: 1}
-
-
 class LiftedCoderivation(Operator):
     """The coderivation lift of a multilinear map (see module docstring).
 
@@ -246,12 +231,15 @@ class LiftedCoderivation(Operator):
         super().__init__(c.space, c.degree + 1 - c.arity)
         self.component = c
         k = c.arity
-        # cbar: each entry of c times (-1)^(sum_j (k-j)|a_j|)
-        deg = c.space.degree
+        # cbar: each entry of c times (-1)^(sum_j (k-j)|a_j|), keyed by the
+        # stored block, with each output letter's code point
+        space = c.space
         self._cbar = {}
         for block, entry in c.table.items():
-            twist = sum(deg(block[j]) for j in range(k) if (k - 1 - j) & 1) & 1
-            self._cbar[block] = {b: -v if twist else v for b, v in entry.items()}
+            twist = sum(space.degree(block[j]) for j in range(k) if (k - 1 - j) & 1) & 1
+            self._cbar[space.encode(block)] = {
+                space.encode((b,)): -v if twist else v for b, v in entry.items()
+            }
 
     def is_zero_operator(self) -> bool:
         return self.component.is_zero()
@@ -280,7 +268,7 @@ class LiftedCoderivation(Operator):
             head = w[:h]
             sign = -1 if self.degree & 1 and word_parity(self.space, head) else 1
             for b, c in entry.items():
-                w2 = head + (b,)
+                w2 = head + b
                 w2 = intern(w2, w2)
                 val = out.get(w2, 0) + sign * c
                 if val:
@@ -336,15 +324,6 @@ class OperatorSum(Operator):
         return acc
 
 
-def compose(P: Operator, Q: Operator) -> Operator:
-    return ComposedOperator(P, Q)
-
-
-def graded_anticommutator(P: Operator, Q: Operator) -> Operator:
-    """P o Q + Q o P (the graded commutator for odd-degree operators)."""
-    return OperatorSum([(1, ComposedOperator(P, Q)), (1, ComposedOperator(Q, P))])
-
-
 def composition_relations(
     ops: Iterable[Operator],
 ) -> Iterator[tuple[int, Callable[[Word], dict[Word, Scalar]]]]:
@@ -369,37 +348,6 @@ def composition_relations(
         yield n, relation
 
 
-def coderivation_defect(D: Operator, w: Word) -> dict[tuple[Word, Word], Scalar]:
-    """Defect of the coderivation identity at one word.
-
-    Computes (coproduct o D - (D (x) id + id (x) D) o coproduct)(w) as a
-    formal sum over split pairs; the id (x) D summand carries the Koszul
-    sign (-1)^(deg D * degree of the left part).  Empty result means D is
-    a coderivation at w.
-    """
-    space = D.space
-    acc: dict[tuple[Word, Word], Scalar] = {}
-
-    def add(pair, c):
-        val = acc.get(pair, 0) + c
-        if val:
-            acc[pair] = val
-        elif pair in acc:
-            del acc[pair]
-
-    for w1, c in D.apply_word(w).items():
-        for pair in deconcatenations(w1):
-            add(pair, c)
-    dpar = D.degree & 1
-    for left, right in deconcatenations(w):
-        for l2, c in D.apply_word(left).items():
-            add((l2, right), -c)
-        sign = -1 if (dpar and word_parity(space, left)) else 1
-        for r2, c in D.apply_word(right).items():
-            add((left, r2), -sign * c)
-    return acc
-
-
 class InducedMap:
     """Letterwise application of a degree-0 linear map of graded spaces."""
 
@@ -409,22 +357,28 @@ class InducedMap:
         self.f = f
         self.source = f.space
         self.target = f.target
+        # f's table from the source's code points to the target's
+        src, tgt = self.source, self.target
+        self._letters = {
+            src.encode(a): {tgt.encode((b,)): c for b, c in entry.items()}
+            for a, entry in f.table.items()
+        }
 
     def __call__(self, x: TElement) -> TElement:
         if x.space != self.source:
             raise InvalidInputError("element lives in the wrong space")
-        table = self.f.table
+        table = self._letters
         acc: dict[Word, Scalar] = {}
         for w, c in x.terms.items():
-            images = [((), c)]
+            images = [("", c)]
             for a in w:
-                entry = table.get((a,))
+                entry = table.get(a)
                 if not entry:
                     images = []
                     break
                 images = [
-                    (ids + (b,), cc * cb)
-                    for ids, cc in images
+                    (w2 + b, cc * cb)
+                    for w2, cc in images
                     for b, cb in entry.items()
                 ]
             for w2, c2 in images:

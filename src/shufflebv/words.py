@@ -1,8 +1,12 @@
 """Words in the tensor coalgebra, the shuffle product, deconcatenation.
 
-A word a_1 (x) ... (x) a_n is stored as a tuple of letter ids and graded
-by |a_1| + ... + |a_n| + n, i.e. by the sum of the shifted letter degrees.
-The empty word is the unit.
+A word a_1 (x) ... (x) a_n is stored as a string with one code point per
+letter, by the encoding of its space (``GradedSpace.encode``), and graded by
+|a_1| + ... + |a_n| + n, i.e. by the sum of the shifted letter degrees.  The
+empty word "" is the unit.  A string caches its hash, so each table key is
+hashed once.  Letter ids are encoded and decoded only at the boundary:
+``TElement(...)``, ``TElement.word``, ``shuffle``, iterating a ``TElement``,
+and rendering.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .graded import (
     GradedSpace,
@@ -22,7 +26,8 @@ from .graded import (
     render_scalar,
 )
 
-Word = tuple[str, ...]
+# a stored word: one code point per letter (see ``GradedSpace.encode``)
+Word = str
 
 
 class Table(dict):
@@ -68,7 +73,7 @@ def owned_table(owner, fill: Callable) -> Table:
 
 def word_table(space: GradedSpace) -> dict[Word, Word]:
     """The intern table of ``space``: maps each word it has seen to the one
-    tuple object that stands for it.
+    str object that stands for it.
 
     Words pass through it where they are made (``words_up_to``,
     ``shuffle_terms``, the coderivation lifts), so the tables share one
@@ -93,19 +98,12 @@ def shuffle_peek(space: GradedSpace) -> View:
 
 def word_degree(space: GradedSpace, w: Word) -> int:
     """Degree of a word: the sum of its shifted letter degrees."""
-    try:
-        return sum(map(space._degree.__getitem__, w)) + len(w)
-    except KeyError as exc:
-        raise space.unknown(exc.args[0]) from None
+    return sum(map(space._degree.__getitem__, w)) + len(w)
 
 
 def word_parity(space: GradedSpace, w: Word) -> int:
-    """Parity of a word's degree; an unknown letter raises
-    ``InvalidInputError``, so this also validates the word."""
-    try:
-        return sum(map(space._sparity.__getitem__, w)) & 1
-    except KeyError as exc:
-        raise space.unknown(exc.args[0]) from None
+    """Parity of a word's degree."""
+    return sum(map(space._sparity.__getitem__, w)) & 1
 
 
 def deconcatenations(w: Word) -> list[tuple[Word, Word]]:
@@ -140,8 +138,8 @@ class Shuffle:
             inv[tgt] = src
         return tuple(inv)
 
-    def interleave(self, u: Word, v: Word) -> Word:
-        """The shuffled word: position p receives letter number inverse[p]."""
+    def interleave(self, u: Sequence, v: Sequence) -> tuple:
+        """The shuffled sequence: position p receives item number inverse[p]."""
         uv = u + v
         return tuple(uv[s] for s in self.inverse)
 
@@ -162,18 +160,17 @@ class TElement:
     """A finite rational linear combination of words over one space.
 
     Instances are treated as immutable; all operations return new elements.
+    ``terms`` maps stored words to coefficients; the constructor takes words
+    as sequences of letter ids, and iteration gives them back that way.
     Term order is canonical: by word length, then lexicographically.
     """
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: GradedSpace, terms: Mapping[Word, Scalar] | None = None):
+    def __init__(self, space: GradedSpace, terms: Mapping[Sequence[str], Scalar] | None = None):
         clean: dict[Word, Scalar] = {}
-        for w, c in (terms or {}).items():
-            w = tuple(w)
-            for a in w:
-                if a not in space:
-                    raise space.unknown(a)
+        for ids, c in (terms or {}).items():
+            w = space.encode(ids)
             c = normalize_scalar(c)
             if c:
                 clean[w] = c
@@ -195,12 +192,14 @@ class TElement:
         return cls._make(space, {})
 
     @classmethod
-    def word(cls, space: GradedSpace, w: Word, coeff: Scalar = 1) -> "TElement":
-        return cls(space, {tuple(w): coeff})
+    def word(cls, space: GradedSpace, ids: Sequence[str], coeff: Scalar = 1) -> "TElement":
+        w = space.encode(ids)
+        c = normalize_scalar(coeff)
+        return cls._make(space, {w: c} if c else {})
 
     @classmethod
     def unit(cls, space: GradedSpace) -> "TElement":
-        return cls(space, {(): 1})
+        return cls._make(space, {"": 1})
 
     # -- structure ------------------------------------------------------
     def __bool__(self):
@@ -216,8 +215,10 @@ class TElement:
             and self.terms == other.terms
         )
 
-    def __iter__(self) -> Iterator[tuple[Word, Scalar]]:
-        return iter(sorted_terms(self.terms))
+    def __iter__(self) -> Iterator[tuple[tuple[str, ...], Scalar]]:
+        """The terms in canonical order, each word as its letter ids."""
+        decode = self.space.decode
+        return iter([(decode(w), c) for w, c in sorted_terms(self.terms)])
 
     def __add__(self, other: "TElement") -> "TElement":
         if self.space != other.space:
@@ -251,13 +252,6 @@ class TElement:
             raise InhomogeneousError(f"mixed word degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_parts(self) -> dict[int, "TElement"]:
-        """Split into word-degree-homogeneous summands, keyed by degree."""
-        buckets: dict[int, dict[Word, Scalar]] = {}
-        for w, c in self.terms.items():
-            buckets.setdefault(word_degree(self.space, w), {})[w] = c
-        return {d: TElement._make(self.space, t) for d, t in sorted(buckets.items())}
-
     def __repr__(self):
         return f"TElement({render_telement(self)})"
 
@@ -266,10 +260,11 @@ def sorted_terms(terms: Mapping[Word, Scalar]) -> list[tuple[Word, Scalar]]:
     return sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
-def render_word(w: Word, tensor: str = "(x)") -> str:
-    if not w:
+def render_word(ids: Sequence[str], tensor: str = "(x)") -> str:
+    """A word given by its letter ids, e.g. ``a(x)b``; the empty word is 1."""
+    if not ids:
         return "1"
-    return tensor.join(w)
+    return tensor.join(ids)
 
 
 def render_telement(x: "TElement", tensor: str = "(x)") -> str:
@@ -277,7 +272,7 @@ def render_telement(x: "TElement", tensor: str = "(x)") -> str:
     if not x.terms:
         return "0"
     chunks = []
-    for w, c in sorted_terms(x.terms):
+    for w, c in x:
         c = normalize_scalar(c)
         body = render_word(w, tensor)
         if not w:
@@ -411,20 +406,16 @@ def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     u + v by the cached plan of the words' lengths and parities.
     """
     parity = space._sparity.__getitem__
-    try:
-        pu = tuple(map(parity, u))
-        pv = tuple(map(parity, v))
-    except KeyError as exc:
-        raise space.unknown(exc.args[0]) from None
     intern = word_table(space).setdefault
-    uv = tuple(u) + tuple(v)
+    uv = u + v
     if not u or not v:
         return {intern(uv, uv): 1}
-    getters, signs = _shuffle_plans[pu, pv]
+    getters, signs = _shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))]
     terms: dict[Word, Scalar] = {}
     get = terms.get
+    join = "".join
     for g, s in zip(getters, signs):
-        w = g(uv)
+        w = join(g(uv))
         val = get(w, 0) + s
         if val:
             terms[w] = val
@@ -437,13 +428,14 @@ def _shuffle_fill(space: GradedSpace, key: tuple[Word, Word]) -> dict[Word, Scal
     return shuffle_terms(space, *key)
 
 
-def shuffle(space: GradedSpace, u: Word, v: Word) -> TElement:
-    """Shuffle product of two words, with Koszul signs on shifted degrees.
+def shuffle(space: GradedSpace, u: Sequence[str], v: Sequence[str]) -> TElement:
+    """Shuffle product of two words given by their letter ids, with Koszul
+    signs on shifted degrees.
 
     Read from the space's shuffle table: axiom sweeps hit the same pairs
     often.
     """
-    return TElement._make(space, space._shuffle_cache[tuple(u), tuple(v)])
+    return TElement._make(space, space._shuffle_cache[space.encode(u), space.encode(v)])
 
 
 def peek_shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
@@ -466,23 +458,16 @@ def shuffle_elements(x: TElement, y: TElement) -> TElement:
     return TElement._make(space, acc)
 
 
-def shuffle_many(space: GradedSpace, factors: list[TElement]) -> TElement:
-    """Left fold of the shuffle product; empty input gives the unit."""
-    acc = TElement.unit(space)
-    for f in factors:
-        acc = shuffle_elements(acc, f)
-    return acc
-
-
 def words_up_to(space: GradedSpace, max_len: int, *, include_empty: bool = True) -> list[Word]:
-    """All basis words of length <= max_len, by length then lexicographically."""
+    """All basis words of length <= max_len, by length, then
+    lexicographically in the order of the space's basis."""
     intern = word_table(space).setdefault
-    empty = intern((), ())
+    empty = intern("", "")
     out: list[Word] = [empty] if include_empty else []
     layer: list[Word] = [empty]
-    ids = space.ids
+    codes = space.encode(space.ids)
     for _ in range(max_len):
-        layer = [w + (a,) for w in layer for a in ids]
+        layer = [w + a for w in layer for a in codes]
         layer = [intern(w, w) for w in layer]
         out.extend(layer)
     return out

@@ -9,16 +9,32 @@ tests compare the two term for term.
 import itertools
 
 from shufflebv.graded import InvalidInputError
-from shufflebv.words import TElement, merge_scaled, shuffle_elements, shuffle_many
+from shufflebv.words import TElement, merge_scaled, shuffle_elements, word_degree
+
+
+def homogeneous_parts(x):
+    """Split into word-degree-homogeneous summands, keyed by degree."""
+    buckets = {}
+    for w, c in x.terms.items():
+        buckets.setdefault(word_degree(x.space, w), {})[w] = c
+    return {d: TElement._make(x.space, t) for d, t in sorted(buckets.items())}
+
+
+def shuffle_many(space, factors):
+    """Left fold of the shuffle product; empty input gives the unit."""
+    acc = TElement.unit(space)
+    for f in factors:
+        acc = shuffle_elements(acc, f)
+    return acc
 
 
 def bracket_reference(x, y, delta):
     """(-1)^|x| D(x * y) - (-1)^|x| D(x) * y - x * D(y), bilinearly."""
     acc = TElement.zero(x.space)
-    for dx, xh in x.homogeneous_parts().items():
+    for dx, xh in homogeneous_parts(x).items():
         sx = -1 if dx & 1 else 1
         dxh = delta(xh)
-        for _, yh in y.homogeneous_parts().items():
+        for _, yh in homogeneous_parts(y).items():
             t = delta(shuffle_elements(xh, yh)) - shuffle_elements(dxh, yh)
             acc = acc + sx * t - shuffle_elements(xh, delta(yh))
     return acc

@@ -27,15 +27,21 @@ from shufflebv.algebra_io import (
 from shufflebv.bv import Bounds, bracket, check_bvinf, check_dbv, check_functoriality, order_defect
 from shufflebv.cli import main
 from shufflebv.graded import BasisLetter, GradedSpace
-from shufflebv.operators import MultilinearMap, Operator, OperatorSum, compose, lift_coderivation
+from shufflebv.operators import (
+    ComposedOperator,
+    MultilinearMap,
+    Operator,
+    OperatorSum,
+    lift_coderivation,
+)
 from shufflebv.words import (
     TElement,
     shuffle,
     shuffle_elements,
     word_degree,
     word_tuples_with_total,
-    words_up_to,
 )
+from test_words import id_words
 
 
 @contextmanager
@@ -69,11 +75,11 @@ def test_criterion_1_shuffle_algebra_laws():
         sp = GradedSpace(
             "three", [BasisLetter("x", 0), BasisLetter("y", 1), BasisLetter("z", 2)]
         )
-        pairs = list(itertools.product(words_up_to(sp, 3), repeat=2))
+        pairs = list(itertools.product(id_words(sp, 3), repeat=2))
         for u, v in pairs:
-            sign = (-1) ** (word_degree(sp, u) * word_degree(sp, v) % 2)
+            sign = (-1) ** (word_degree(sp, sp.encode(u)) * word_degree(sp, sp.encode(v)) % 2)
             assert shuffle(sp, u, v) == sign * shuffle(sp, v, u), (u, v)
-        triples = list(itertools.product(words_up_to(sp, 2), repeat=3))
+        triples = list(itertools.product(id_words(sp, 2), repeat=3))
         for u, v, w in triples:
             eu, ev, ew = (TElement.word(sp, t) for t in (u, v, w))
             assert shuffle_elements(shuffle_elements(eu, ev), ew) == shuffle_elements(
@@ -107,7 +113,7 @@ def test_criterion_2_dbv_suite_on_end_two_term(dbv_reports):
 def test_criterion_3_commutative_degeneration():
     with criterion(3, "bracket vanishes identically on dual-numbers"):
         alg = validate_dga(builtin("dual-numbers"))
-        words = words_up_to(alg.space, 3)
+        words = id_words(alg.space, 3)
         count = 0
         for u, v in itertools.product(words, repeat=2):
             b = bracket(
@@ -152,10 +158,10 @@ def test_criterion_4_order_lemma_random_maps():
             singles = [t for t in tuples if all(len(w) == 1 for w in t)]
             assert singles  # single-letter tuples are part of the sweep
             for t in tuples:
-                defect = order_defect(D, arity, [TElement.word(sp, w) for w in t])
+                defect = order_defect(D, arity, [TElement.word(sp, sp.decode(w)) for w in t])
                 assert defect.is_zero(), (arity, degree, t)
             for t in word_tuples_with_total(sp, arity + 2, 6):
-                defect = order_defect(D, arity + 1, [TElement.word(sp, w) for w in t])
+                defect = order_defect(D, arity + 1, [TElement.word(sp, sp.decode(w)) for w in t])
                 assert defect.is_zero(), ("hierarchy", arity, degree, t)
             checked += 1
         assert checked == 20
@@ -169,7 +175,7 @@ def test_order_defect_matches_reference_on_random_lifts():
     for arity, degree, D in _random_lifts(sp):
         for n in range(1, arity + 1):
             for t in word_tuples_with_total(sp, n + 1, n + 3):
-                xs = [TElement.word(sp, w) for w in t]
+                xs = [TElement.word(sp, sp.decode(w)) for w in t]
                 got = order_defect(D, n, xs)
                 assert got.terms == order_defect_reference(D, n, xs).terms, (arity, degree, n, t)
                 nonzero += not got.is_zero()
@@ -202,8 +208,8 @@ def test_criterion_5_bvinf_suite_on_mu3_fixture():
 def test_criterion_6_associator_property():
     with criterion(6, "square of the product lift detects associativity"):
         ut = validate_dga(builtin("upper-triangular-2"))
-        sq = compose(ut.delta_op, ut.delta_op)
-        for w in words_up_to(ut.space, 5):
+        sq = ComposedOperator(ut.delta_op, ut.delta_op)
+        for w in id_words(ut.space, 5):
             assert not sq.apply_word(w), w
 
         spec = builtin("upper-triangular-2")
@@ -240,6 +246,7 @@ class _NoPrefixSignLift(Operator):
         self.mu = mu
 
     def _apply_word(self, w):
+        w = self.space.decode(w)
         out = {}
         k = self.mu.arity
         for i in range(len(w) - k + 1):
@@ -249,7 +256,7 @@ class _NoPrefixSignLift(Operator):
                 for b, c in entry.items():
                     w2 = w[:i] + (b,) + w[i + k :]
                     out[w2] = out.get(w2, 0) + tw * c
-        return {k: v for k, v in out.items() if v}
+        return {self.space.encode(k): v for k, v in out.items() if v}
 
 
 class _RepeatFirstLetter(Operator):
@@ -257,19 +264,19 @@ class _RepeatFirstLetter(Operator):
     |w[0]| + 1 whatever degree it is given."""
 
     def _apply_word(self, w):
-        return {(w[0],) + w: 1} if w else {}
+        return {w[:1] + w: 1} if w else {}
 
 
 def test_memo_matches_reference_on_unsigned_lift(end2):
     # a subclass of Operator gets its image table and defect memo too
     lift = _NoPrefixSignLift(end2.mu)
     el = lambda w: TElement.word(end2.space, w)
-    for u, v in itertools.product(words_up_to(end2.space, 2), repeat=2):
+    for u, v in itertools.product(id_words(end2.space, 2), repeat=2):
         x, y = el(u), el(v)
         assert bracket(x, y, lift).terms == bracket_reference(x, y, lift).terms, (u, v)
         assert order_defect(lift, 1, [x, y]).terms == order_defect_reference(lift, 1, [x, y]).terms
     nonzero = 0
-    for t in itertools.product(words_up_to(end2.space, 1), repeat=3):
+    for t in itertools.product(id_words(end2.space, 1), repeat=3):
         xs = [el(w) for w in t]
         got = order_defect(lift, 2, xs)
         assert got.terms == order_defect_reference(lift, 2, xs).terms, t
@@ -316,7 +323,8 @@ def test_leibniz_sweep_is_signed_order_2_sweep(end2, monkeypatch):
     buggy = SimpleNamespace(
         space=end2.space, d_op=end2.d_op, delta_op=_NoPrefixSignLift(end2.mu)
     )
-    sign = lambda x, y: (-1) ** (word_degree(end2.space, x) + word_degree(end2.space, y))
+    degree = lambda ids: word_degree(end2.space, end2.space.encode(ids))
+    sign = lambda x, y: (-1) ** (degree(x) + degree(y))
     for jobs in (1, 2):
         bounds = Bounds(unary=1, binary=1, ternary=2, fail_cap=10_000, jobs=jobs)
         by_name = {r.name: r for r in check_dbv(buggy, bounds)}
@@ -338,7 +346,8 @@ def test_leibniz_defect_is_signed_order_2_defect_on_random_odd_lifts():
     from types import SimpleNamespace
 
     sp = GradedSpace("rand2", [BasisLetter("x", 0), BasisLetter("y", 1)])
-    sign = lambda x, y: (-1) ** (word_degree(sp, x) + word_degree(sp, y))
+    degree = lambda ids: word_degree(sp, sp.encode(ids))
+    sign = lambda x, y: (-1) ** (degree(x) + degree(y))
     bounds = Bounds(unary=0, binary=0, ternary=2, fail_cap=10_000)
     lifts = [D for arity, _, D in _random_lifts(sp) if arity == 3 and D.degree & 1]
     assert len(lifts) == 6
@@ -451,7 +460,7 @@ def test_every_dbv_axiom_has_a_negative_control(end2, monkeypatch):
             control(delta_op=_NoPrefixSignLift(end2.mu)),
             {"delta_squared", "d_delta_anticommutator", "bracket_leibniz", "delta_order_2"}),
         "delta o d in place of delta": (
-            control(delta_op=compose(end2.delta_op, end2.d_op)),
+            control(delta_op=ComposedOperator(end2.delta_op, end2.d_op)),
             {"bracket_antisymmetry", "bracket_leibniz", "delta_order_2"}),
     }
     # a pool of two workers whatever the host has, so --jobs 2 forks

@@ -19,8 +19,9 @@ from shufflebv.algebra_io import (
     validate_morphism,
 )
 from shufflebv.graded import InvalidInputError
-from shufflebv.words import words_up_to
-from shufflebv.operators import compose, graded_anticommutator
+from shufflebv.operators import ComposedOperator
+from test_operators import anticommutator
+from test_words import id_words
 
 
 ALGEBRA_FIXTURES = [
@@ -204,11 +205,13 @@ def test_validation_completeness_at_basis_level():
         from shufflebv.operators import lift_coderivation
 
         dop, muop = lift_coderivation(d), lift_coderivation(mu)
-        checks = [compose(dop, dop), compose(muop, muop), graded_anticommutator(dop, muop)]
+        checks = [
+            ComposedOperator(dop, dop), ComposedOperator(muop, muop), anticommutator(dop, muop)
+        ]
         return all(
             not op.apply_word(w)
             for op in checks
-            for w in words_up_to(space, 4)
+            for w in id_words(space, 4)
         )
 
     good = builtin("end-two-term-complex")

@@ -1,5 +1,7 @@
 """Scalars, graded bases, and the Koszul sign engine."""
 
+import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,11 +10,8 @@ from hypothesis import given, settings, strategies as st
 from shufflebv.graded import (
     AElement,
     BasisLetter,
-    DegreeUndefinedError,
     GradedSpace,
-    InhomogeneousError,
     InvalidInputError,
-    degree_of,
     koszul_parity,
     koszul_sign,
     normalize_scalar,
@@ -158,13 +157,32 @@ def space():
     return GradedSpace("s", [BasisLetter("a", 0), BasisLetter("b", 1), BasisLetter("c", 0)])
 
 
-def test_degree_of(space):
-    assert degree_of(AElement(space, {"a": Fraction(3, 2)})) == 0
-    assert degree_of(AElement(space, {"a": 1, "c": 2})) == 0
-    with pytest.raises(DegreeUndefinedError):
-        degree_of(AElement.zero(space))
-    with pytest.raises(InhomogeneousError):
-        degree_of(AElement(space, {"a": 1, "b": 1}))
+def test_encoding_keeps_the_order_of_letter_ids():
+    # basis order differs from sorted order, and ids share prefixes: two
+    # stored words of one length compare as their letter-id tuples do
+    sp = GradedSpace("s", [BasisLetter(a, 0) for a in ("one", "eps", "e1", "e10", "e2")])
+    words = [
+        tuple(w) for n in range(3) for w in itertools.product(sp.ids, repeat=n)
+    ]
+    for w in words:
+        assert len(sp.encode(w)) == len(w)
+        assert sp.decode(sp.encode(w)) == w
+        assert sp.encode(list(w)) == sp.encode(w)
+    for u, v in itertools.product(words, repeat=2):
+        if len(u) == len(v):
+            assert (sp.encode(u) < sp.encode(v)) == (u < v), (u, v)
+    clone = pickle.loads(pickle.dumps(sp))
+    assert all(clone.encode(w) == sp.encode(w) for w in words)
+
+
+def test_encode_rejects_unknown_letters_and_bare_strings(space):
+    with pytest.raises(InvalidInputError, match="zz"):
+        space.encode(("a", "zz"))
+    # a bare string is not read as a word of one-character letter ids
+    with pytest.raises(InvalidInputError, match="sequence of letter ids"):
+        space.encode("ab")
+    with pytest.raises(InvalidInputError):
+        space.encode("")
 
 
 def test_aelement_arithmetic(space):

@@ -24,7 +24,6 @@ from shufflebv.words import (
     render_telement,
     shuffle,
     shuffle_elements,
-    shuffle_many,
     shuffle_signed,
     shuffle_terms,
     sorted_terms,
@@ -33,6 +32,8 @@ from shufflebv.words import (
     words_up_to,
 )
 
+from defect_reference import shuffle_many
+from lift_reference import shifted_parity
 from test_graded import bubble_sign
 
 
@@ -65,16 +66,22 @@ def shuffle_oracle(space, u, v):
     return {w: c for w, c in terms.items() if c}
 
 
+def id_words(space, max_len):
+    """``words_up_to``, each word as its letter ids."""
+    return [space.decode(w) for w in words_up_to(space, max_len)]
+
+
 # -- grading ----------------------------------------------------------------
 
 
 def test_word_degree(mixed):
-    assert word_degree(mixed, ()) == 0
-    assert word_degree(mixed, ("x",)) == 1
-    assert word_degree(mixed, ("y", "x")) == 3
-    assert word_degree(mixed, ("z", "z")) == 6
+    degree = lambda ids: word_degree(mixed, mixed.encode(ids))
+    assert degree(()) == 0
+    assert degree(("x",)) == 1
+    assert degree(("y", "x")) == 3
+    assert degree(("z", "z")) == 6
     with pytest.raises(InvalidInputError):
-        word_degree(mixed, ("nope",))
+        degree(("nope",))
 
 
 # -- shuffle enumeration ------------------------------------------------------
@@ -128,25 +135,25 @@ def test_shuffle_degree_zero_letters(mixed):
     # (x)*(x) with |x| = 0: the crossing carries -1, so the two terms cancel
     assert shuffle(mixed, ("x",), ("x",)).is_zero()
     sp = GradedSpace("two", [BasisLetter("a", 0), BasisLetter("b", 0)])
-    assert shuffle(sp, ("a",), ("b",)).terms == {("a", "b"): 1, ("b", "a"): -1}
+    assert dict(shuffle(sp, ("a",), ("b",))) == {("a", "b"): 1, ("b", "a"): -1}
 
 
 def test_shuffle_odd_letter(mixed):
     # one crossing, sign (-1)^((|y|+1)(|x|+1)) = +1
     got = shuffle(mixed, ("y",), ("x",))
-    assert got.terms == {("y", "x"): 1, ("x", "y"): 1}
+    assert dict(got) == {("y", "x"): 1, ("x", "y"): 1}
 
 
 def test_shuffle_unit(mixed):
-    for w in words_up_to(mixed, 3):
-        assert shuffle(mixed, (), w).terms == {w: 1}
-        assert shuffle(mixed, w, ()).terms == {w: 1}
+    for w in id_words(mixed, 3):
+        assert dict(shuffle(mixed, (), w)) == {w: 1}
+        assert dict(shuffle(mixed, w, ())) == {w: 1}
 
 
 def test_shuffle_matches_bruteforce_oracle(mixed):
-    words = words_up_to(mixed, 2)
+    words = id_words(mixed, 2)
     for u, v in itertools.product(words, repeat=2):
-        assert shuffle(mixed, u, v).terms == shuffle_oracle(mixed, u, v), (u, v)
+        assert dict(shuffle(mixed, u, v)) == shuffle_oracle(mixed, u, v), (u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,13 +164,13 @@ def test_shuffle_matches_oracle_random(data):
     ids = sp.ids
     u = tuple(data.draw(st.sampled_from(ids)) for _ in range(data.draw(st.integers(0, 3))))
     v = tuple(data.draw(st.sampled_from(ids)) for _ in range(data.draw(st.integers(0, 3))))
-    assert shuffle(sp, u, v).terms == shuffle_oracle(sp, u, v)
+    assert dict(shuffle(sp, u, v)) == shuffle_oracle(sp, u, v)
 
 
 def test_shuffle_term_count_before_cancellation(mixed):
-    for u, v in itertools.product(words_up_to(mixed, 3), repeat=2):
-        pu = tuple(mixed.shifted_parity(a) for a in u)
-        pv = tuple(mixed.shifted_parity(a) for a in v)
+    for u, v in itertools.product(id_words(mixed, 3), repeat=2):
+        pu = tuple(shifted_parity(mixed, a) for a in u)
+        pv = tuple(shifted_parity(mixed, a) for a in v)
         assert len(shuffle_signed(u, v, pu, pv)) == comb(len(u) + len(v), len(u))
 
 
@@ -286,7 +293,8 @@ def test_shuffle_table_fills_each_pair_once(monkeypatch):
     pairs = list(itertools.product(words_up_to(space, 2), repeat=2))
     for _ in range(2):
         for u, v in pairs:
-            assert shuffle(space, u, v).terms is space._shuffle_cache[u, v]
+            got = shuffle(space, space.decode(u), space.decode(v))
+            assert got.terms is space._shuffle_cache[u, v]
     assert sorted(calls) == sorted(pairs)
 
 
@@ -306,13 +314,14 @@ def test_a_space_and_its_table_form_no_cycle():
 def test_shuffle_graded_commutativity(mixed):
     for u, v in itertools.product(words_up_to(mixed, 3), repeat=2):
         sign = (-1) ** (word_degree(mixed, u) * word_degree(mixed, v) % 2)
-        lhs = shuffle(mixed, u, v)
-        rhs = sign * shuffle(mixed, v, u)
-        assert lhs == rhs, (u, v)
+        u_ids, v_ids = mixed.decode(u), mixed.decode(v)
+        lhs = shuffle(mixed, u_ids, v_ids)
+        rhs = sign * shuffle(mixed, v_ids, u_ids)
+        assert lhs == rhs, (u_ids, v_ids)
 
 
 def test_shuffle_associativity(mixed):
-    words = words_up_to(mixed, 2)
+    words = id_words(mixed, 2)
     for u, v, w in itertools.product(words, repeat=3):
         eu, ev, ew = (TElement.word(mixed, x) for x in (u, v, w))
         assert shuffle_elements(shuffle_elements(eu, ev), ew) == shuffle_elements(
@@ -323,7 +332,7 @@ def test_shuffle_associativity(mixed):
 def test_shuffle_degree_additivity(mixed):
     for u, v in itertools.product(words_up_to(mixed, 3), repeat=2):
         expected = word_degree(mixed, u) + word_degree(mixed, v)
-        for w in shuffle(mixed, u, v).terms:
+        for w in shuffle(mixed, mixed.decode(u), mixed.decode(v)).terms:
             assert word_degree(mixed, w) == expected
 
 
@@ -339,15 +348,27 @@ def test_shuffle_rejects_mismatched_spaces(mixed):
 def test_telement_basics(mixed):
     x = TElement(mixed, {("x",): 1, ("y", "x"): -2})
     y = TElement(mixed, {("x",): -1})
-    assert (x + y).terms == {("y", "x"): -2}
+    assert dict(x + y) == {("y", "x"): -2}
     assert (x - x).is_zero()
-    assert (2 * x).terms == {("x",): 2, ("y", "x"): -4}
-    assert x.homogeneous_parts() == {
-        1: TElement(mixed, {("x",): 1}),
-        3: TElement(mixed, {("y", "x"): -2}),
-    }
-    parts = x.homogeneous_parts()
-    assert parts[1].degree() == 1 and parts[3].degree() == 3
+    assert dict(2 * x) == {("x",): 2, ("y", "x"): -4}
+    assert TElement(mixed, {("x",): 1}).degree() == 1
+    assert TElement(mixed, {("y", "x"): -2}).degree() == 3
+
+
+def test_telement_words_are_letter_id_sequences(mixed):
+    # a bare string is not read as a word of one-character letter ids
+    for bad in ("xy", "x", ""):
+        with pytest.raises(InvalidInputError, match="sequence of letter ids"):
+            TElement.word(mixed, bad)
+        with pytest.raises(InvalidInputError, match="sequence of letter ids"):
+            TElement(mixed, {bad: 1})
+    with pytest.raises(InvalidInputError, match="nope"):
+        TElement.word(mixed, ("x", "nope"))
+    assert TElement.word(mixed, ["x", "y"]) == TElement(mixed, {("x", "y"): 1})
+    assert TElement.word(mixed, ("x",), 0).is_zero()
+    # iteration gives the terms in canonical order, words as letter ids
+    x = TElement(mixed, {("y", "x"): 2, ("z",): 1, (): -1, ("x", "z"): 3})
+    assert list(x) == [((), -1), (("z",), 1), (("x", "z"), 3), (("y", "x"), 2)]
 
 
 def test_telement_drops_zero_terms(mixed):
@@ -362,14 +383,15 @@ def test_render_canonical_order(mixed):
 
 
 def test_sorted_terms_orders_by_length_then_lex(mixed):
-    terms = {("z",): 1, (): 2, ("x", "x"): 3, ("y",): 4}
-    assert [w for w, _ in sorted_terms(terms)] == [(), ("y",), ("z",), ("x", "x")]
+    terms = {mixed.encode(w): c for w, c in {("z",): 1, (): 2, ("x", "x"): 3, ("y",): 4}.items()}
+    got = [mixed.decode(w) for w, _ in sorted_terms(terms)]
+    assert got == [(), ("y",), ("z",), ("x", "x")]
 
 
 def test_words_up_to_and_tuples(mixed):
     ws = words_up_to(mixed, 2)
     assert len(ws) == 1 + 3 + 9
-    assert ws[0] == () and ws[1] == ("x",)
+    assert ws[0] == "" and mixed.decode(ws[1]) == ("x",)
     tuples = word_tuples_with_total(mixed, 2, 3)
     assert all(len(t) == 2 and all(t2 for t2 in t) for t in tuples)
     assert all(sum(len(w) for w in t) <= 3 for t in tuples)
@@ -388,10 +410,10 @@ def test_words_up_to_and_tuples(mixed):
 
 def test_peek_shuffle_terms_reads_but_never_fills_the_cache():
     space = GradedSpace("peek", [BasisLetter("x", 0), BasisLetter("y", 1)])
-    u, v = ("x", "y"), ("y",)
+    u, v = space.encode(("x", "y")), space.encode(("y",))
     fresh = peek_shuffle_terms(space, u, v)
     assert space._shuffle_cache == {}
-    cached = shuffle(space, u, v).terms
+    cached = shuffle(space, ("x", "y"), ("y",)).terms
     assert fresh == cached
     assert peek_shuffle_terms(space, u, v) is cached
 
@@ -401,16 +423,18 @@ def test_shuffle_plans_match_shuffle_signed():
     # give every parity pattern, and repeated x's make terms cancel
     space = GradedSpace("plans", [BasisLetter("x", 0), BasisLetter("y", 1)])
     for u, v in itertools.product(words_up_to(space, 3), repeat=2):
-        pu = tuple(space.shifted_parity(a) for a in u)
-        pv = tuple(space.shifted_parity(a) for a in v)
+        pu = tuple(shifted_parity(space, a) for a in space.decode(u))
+        pv = tuple(shifted_parity(space, a) for a in space.decode(v))
         want = {}
         for w, s in shuffle_signed(u, v, pu, pv):
+            w = "".join(w)
             want[w] = want.get(w, 0) + s
             if not want[w]:
                 del want[w]
         got = shuffle_terms(space, u, v)
         assert list(got.items()) == list(want.items()), (u, v)
-    assert shuffle_terms(space, ("x",), ("x",)) == {}  # x * x = 0: its terms cancel
+    x = space.encode(("x",))
+    assert shuffle_terms(space, x, x) == {}  # x * x = 0: its terms cancel
     # one getter tuple per pair of lengths, shared by all parity patterns
     for (pu, pv), (getters, signs) in words._shuffle_plans.items():
         assert getters is words._shuffle_getters[len(pu), len(pv)]
@@ -419,11 +443,13 @@ def test_shuffle_plans_match_shuffle_signed():
     assert {(n, m) for n in range(1, 4) for m in range(1, 4)} <= lengths
 
 
+
 def test_shuffle_many(mixed):
+    # the left fold of the shuffle product that the order-n reference uses
     assert shuffle_many(mixed, []) == TElement.unit(mixed)
     # an odd-degree letter has even shifted degree, so its powers survive
     ey = TElement.word(mixed, ("y",))
-    assert shuffle_many(mixed, [ey, ey, ey]).terms == {("y", "y", "y"): 6}
+    assert dict(shuffle_many(mixed, [ey, ey, ey])) == {("y", "y", "y"): 6}
     # while a degree-0 letter squares to zero
     ex = TElement.word(mixed, ("x",))
     assert shuffle_many(mixed, [ex, ex]).is_zero()
