@@ -482,6 +482,51 @@ def test_every_dbv_axiom_has_a_negative_control(end2, monkeypatch):
     assert caught == {r.name for r in check_dbv(end2, Bounds(unary=1, binary=1, ternary=1))}
 
 
+# (failure count, sha256 of the report's sorted-key JSON) of each sweep of
+# check_dbv with delta o d in place of delta, at ternary 2 with every witness
+# kept; pinned before the defect memo's fill kernel or the hoisted bracket
+# rows changed, so a change to an even operator's defects fails here
+EVEN_CONTROL_PINS = {
+    "d_squared": (0, "bc95aa72c4decc87925174f1f32e63df5f62518cf79f1a813fbdd646ebbc98bc"),
+    "delta_squared": (0, "dde465069fc27190ff928ee39659b2ec21fff4921f304b5c37bf611c2898360e"),
+    "d_delta_anticommutator":
+        (0, "21cd5261fe8668a4df02bb585034e7625e10ed17c8ea42786a85e4a6b5a9ab1e"),
+    "d_derivation": (0, "3e437d7763260c8cc11d50bcf6ff54e745a27ec2861fed04396d2a93c981b59c"),
+    "bracket_antisymmetry":
+        (116, "9e4cbb628e6527cee7ed8c3169b3777d5c42cfb91ecca745b1258e89065e0245"),
+    "bracket_leibniz":
+        (5374, "5dead028895808ca9581637174e8738541f8aa4962c4148f8b82f08356ecfeea"),
+    "bracket_jacobi":
+        (3378, "c25cfb9d933da758ad33051be0b0948bc04c32dbe095b0bba85c35e7a36d63ab"),
+    "delta_order_2":
+        (4952, "ce1c15653dd8546271a9fc0f65dd48ff19169865e8021414b41ac5bb26dc1636"),
+}
+
+
+def test_even_operator_control_is_pinned(end2, monkeypatch):
+    # the even operator delta o d takes the even-degree correction of the
+    # bracket on every odd word; its failure counts and full reports are the
+    # same at --jobs 1 and through a pool of two workers
+    import hashlib
+    import shufflebv.bv
+    from types import SimpleNamespace
+
+    even = SimpleNamespace(
+        space=end2.space, d_op=end2.d_op,
+        delta_op=ComposedOperator(end2.delta_op, end2.d_op),
+    )
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    for jobs in (1, 2):
+        reports = check_dbv(even, Bounds(unary=3, binary=2, ternary=2, fail_cap=10**6, jobs=jobs))
+        got = {
+            r.name: (r.failure_count, hashlib.sha256(
+                json.dumps(r.to_json(), sort_keys=True, separators=(",", ":")).encode()
+            ).hexdigest())
+            for r in reports
+        }
+        assert got == EVEN_CONTROL_PINS, jobs
+
+
 def _reports_at_jobs_1_and_2(monkeypatch, check):
     """(name, cases, failure count) of each report of ``check(jobs)``, which
     must be the same, witnesses included, at --jobs 1 and through a pool of
