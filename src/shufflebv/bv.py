@@ -35,14 +35,15 @@ from .operators import (
 )
 from .words import (
     Shuffle,
+    Table,
     TElement,
     Word,
     enumerate_shuffles,
     merge_images,
     merge_scaled,
+    merge_shuffles,
     render_telement,
     shuffle_elements,
-    shuffle_peek,
     word_degree,
     word_parity,
     word_tuples_with_total,
@@ -139,8 +140,8 @@ class Sweep:
 
 
 # A pool worker's state, set by ``_start_worker`` from what the worker
-# inherits through the fork: the check's sweeps, the operators whose defect
-# memos they fill, the failure cap, and the sweep whose entries the memos hold.
+# inherits through the fork: the check's sweeps, the per-sweep memos they
+# fill, the failure cap, and the sweep whose entries the memos hold.
 _worker: dict = {}
 
 
@@ -167,19 +168,20 @@ def _failures_in(
     return count, kept
 
 
-def _start_worker(sweeps: Sequence[Sweep], memo_ops: tuple, fail_cap: int) -> None:
-    _worker.update(sweeps=sweeps, memo_ops=memo_ops, fail_cap=fail_cap, held=None)
+def _start_worker(sweeps: Sequence[Sweep], memos: tuple, fail_cap: int) -> None:
+    _worker.update(sweeps=sweeps, memos=memos, fail_cap=fail_cap, held=None)
 
 
 def _run_block(task: tuple[int, int, int]) -> tuple[int, list[tuple[int, TElement]]]:
     """A pool worker's task: one contiguous block (sweep index, start, stop).
 
-    The defect memos live for one sweep, so they are emptied when the sweep
-    index changes; the image and shuffle tables stay warm.
+    The per-sweep memos are emptied when the sweep index changes; the image
+    and shuffle tables stay warm.  A block may start inside a run of cases
+    that share a memo entry: the entry is then filled here afresh.
     """
     index, start, stop = task
     if index != _worker["held"]:
-        _forget_defects(*_worker["memo_ops"])
+        _forget_memos(*_worker["memos"])
         _worker["held"] = index
     sweep = _worker["sweeps"][index]
     return _failures_in(sweep.cases, sweep.evaluate, start, stop, _worker["fail_cap"])
@@ -221,7 +223,7 @@ def run_axiom(
 
 def run_sweeps(
     sweeps: Sequence[Sweep],
-    memo_ops: Sequence = (),
+    memos: Sequence[dict] = (),
     *,
     space: GradedSpace,
     fail_cap: int = 10,
@@ -230,9 +232,9 @@ def run_sweeps(
     """Run a check's sweeps, whose cases are words of ``space``, in order
     and report each one.
 
-    ``memo_ops`` are the operators whose defect memos the sweeps fill; a
-    memo lives for one sweep and is empty when the check returns.  With
-    jobs > 1 one fork-based pool, of at most one worker per usable CPU,
+    ``memos`` are the tables the sweeps fill that live for one sweep, such
+    as the operators' defect memos; they are empty when the check returns.
+    With jobs > 1 one fork-based pool, of at most one worker per usable CPU,
     serves every sweep.  It forks after the sweeps are built, so the
     workers inherit the case lists and evaluators, and they keep their
     image and shuffle tables from one sweep to the next.  Each sweep is
@@ -254,12 +256,12 @@ def run_sweeps(
             reports.append(
                 run_axiom(s.name, s.bound, s.cases, s.evaluate, space, fail_cap=fail_cap)
             )
-            _forget_defects(*memo_ops)
+            _forget_memos(*memos)
         return reports
     plan = [_blocks(len(s.cases), workers) for s in sweeps]
     tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
     # a fork pool hands its initializer's arguments to the workers unpickled
-    with ctx.Pool(workers, _start_worker, (sweeps, tuple(memo_ops), fail_cap)) as pool:
+    with ctx.Pool(workers, _start_worker, (sweeps, tuple(memos), fail_cap)) as pool:
         results = pool.imap(_run_block, tasks)
         for s, spans in zip(sweeps, plan):
             reports.append(
@@ -267,7 +269,7 @@ def run_sweeps(
                           blocks=itertools.islice(results, len(spans)))
             )
     # the workers' memos end with them; this process's are emptied too
-    _forget_defects(*memo_ops)
+    _forget_memos(*memos)
     return reports
 
 
@@ -276,30 +278,45 @@ def run_sweeps(
 # --------------------------------------------------------------------------
 
 
-def _forget_defects(*ops: Operator) -> None:
-    """Empty the defect memos of ``ops``; the sweep driver calls this when a
+def _forget_memos(*memos: dict) -> None:
+    """Empty the per-sweep ``memos``; the sweep driver calls this when a
     sweep ends."""
-    for op in ops:
-        op._defects.clear()
+    for memo in memos:
+        memo.clear()
 
 
-def _add_bracket(
-    acc: dict[Word, Scalar], delta: Operator, memo: dict, xterms: dict[Word, Scalar],
-    yterms: dict[Word, Scalar], coeff: Scalar = 1,
-) -> dict[Word, Scalar]:
-    """acc += coeff * {x, y} over the words u of x and v of y, where
-    {u, v} = (-1)^|u| F_2(u, v) with F_2 read from ``memo``; returns ``acc``."""
+# The signed F_2 rows of an element x of the word space: one (row, c, u) per
+# word u of x, where row = F_2(u, -), the memo level of (u,) in the
+# operator's defect memo, and c = (-1)^|u| times u's coefficient; u itself
+# when the even-degree correction applies (see ``_add_rows``), else None.
+Rows = list[tuple[Table, Scalar, Word | None]]
+
+
+def _bracket_rows(delta: Operator, xterms: dict[Word, Scalar]) -> Rows:
+    """The signed F_2 rows of the element with terms ``xterms``, so that
+    {x, y} = sum c row[v] over the rows and the words v of y."""
     space = delta.space
+    memo = delta._defects
     even = not delta.degree & 1
+    rows = []
     for u, cu in xterms.items():
         odd_u = word_parity(space, u)
-        cu = -coeff * cu if odd_u else coeff * cu
-        merge_images(acc, yterms, memo[(u,)], cu)
-        if even and odd_u:
+        rows.append((memo[(u,)], -cu if odd_u else cu, u if even and odd_u else None))
+    return rows
+
+
+def _add_rows(
+    acc: dict[Word, Scalar], delta: Operator, rows: Rows, yterms: dict[Word, Scalar],
+    coeff: Scalar = 1,
+) -> dict[Word, Scalar]:
+    """acc += coeff * {x, y}, with x given by its signed rows; returns ``acc``."""
+    for row, cu, u in rows:
+        merge_images(acc, yterms, row, coeff * cu)
+        if u is not None:
             # F_2 signs the term u * D(y) by (-1)^(|u| |D|), the bracket
             # by -1: they differ only for an even D and an odd u
-            dy = merge_images({}, yterms, memo[()], 1)
-            merge_images(acc, {(u, w): s for w, s in dy.items()}, shuffle_peek(space), 2 * cu)
+            dy = merge_images({}, yterms, delta._cache, 1)
+            merge_shuffles(acc, delta.space, u, dy, 2 * coeff * cu, True)
     return acc
 
 
@@ -314,7 +331,7 @@ def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
         raise InvalidInputError("elements live in different spaces")
     if delta.space != space:
         raise InvalidInputError("the operator acts on a different space")
-    return TElement._make(space, _add_bracket({}, delta, delta._defects, x.terms, y.terms))
+    return TElement._make(space, _add_rows({}, delta, _bracket_rows(delta, x.terms), y.terms))
 
 
 def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
@@ -447,7 +464,15 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     # space's tables, and from delta's per-sweep defect memo
     d_img, delta_img = d._cache, delta._cache
     shuffles = space._shuffle_cache
-    memo = delta._defects
+    # signed bracket rows, read by subscript: of each word, and, once per
+    # (x, y) of the triples, whose innermost index is z, of x * y (Leibniz)
+    # and of {x, y} (Jacobi); they hold levels of delta's defect memo and
+    # are emptied with it
+    word_rows = Table(lambda u: _bracket_rows(delta, {u: 1}))
+    product_rows = Table(lambda xy: _bracket_rows(delta, shuffles[xy]))
+    bracket_rows = Table(
+        lambda xy: _bracket_rows(delta, _add_rows({}, delta, word_rows[xy[0]], {xy[1]: 1}))
+    )
 
     def square(img):
         return lambda c: TElement._make(space, merge_images({}, img[c[0]], img, 1))
@@ -457,41 +482,30 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         acc = merge_images({}, delta_img[w], d_img, 1)
         return TElement._make(space, merge_images(acc, d_img[w], delta_img, 1))
 
-    def d_derivation(case):
-        u, v = case
-        su = -1 if wd(u) & 1 else 1
-        acc = merge_images({}, shuffles[u, v], d_img, 1)
-        merge_images(acc, {(w, v): c for w, c in d_img[u].items()}, shuffles, -1)
-        merge_images(acc, {(u, w): c for w, c in d_img[v].items()}, shuffles, -su)
-        return TElement._make(space, acc)
-
     def antisymmetry(case):
         x, y = case
         s = -1 if ((wd(x) + 1) & 1) & ((wd(y) + 1) & 1) else 1
-        acc = _add_bracket({}, delta, memo, {x: 1}, {y: 1})
-        return TElement._make(space, _add_bracket(acc, delta, memo, {y: 1}, {x: 1}, s))
+        acc = _add_rows({}, delta, word_rows[x], {y: 1})
+        return TElement._make(space, _add_rows(acc, delta, word_rows[y], {x: 1}, s))
 
     def leibniz(case):
         # {x * y, z} - x * {y, z} - s {x, z} * y
         x, y, z = case
         s = -1 if (wd(y) & 1) & ((wd(z) + 1) & 1) else 1
-        acc = _add_bracket({}, delta, memo, shuffles[x, y], {z: 1})
-        yz = _add_bracket({}, delta, memo, {y: 1}, {z: 1})
-        merge_images(acc, {(x, w): c for w, c in yz.items()}, shuffles, -1)
-        xz = _add_bracket({}, delta, memo, {x: 1}, {z: 1})
-        merge_images(acc, {(w, y): c for w, c in xz.items()}, shuffles, -s)
+        zt = {z: 1}
+        acc = _add_rows({}, delta, product_rows[x, y], zt)
+        merge_shuffles(acc, space, x, _add_rows({}, delta, word_rows[y], zt), -1, True, shuffles)
+        merge_shuffles(acc, space, y, _add_rows({}, delta, word_rows[x], zt), -s, False, shuffles)
         return TElement._make(space, acc)
 
     def jacobi(case):
         # {x, {y, z}} - {{x, y}, z} - s {y, {x, z}}
         x, y, z = case
         s = -1 if ((wd(x) + 1) & 1) & ((wd(y) + 1) & 1) else 1
-        yz = _add_bracket({}, delta, memo, {y: 1}, {z: 1})
-        xy = _add_bracket({}, delta, memo, {x: 1}, {y: 1})
-        xz = _add_bracket({}, delta, memo, {x: 1}, {z: 1})
-        acc = _add_bracket({}, delta, memo, {x: 1}, yz)
-        _add_bracket(acc, delta, memo, xy, {z: 1}, -1)
-        _add_bracket(acc, delta, memo, {y: 1}, xz, -s)
+        rx, ry, zt = word_rows[x], word_rows[y], {z: 1}
+        acc = _add_rows({}, delta, rx, _add_rows({}, delta, ry, zt))
+        _add_rows(acc, delta, bracket_rows[x, y], zt, -1)
+        _add_rows(acc, delta, ry, _add_rows({}, delta, rx, zt), -s)
         return TElement._make(space, acc)
 
     sweeps = [
@@ -499,16 +513,17 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         Sweep("delta_squared", f"words <= {bounds.unary}", singles, square(delta_img)),
         Sweep("d_delta_anticommutator", f"words <= {bounds.unary}", singles,
               anticommutator),
-        Sweep("d_derivation", f"pairs <= {bounds.binary}", pairs, d_derivation),
+        # d's order-1 defect F_2(u, v): d is a derivation of the shuffle product
+        Sweep("d_derivation", f"pairs <= {bounds.binary}", pairs,
+              lambda c: TElement._make(space, _koszul_step(d, c, shuffles))),
         Sweep("bracket_antisymmetry", f"pairs <= {bounds.binary}", pairs, antisymmetry),
         Sweep("bracket_leibniz", f"triples <= {bounds.ternary}", triples, leibniz),
         Sweep("bracket_jacobi", f"triples <= {bounds.ternary}", triples, jacobi),
         Sweep("delta_order_2", f"triples <= {bounds.ternary}", triples,
               lambda c: TElement._make(space, _koszul_step(delta, c, shuffles))),
     ]
-    return run_sweeps(
-        sweeps, (d, delta), space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs
-    )
+    memos = (d._defects, delta._defects, word_rows, product_rows, bracket_rows)
+    return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -575,9 +590,8 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             singles,
             lambda case, relation=relation: TElement._make(space, relation(case[0])),
         ))
-    return run_sweeps(
-        sweeps, tuple(ops.values()), space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs
-    )
+    memos = tuple(op._defects for op in ops.values())
+    return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 
 
 def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport]:

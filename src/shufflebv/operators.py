@@ -38,8 +38,9 @@ from .words import (
     Word,
     merge_images,
     merge_scaled,
+    merge_shuffles,
     owned_table,
-    shuffle_peek,
+    peek_shuffle_terms,
     word_parity,
     word_table,
 )
@@ -176,38 +177,54 @@ def defect_table(D: Operator) -> Table:
 
     ``memo[()]`` is D's image table (F_1 = D); beyond it each prefix has a
     table filled by Koszul's recursion.  F_(m+1) is the order-m expression
-    of ``bv.order_defect``.  Shuffles inside an entry never fill the space's
-    table: the memo already holds what is built from them.
+    of ``bv.order_defect``.
     """
-    shuffles = shuffle_peek(D.space)
 
     def level(D, X):
         if not X:
             return D._cache
-        return owned_table(D, lambda D, w: _koszul_step(D, X + (w,), shuffles))
+        return owned_table(D, lambda D, w: _koszul_step(D, X + (w,), None))
 
     return owned_table(D, level)
 
 
-def _koszul_step(D: Operator, key: tuple[Word, ...], shuffles) -> dict[Word, Scalar]:
+def _koszul_step(
+    D: Operator, key: tuple[Word, ...], shuffles: Table | None
+) -> dict[Word, Scalar]:
     """F_m(X, b, c) for m = len(key) >= 2, by Koszul's recursion
 
         F_m(X, b, c) = sum_w [b*c]_w F_(m-1)(X, w) - F_(m-1)(X, b) * c
                        - (-1)^(|b| (|D| + sum_(x in X) |x|)) b * F_(m-1)(X, c),
 
-    with F_1 = D and F_(m-1)(X, -) read from D's defect memo.  ``shuffles``
-    maps a pair of words (u, v) to the terms of u * v.
+    with F_1 = D and F_(m-1)(X, -) read from D's defect memo.
+
+    ``shuffles`` is the space's shuffle table, read and filled by a sweep's
+    top-level step, whose shuffles recur across cases.  A memo fill passes
+    None: it never adds a pair to the table, since the memo already holds
+    what is built from it.  There b * c comes from ``peek_shuffle_terms``
+    (its words key the memo's tables), the rows F_(m-1)(X, b) and
+    F_(m-1)(X, c) are shuffled by ``merge_shuffles`` straight into the entry,
+    and only the finished entry's words are interned.
     """
     space = D.space
     X, b, c = key[:-2], key[-2], key[-1]
     lower = D._defects[X]
-    acc = merge_images({}, shuffles[b, c], lower, 1)
-    merge_images(acc, {(w, c): s for w, s in lower[b].items()}, shuffles, -1)
-    par = D.degree
-    for x in X:
-        par += word_parity(space, x)
-    sign = 1 if word_parity(space, b) & par & 1 else -1
-    return merge_images(acc, {(b, w): s for w, s in lower[c].items()}, shuffles, sign)
+    bc = peek_shuffle_terms(space, b, c) if shuffles is None else shuffles[b, c]
+    acc = merge_images({}, bc, lower, 1)
+    row = lower[b]
+    if row:
+        merge_shuffles(acc, space, c, row, -1, False, shuffles)
+    row = lower[c]
+    if row:
+        par = D.degree
+        for x in X:
+            par += word_parity(space, x)
+        sign = 1 if word_parity(space, b) & par & 1 else -1
+        merge_shuffles(acc, space, b, row, sign, True, shuffles)
+    if shuffles is not None:
+        return acc
+    intern = word_table(space).setdefault
+    return {intern(w, w): s for w, s in acc.items()}
 
 
 class LiftedCoderivation(Operator):

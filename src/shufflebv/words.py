@@ -48,19 +48,6 @@ class Table(dict):
         return value
 
 
-class View(Table):
-    """A table that stores nothing: every read returns ``fill(key)`` afresh.
-
-    For reads through ``merge_images`` of a source that must not be
-    memoised here (see ``shuffle_peek``).
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        return self.fill(key)
-
-
 def owned_table(owner, fill: Callable) -> Table:
     """A table of ``owner`` filled by ``fill(owner, key)``.
 
@@ -88,12 +75,6 @@ def shuffle_table(space: GradedSpace) -> Table:
     (u, v) -> the terms of u * v, filled by ``shuffle_terms``.  Each space
     keeps one, for its life; see ``shuffle``."""
     return owned_table(space, _shuffle_fill)
-
-
-def shuffle_peek(space: GradedSpace) -> View:
-    """The shuffle table of ``space`` read through ``peek_shuffle_terms``:
-    cached pairs are read, the others computed afresh, none stored."""
-    return View(lambda key: peek_shuffle_terms(space, *key))
 
 
 def word_degree(space: GradedSpace, w: Word) -> int:
@@ -446,15 +427,61 @@ def peek_shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scala
     return shuffle_terms(space, u, v) if hit is None else hit
 
 
+def merge_shuffles(acc, space, word, row, coeff, word_first, shuffles=None):
+    """acc += coeff * sum(c * (w * word) for w, c in row), or of word * w
+    when ``word_first``, dropping zero entries.
+
+    Each pair's terms are read from ``shuffles``, the space's shuffle table,
+    which fills its misses.  Without it a pair is read from the space's
+    table only if the table holds it; any other pair is merged straight from
+    its shuffle plan, and nothing is stored or interned.  Mutates and returns
+    ``acc``; ``coeff`` and the coefficients of ``row`` must be nonzero.
+    """
+    lookup = space._shuffle_cache.get if shuffles is None else shuffles.__getitem__
+    get = acc.get
+    pword = None
+    for w, c in row.items():
+        c *= coeff
+        pair = (word, w) if word_first else (w, word)
+        terms = lookup(pair)
+        if terms is None:
+            uv = pair[0] + pair[1]
+            if not word or not w:
+                terms = {uv: 1}
+            else:
+                # only a pair missing from the table needs its plan
+                parity = space._sparity.__getitem__
+                if pword is None:
+                    pword = tuple(map(parity, word))
+                pw = tuple(map(parity, w))
+                getters, signs = _shuffle_plans[(pword, pw) if word_first else (pw, pword)]
+                join = "".join
+                neg = -c
+                for g, s in zip(getters, signs):
+                    w2 = join(g(uv))
+                    val = get(w2, 0) + (c if s == 1 else neg)
+                    if val:
+                        acc[w2] = val
+                    else:
+                        del acc[w2]
+                continue
+        for w2, c2 in terms.items():
+            val = get(w2, 0) + c * c2
+            if val:
+                acc[w2] = val
+            else:
+                del acc[w2]
+    return acc
+
+
 def shuffle_elements(x: TElement, y: TElement) -> TElement:
     """Bilinear extension of the shuffle product."""
     if x.space != y.space:
         raise InvalidInputError("elements live in different spaces")
     space = x.space
     acc: dict[Word, Scalar] = {}
-    shuffles = space._shuffle_cache
     for u, cu in x.terms.items():
-        merge_images(acc, {(u, v): cv for v, cv in y.terms.items()}, shuffles, cu)
+        merge_shuffles(acc, space, u, y.terms, cu, True, space._shuffle_cache)
     return TElement._make(space, acc)
 
 

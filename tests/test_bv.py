@@ -8,6 +8,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from defect_reference import bracket_reference, homogeneous_parts, order_defect_reference
 
 import shufflebv.bv
@@ -35,6 +36,7 @@ from shufflebv.words import (
     word_degree,
     word_table,
     word_tuples_with_total,
+    words_up_to,
 )
 from test_operators import anticommutator
 from test_words import id_words
@@ -212,7 +214,8 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
     ops = [dga.d_op, dga.delta_op] + [ainf.delta_op(k) for k in (1, 2, 3)]
     # the sweeps' evaluators hold these dicts: they are emptied, never replaced
     memos = [op._defects for op in ops]
-    empty = lambda: all(not op._defects for op in ops)
+    passed = []  # every per-sweep memo the checks hand the driver
+    empty = lambda: all(not op._defects for op in ops) and all(not m for m in passed)
     held = []
     run_axiom_orig = shufflebv.bv.run_axiom
     run_sweeps_orig = shufflebv.bv.run_sweeps
@@ -235,12 +238,13 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
 
         return wrapped
 
-    def watched_sweeps(sweeps, *args, **kwargs):
+    def watched_sweeps(sweeps, memos=(), **kwargs):
+        passed.extend(memos)
         sweeps = [
             Sweep(s.name, s.bound, s.cases, first_case_sees_empty_memo(s.evaluate))
             for s in sweeps
         ]
-        return run_sweeps_orig(sweeps, *args, **kwargs)
+        return run_sweeps_orig(sweeps, memos, **kwargs)
 
     fake = InProcessContext()
     monkeypatch.setattr(multiprocessing, "get_context", fake)
@@ -254,7 +258,56 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
         assert any(held)  # the sweeps do fill the memo
         assert empty()
         assert all(op._defects is memo for op, memo in zip(ops, memos))
+    # per jobs value, check_dbv hands the driver d's and delta's memos and its
+    # three tables of bracket rows, check_bvinf its three lifts' memos
+    assert len(passed) == 2 * (5 + 3)
+    assert all(any(m is memo for m in passed) for memo in memos)
     assert fake.pool_sizes == [2, 2]  # --jobs 2 did take the pool path
+
+
+def test_pool_blocks_inside_an_xy_group(end2, monkeypatch):
+    # Leibniz and Jacobi read rows filled once per (x, y), the first two
+    # words of a triple.  A worker's block may start inside an (x, y) group:
+    # with its memos empty, after another sweep's block (memos emptied), or
+    # after an earlier block of the same sweep that ended inside the group
+    # (memos kept).  Each must give the failures of the same cases run in
+    # order.  The even operator delta o d fails on most triples, so many
+    # failures are compared, and they take the even-degree correction.
+    from types import SimpleNamespace
+
+    even = SimpleNamespace(
+        space=end2.space, d_op=end2.d_op,
+        delta_op=ComposedOperator(end2.delta_op, end2.d_op),
+    )
+    built = {}
+
+    def keep(sweeps, memos, **kwargs):
+        built.update(sweeps={s.name: s for s in sweeps}, memos=memos)
+        return []
+
+    monkeypatch.setattr(shufflebv.bv, "run_sweeps", keep)
+    check_dbv(even, Bounds(unary=1, binary=1, ternary=2, fail_cap=10**6))
+    sweeps, memos = built["sweeps"], built["memos"]
+    forget, run = shufflebv.bv._forget_memos, shufflebv.bv._failures_in
+    n = len(sweeps["bracket_leibniz"].cases)
+    group = round(n ** (1 / 3))  # the triples of one (x, y)
+    for name, other in (("bracket_leibniz", "bracket_jacobi"), ("bracket_jacobi", "bracket_leibniz")):
+        s, o = sweeps[name], sweeps[other]
+        forget(*memos)
+        _, whole = run(s.cases, s.evaluate, 0, n, 10**6)
+        assert len(whole) > n // 4
+        for start, stop in ((group + 5, 3 * group + 2), (7, n), (n - group // 2, n)):
+            for before in ("nothing", "another sweep", "this sweep"):
+                forget(*memos)
+                if before == "another sweep":
+                    run(o.cases, o.evaluate, start, stop, 10**6)
+                    forget(*memos)
+                elif before == "this sweep":  # up to a start inside the group
+                    run(s.cases, s.evaluate, start - 3, start, 10**6)
+                _, kept = run(s.cases, s.evaluate, start, stop, 10**6)
+                want = [(i, f.terms) for i, f in whole if start <= i < stop]
+                assert [(i, f.terms) for i, f in kept] == want, (name, start, before)
+    forget(*memos)
 
 
 def test_defect_memo_fills_each_entry_once(end2, monkeypatch):
@@ -280,6 +333,67 @@ def test_defect_memo_fills_each_entry_once(end2, monkeypatch):
     # the top-level steps of order_defect are not stored; each entry is filled once
     filled = [key for key in calls if key in set(stored)]
     assert sorted(filled) == sorted(stored)
+
+
+@pytest.fixture(scope="module")
+def fill_ops():
+    """(label, operator): the lifts of end-two-term-complex and of ainf-mu3,
+    and a composite."""
+    end2 = validate_dga(builtin("end-two-term-complex"))
+    ainf = validate_ainf(builtin("ainf-mu3"), 3)
+    return [
+        ("end2 d", end2.d_op), ("end2 delta", end2.delta_op),
+        ("end2 delta.d", ComposedOperator(end2.delta_op, end2.d_op)),
+        *((f"mu3 delta_{k}", ainf.delta_op(k)) for k in (1, 2, 3)),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_memo_fill_matches_subset_sum(fill_ops, data):
+    # a fill shuffles the rows F_(m-1)(X, b) and F_(m-1)(X, c) straight into
+    # the entry; the drawn words include the empty word and odd letters,
+    # whose shuffles with themselves cancel (a * a = 0 on end2, q * q = 0 on
+    # mu3); some pairs are in the space's table before the fill, some not
+    label, op = data.draw(st.sampled_from(fill_ops))
+    space = op.space
+    words = words_up_to(space, 2)
+    m = data.draw(st.integers(2, 4 if label.startswith("mu3") else 3), label="m")
+    key = tuple(data.draw(st.lists(st.sampled_from(words), min_size=m, max_size=m), label="key"))
+    held = data.draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(words)),
+                              max_size=6), label="held")
+    op._defects.clear()
+    space._shuffle_cache.clear()
+    for pair in held:
+        space._shuffle_cache[pair]
+    pairs = set(space._shuffle_cache)
+    entry = op._defects[key[:-1]][key[-1]]
+    assert set(space._shuffle_cache) == pairs  # no fill adds a pair
+    interned = word_table(space)
+    for X, level in op._defects.items():
+        for stored in (level.values() if X else ()):
+            assert all(w is interned[w] for w in stored)
+    inputs = [TElement._make(space, {w: 1}) for w in key]
+    assert entry == order_defect_reference(op, m - 1, inputs).terms, (label, key)
+    op._defects.clear()
+
+
+def test_memo_fill_cancelling_shuffles(end2):
+    # a is odd, so a * a = 0: terms of these entries cancel in the
+    # accumulator, whether or not the space's table holds the pairs
+    a = end2.space.encode(("a",))
+    for op in (end2.delta_op, ComposedOperator(end2.delta_op, end2.d_op)):
+        for held in (False, True):
+            op._defects.clear()
+            end2.space._shuffle_cache.clear()
+            if held:
+                for pair in itertools.product(("", a, a + a), repeat=2):
+                    end2.space._shuffle_cache[pair]
+            for key in ((a, a), (a + a, a), (a, a, a), ("", a, a)):
+                inputs = [TElement._make(end2.space, {w: 1}) for w in key]
+                want = order_defect_reference(op, len(key) - 1, inputs).terms
+                assert op._defects[key[:-1]][key[-1]] == want, (held, key)
+            op._defects.clear()
 
 
 def test_pickled_operator_drops_its_memos(end2):

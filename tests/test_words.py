@@ -15,7 +15,6 @@ from shufflebv.words import (
     Shuffle,
     Table,
     TElement,
-    View,
     deconcatenations,
     enumerate_shuffles,
     merge_images,
@@ -275,9 +274,6 @@ def test_table_fills_each_key_once():
     assert calls == ["x", "y"]
     assert table.get("z") is None and "z" not in table  # reads that never fill
     assert table == {"x": {"x": 1}, "y": {"y": 1}}
-    view = View(fill)
-    assert view["x"] == {"x": 1} and view["x"] == {"x": 1}
-    assert view == {} and calls == ["x", "y", "x", "x"]  # a view stores nothing
 
 
 def test_shuffle_table_fills_each_pair_once(monkeypatch):
