@@ -20,11 +20,8 @@ from .graded import (
     shifted_degree,
 )
 from .words import (
-    Shuffle,
     TElement,
     Word,
-    deconcatenations,
-    enumerate_shuffles,
     render_telement,
     shuffle,
     shuffle_elements,
@@ -40,10 +37,7 @@ from .operators import (
 from .bv import (
     AxiomReport,
     Bounds,
-    CSet,
     bracket,
-    bracket_support_check,
-    c_set,
     check_bvinf,
     check_dbv,
     check_functoriality,

@@ -209,6 +209,10 @@ def load_document(path: str) -> AlgebraSpec | MorphismSpec:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from None
+        except RecursionError:
+            raise InvalidInputError(f"{path}: JSON nested too deeply") from None
     return parse_document(data)
 
 

@@ -20,25 +20,24 @@ a str; see ``words``); a failure decodes its inputs to letter ids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .graded import GradedSpace, InvalidInputError, Scalar, render_scalar
 from .operators import (
-    MultilinearMap,
     Operator,
     _koszul_step,
     composition_relations,
     induced_morphism,
 )
 from .words import (
-    Shuffle,
     Table,
     TElement,
     Word,
-    enumerate_shuffles,
     merge_images,
     merge_scaled,
     merge_shuffles,
@@ -139,9 +138,10 @@ class Sweep:
     evaluate: Callable[[tuple[Word, ...]], TElement | None]
 
 
-# A pool worker's state, set by ``_start_worker`` from what the worker
-# inherits through the fork: the check's sweeps, the per-sweep memos they
-# fill, the failure cap, and the sweep whose entries the memos hold.
+# The state of a pool check that ``_run_block`` reads in the workers, set by
+# ``run_sweeps`` before the pool forks, so that workers inherit it: the
+# check's sweeps, the per-sweep memos they fill, the failure cap, and the
+# sweep whose entries the memos hold.  A serial check keeps its own.
 _worker: dict = {}
 
 
@@ -168,23 +168,23 @@ def _failures_in(
     return count, kept
 
 
-def _start_worker(sweeps: Sequence[Sweep], memos: tuple, fail_cap: int) -> None:
-    _worker.update(sweeps=sweeps, memos=memos, fail_cap=fail_cap, held=None)
-
-
-def _run_block(task: tuple[int, int, int]) -> tuple[int, list[tuple[int, TElement]]]:
-    """A pool worker's task: one contiguous block (sweep index, start, stop).
+def _run_block(
+    task: tuple[int, int, int], state: dict = _worker
+) -> tuple[int, list[tuple[int, TElement]]]:
+    """One contiguous block of a sweep's cases (sweep index, start, stop),
+    run on the check's ``state``: by default ``_worker``, which pool workers
+    inherit.
 
     The per-sweep memos are emptied when the sweep index changes; the image
     and shuffle tables stay warm.  A block may start inside a run of cases
     that share a memo entry: the entry is then filled here afresh.
     """
     index, start, stop = task
-    if index != _worker["held"]:
-        _forget_memos(*_worker["memos"])
-        _worker["held"] = index
-    sweep = _worker["sweeps"][index]
-    return _failures_in(sweep.cases, sweep.evaluate, start, stop, _worker["fail_cap"])
+    if index != state["held"]:
+        _forget_memos(*state["memos"])
+        state["held"] = index
+    sweep = state["sweeps"][index]
+    return _failures_in(sweep.cases, sweep.evaluate, start, stop, state["fail_cap"])
 
 
 def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
@@ -197,22 +197,18 @@ def run_axiom(
     name: str,
     bound: str,
     cases: Sequence[tuple[Word, ...]],
-    evaluate: Callable[[tuple[Word, ...]], TElement | None],
     space: GradedSpace,
     *,
-    fail_cap: int = 10,
-    blocks: Iterable[tuple[int, list[tuple[int, TElement]]]] | None = None,
+    fail_cap: int,
+    blocks: Iterable[tuple[int, list[tuple[int, TElement]]]],
 ) -> AxiomReport:
     """Report one identity over a case list of words of ``space``, keeping
     the first ``fail_cap`` failures in case order.
 
-    ``blocks`` are the failures of consecutive blocks of the cases, as the
-    check's pool returns them; without it ``evaluate`` runs here on every
-    case.
+    ``blocks`` are the failures of consecutive blocks of the cases, as
+    ``_run_block`` returns them.
     """
     report = AxiomReport(name=name, bound=bound, cases=len(cases))
-    if blocks is None:
-        blocks = [_failures_in(cases, evaluate, 0, len(cases), fail_cap)]
     for count, kept in blocks:
         report.failure_count += count
         for offset, defect in kept[: fail_cap - len(report.failures)]:
@@ -233,13 +229,16 @@ def run_sweeps(
     and report each one.
 
     ``memos`` are the tables the sweeps fill that live for one sweep, such
-    as the operators' defect memos; they are empty when the check returns.
-    With jobs > 1 one fork-based pool, of at most one worker per usable CPU,
-    serves every sweep.  It forks after the sweeps are built, so the
-    workers inherit the case lists and evaluators, and they keep their
-    image and shuffle tables from one sweep to the next.  Each sweep is
-    handed out as contiguous blocks, one per worker, and the blocks' results
-    are merged in case order, so reports are the same at every ``jobs``.
+    as the operators' defect memos; they are emptied when the next sweep's
+    first block starts, and when the check returns.  Each sweep is handed
+    out as contiguous blocks of cases, run by ``_run_block``, and the
+    blocks' results are merged in case order, so reports are the same at
+    every ``jobs``.  With jobs > 1 one fork-based pool, of at most one
+    worker per usable CPU, serves every sweep, one block per worker.  It
+    forks after the sweeps are built, so the workers inherit the case lists
+    and evaluators, and they keep their image and shuffle tables from one
+    sweep to the next.  Otherwise each sweep is one block, run here on
+    this call's own state, so serial checks share no module state.
     """
     workers = min(jobs, _usable_cpus())
     ctx = None
@@ -250,27 +249,30 @@ def run_sweeps(
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             pass
-    reports = []
     if ctx is None:
-        for s in sweeps:
-            reports.append(
-                run_axiom(s.name, s.bound, s.cases, s.evaluate, space, fail_cap=fail_cap)
-            )
-            _forget_memos(*memos)
-        return reports
+        workers = 1
     plan = [_blocks(len(s.cases), workers) for s in sweeps]
     tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
-    # a fork pool hands its initializer's arguments to the workers unpickled
-    with ctx.Pool(workers, _start_worker, (sweeps, tuple(memos), fail_cap)) as pool:
-        results = pool.imap(_run_block, tasks)
-        for s, spans in zip(sweeps, plan):
-            reports.append(
-                run_axiom(s.name, s.bound, s.cases, s.evaluate, space, fail_cap=fail_cap,
+    state = dict(sweeps=sweeps, memos=tuple(memos), fail_cap=fail_cap, held=None)
+    if ctx is not None:
+        _worker.update(state)  # before the fork, so the workers inherit it
+    try:
+        with nullcontext() if ctx is None else ctx.Pool(workers) as pool:
+            # read in order, as each sweep's run_axiom consumes its blocks;
+            # serially, a block runs only then
+            if pool is None:
+                results = map(functools.partial(_run_block, state=state), tasks)
+            else:
+                results = pool.imap(_run_block, tasks)
+            return [
+                run_axiom(s.name, s.bound, s.cases, space, fail_cap=fail_cap,
                           blocks=itertools.islice(results, len(spans)))
-            )
-    # the workers' memos end with them; this process's are emptied too
-    _forget_memos(*memos)
-    return reports
+                for s, spans in zip(sweeps, plan)
+            ]
+    finally:
+        if ctx is not None:
+            _worker.clear()
+        _forget_memos(*memos)
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +282,7 @@ def run_sweeps(
 
 def _forget_memos(*memos: dict) -> None:
     """Empty the per-sweep ``memos``; the sweep driver calls this when a
-    sweep ends."""
+    sweep's first block starts and when a check ends."""
     for memo in memos:
         memo.clear()
 
@@ -368,72 +370,6 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
         key = tuple(w for w, _ in combo)
         merge_scaled(acc, _koszul_step(D, key, shuffles), coeff)
     return TElement._make(space, acc)
-
-
-# --------------------------------------------------------------------------
-# bracket support (C-sets)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CSet:
-    """Positions of a shuffled word where the two source blocks touch."""
-
-    shuffle: Shuffle
-    positions: frozenset[int]
-
-
-def c_set(sh: Shuffle) -> CSet:
-    """Positions j (0-based) where exactly one of slots j, j+1 came from block 1."""
-    inv = sh.inverse
-    n, total = sh.n, sh.n + sh.m
-    positions = frozenset(
-        j for j in range(total - 1) if (inv[j] < n) != (inv[j + 1] < n)
-    )
-    return CSet(sh, positions)
-
-
-def bracket_support_check(
-    u: Sequence[str], v: Sequence[str], mu: MultilinearMap
-) -> AxiomReport:
-    """Verify the support pattern of the bracket of two words, each given by
-    its letter ids.
-
-    Every monomial of {u, v} must have length |u|+|v|-1 and be obtainable
-    from some shuffle of u and v by multiplying a cross-block adjacent pair
-    (a position in the shuffle's C-set).
-    """
-    if mu.arity != 2:
-        raise InvalidInputError("support check needs an arity-2 map")
-    from .operators import lift_coderivation
-
-    space = mu.space
-    x, y = TElement.word(space, u), TElement.word(space, v)
-    u, v = tuple(u), tuple(v)
-    b = bracket(x, y, lift_coderivation(mu))
-    report = AxiomReport(
-        name="bracket_support",
-        bound=f"|u|={len(u)}, |v|={len(v)}",
-        cases=len(b.terms),
-    )
-    if not u or not v:
-        if not b.is_zero():
-            report.failure_count = 1
-            report.failures.append(Failure((u, v), b))
-        return report
-    support: set[tuple[str, ...]] = set()
-    for sh in enumerate_shuffles(len(u), len(v)):
-        word = sh.interleave(u, v)
-        for j in c_set(sh).positions:
-            for out_id in mu.table.get((word[j], word[j + 1]), {}):
-                support.add(word[:j] + (out_id,) + word[j + 2 :])
-    want_len = len(u) + len(v) - 1
-    for w, c in b:
-        if len(w) != want_len or w not in support:
-            report.failure_count += 1
-            if len(report.failures) < 10:
-                report.failures.append(Failure((u, v), TElement(space, {w: c})))
-    return report
 
 
 # --------------------------------------------------------------------------

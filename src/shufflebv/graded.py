@@ -96,10 +96,12 @@ class GradedSpace:
         # the only part signs ever need
         self._degree = {self._code[l.id]: l.degree for l in letters}
         self._sparity = {self._code[l.id]: (l.degree + 1) & 1 for l in letters}
-        from .words import shuffle_table  # words builds on this module
+        from . import words  # words builds on this module
 
-        self._shuffle_cache = shuffle_table(self)
-        # one str object per basis word; see ``words.word_table``
+        # (u, v) -> the terms of u * v, for the space's life (``words.shuffle``)
+        self._shuffle_cache = words.owned_table(self, lambda sp, uv: words.shuffle_terms(sp, *uv))
+        # one str object per word, shared by every table: words are interned
+        # where they are made, by ``setdefault(w, w)``; neither is pickled
         self._word_table: dict = {}
 
     def __eq__(self, other):

@@ -40,9 +40,8 @@ from .words import (
     merge_scaled,
     merge_shuffles,
     owned_table,
-    peek_shuffle_terms,
+    shuffle_terms,
     word_parity,
-    word_table,
 )
 
 
@@ -90,9 +89,6 @@ class MultilinearMap:
         self.degree = degree
         self.table = clean
 
-    def is_zero(self) -> bool:
-        return not self.table
-
     def apply_ids(self, ids: tuple[str, ...]) -> AElement:
         return AElement(self.target, self.table.get(tuple(ids), {}))
 
@@ -127,19 +123,16 @@ class Operator:
 
     To define one, subclass and implement ``_apply_word``, which maps a
     stored word (a str, see ``words``) to the terms of its image.  Every
-    operator keeps two tables, keyed by stored words, made with it and
-    dropped when it is pickled: ``_cache``, the image of each basis word,
-    kept for the operator's life; and ``_defects``, its defect memo (see
-    ``defect_table``), which the sweep driver empties when a sweep ends.
+    operator keeps two tables, keyed by stored words and made with it:
+    ``_cache``, the image of each basis word, kept for the operator's life;
+    and ``_defects``, its defect memo (see ``defect_table``), which the
+    sweep driver empties when the next sweep starts and when a check ends.
     Callers read both by subscript, and must treat images as immutable.
     """
 
     def __init__(self, space: GradedSpace, degree: int):
         self.space = space
         self.degree = degree
-        self._tables()
-
-    def _tables(self) -> None:
         self._cache = owned_table(self, type(self)._apply_word)
         self._defects = defect_table(self)
 
@@ -159,16 +152,6 @@ class Operator:
         if x.space != self.space:
             raise InvalidInputError("the operator acts on a different space")
         return TElement._make(x.space, merge_images({}, x.terms, self._cache, 1))
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_cache", None)
-        state.pop("_defects", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._tables()
 
 
 def defect_table(D: Operator) -> Table:
@@ -201,15 +184,21 @@ def _koszul_step(
     ``shuffles`` is the space's shuffle table, read and filled by a sweep's
     top-level step, whose shuffles recur across cases.  A memo fill passes
     None: it never adds a pair to the table, since the memo already holds
-    what is built from it.  There b * c comes from ``peek_shuffle_terms``
-    (its words key the memo's tables), the rows F_(m-1)(X, b) and
-    F_(m-1)(X, c) are shuffled by ``merge_shuffles`` straight into the entry,
-    and only the finished entry's words are interned.
+    what is built from it.  There b * c is read from the table if it holds
+    the pair and computed afresh otherwise (its words key the memo's
+    tables), the rows F_(m-1)(X, b) and F_(m-1)(X, c) are shuffled by
+    ``merge_shuffles`` straight into the entry, and only the finished
+    entry's words are interned.
     """
     space = D.space
     X, b, c = key[:-2], key[-2], key[-1]
     lower = D._defects[X]
-    bc = peek_shuffle_terms(space, b, c) if shuffles is None else shuffles[b, c]
+    if shuffles is None:
+        bc = space._shuffle_cache.get((b, c))
+        if bc is None:
+            bc = shuffle_terms(space, b, c)
+    else:
+        bc = shuffles[b, c]
     acc = merge_images({}, bc, lower, 1)
     row = lower[b]
     if row:
@@ -223,7 +212,7 @@ def _koszul_step(
         merge_shuffles(acc, space, b, row, sign, True, shuffles)
     if shuffles is not None:
         return acc
-    intern = word_table(space).setdefault
+    intern = space._word_table.setdefault
     return {intern(w, w): s for w, s in acc.items()}
 
 
@@ -258,14 +247,11 @@ class LiftedCoderivation(Operator):
                 space.encode((b,)): -v if twist else v for b, v in entry.items()
             }
 
-    def is_zero_operator(self) -> bool:
-        return self.component.is_zero()
-
     def _apply_word(self, w: Word) -> dict[Word, Scalar]:
         if not w:
             return {}
         table = self._cache
-        intern = word_table(self.space).setdefault
+        intern = self.space._word_table.setdefault
         prefix = w[:-1]
         if prefix not in table:
             # fill the missing prefixes shortest first, each through the

@@ -1,4 +1,4 @@
-"""Words in the tensor coalgebra, the shuffle product, deconcatenation.
+"""Words in the tensor coalgebra and the shuffle product.
 
 A word a_1 (x) ... (x) a_n is stored as a string with one code point per
 letter, by the encoding of its space (``GradedSpace.encode``), and graded by
@@ -12,8 +12,6 @@ and rendering.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -58,25 +56,6 @@ def owned_table(owner, fill: Callable) -> Table:
     return Table(lambda key: fill(ref(), key))
 
 
-def word_table(space: GradedSpace) -> dict[Word, Word]:
-    """The intern table of ``space``: maps each word it has seen to the one
-    str object that stands for it.
-
-    Words pass through it where they are made (``words_up_to``,
-    ``shuffle_terms``, the coderivation lifts), so the tables share one
-    object per word; intern with ``table.setdefault(w, w)``.  Like the
-    shuffle table, it is not pickled.
-    """
-    return space._word_table
-
-
-def shuffle_table(space: GradedSpace) -> Table:
-    """A new table of the shuffle products of pairs of words of ``space``:
-    (u, v) -> the terms of u * v, filled by ``shuffle_terms``.  Each space
-    keeps one, for its life; see ``shuffle``."""
-    return owned_table(space, _shuffle_fill)
-
-
 def word_degree(space: GradedSpace, w: Word) -> int:
     """Degree of a word: the sum of its shifted letter degrees."""
     return sum(map(space._degree.__getitem__, w)) + len(w)
@@ -85,56 +64,6 @@ def word_degree(space: GradedSpace, w: Word) -> int:
 def word_parity(space: GradedSpace, w: Word) -> int:
     """Parity of a word's degree."""
     return sum(map(space._sparity.__getitem__, w)) & 1
-
-
-def deconcatenations(w: Word) -> list[tuple[Word, Word]]:
-    """All |w|+1 splittings of w, in order of the cut position."""
-    return [(w[:i], w[i:]) for i in range(len(w) + 1)]
-
-
-@dataclass(frozen=True)
-class Shuffle:
-    """A block-monotone permutation: sigma[i] is the target of position i.
-
-    Positions are 0-based; the first n source positions keep their relative
-    order, as do the last m.
-    """
-
-    sigma: tuple[int, ...]
-    n: int
-    m: int
-
-    def __post_init__(self):
-        k = self.n + self.m
-        if sorted(self.sigma) != list(range(k)):
-            raise InvalidInputError(f"not a permutation of 0..{k - 1}")
-        first, second = self.sigma[: self.n], self.sigma[self.n :]
-        if list(first) != sorted(first) or list(second) != sorted(second):
-            raise InvalidInputError("blocks must stay in order")
-
-    @property
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.sigma)
-        for src, tgt in enumerate(self.sigma):
-            inv[tgt] = src
-        return tuple(inv)
-
-    def interleave(self, u: Sequence, v: Sequence) -> tuple:
-        """The shuffled sequence: position p receives item number inverse[p]."""
-        uv = u + v
-        return tuple(uv[s] for s in self.inverse)
-
-
-def enumerate_shuffles(n: int, m: int) -> list[Shuffle]:
-    """All C(n+m, n) block shuffles, lexicographic in the first block's slots."""
-    if n < 0 or m < 0:
-        raise InvalidInputError("block sizes must be nonnegative")
-    k = n + m
-    out = []
-    for slots in combinations(range(k), n):
-        rest = [p for p in range(k) if p not in slots]
-        out.append(Shuffle(tuple(slots) + tuple(rest), n, m))
-    return out
 
 
 class TElement:
@@ -276,20 +205,12 @@ def merge_scaled(acc, terms, coeff):
     """
     get = acc.get
     pop = acc.pop
-    if coeff == 1:
-        for w, c in terms.items():
-            val = get(w, 0) + c
-            if val:
-                acc[w] = val
-            else:
-                pop(w, None)
-    else:
-        for w, c in terms.items():
-            val = get(w, 0) + coeff * c
-            if val:
-                acc[w] = val
-            else:
-                pop(w, None)
+    for w, c in terms.items():
+        val = get(w, 0) + coeff * c
+        if val:
+            acc[w] = val
+        else:
+            pop(w, None)
     return acc
 
 
@@ -379,34 +300,38 @@ _shuffle_getters: dict[tuple[int, int], tuple[itemgetter, ...]] = {}
 _shuffle_plans = Table(_shuffle_plan)
 
 
-def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
-    """Terms of the shuffle product of two words, computed afresh.
+def _merge_plan(acc, uv, plan, coeff):
+    """acc += coeff * (u * v), dropping zero entries, where u + v = ``uv``
+    and ``plan`` is the pair's shuffle plan: each shuffled word is read out
+    of ``uv`` by its getter.  Mutates and returns ``acc``; ``coeff`` must be
+    nonzero."""
+    get = acc.get
+    join = "".join
+    neg = -coeff
+    for g, s in zip(*plan):
+        w = join(g(uv))
+        val = get(w, 0) + (coeff if s == 1 else neg)
+        if val:
+            acc[w] = val
+        else:
+            del acc[w]
+    return acc
 
-    The uncached product behind ``shuffle``; for callers that keep their own
-    memo of what they build from it.  Each shuffled word is read out of
-    u + v by the cached plan of the words' lengths and parities.
+
+def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
+    """Terms of the shuffle product of two words, computed afresh and
+    interned.
+
+    It fills the space's shuffle table (see ``shuffle``); a defect-memo
+    fill calls it for a pair that the table does not hold.
     """
     parity = space._sparity.__getitem__
-    intern = word_table(space).setdefault
+    intern = space._word_table.setdefault
     uv = u + v
     if not u or not v:
         return {intern(uv, uv): 1}
-    getters, signs = _shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))]
-    terms: dict[Word, Scalar] = {}
-    get = terms.get
-    join = "".join
-    for g, s in zip(getters, signs):
-        w = join(g(uv))
-        val = get(w, 0) + s
-        if val:
-            terms[w] = val
-        else:
-            del terms[w]
+    terms = _merge_plan({}, uv, _shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))], 1)
     return {intern(w, w): c for w, c in terms.items()}
-
-
-def _shuffle_fill(space: GradedSpace, key: tuple[Word, Word]) -> dict[Word, Scalar]:
-    return shuffle_terms(space, *key)
 
 
 def shuffle(space: GradedSpace, u: Sequence[str], v: Sequence[str]) -> TElement:
@@ -417,14 +342,6 @@ def shuffle(space: GradedSpace, u: Sequence[str], v: Sequence[str]) -> TElement:
     often.
     """
     return TElement._make(space, space._shuffle_cache[space.encode(u), space.encode(v)])
-
-
-def peek_shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
-    """Terms of the shuffle of two words: the space's cached ones when the
-    pair is cached, computed afresh otherwise.  Never fills the cache; for
-    callers that keep their own memo of what they build from it."""
-    hit = space._shuffle_cache.get((u, v))
-    return shuffle_terms(space, u, v) if hit is None else hit
 
 
 def merge_shuffles(acc, space, word, row, coeff, word_first, shuffles=None):
@@ -454,16 +371,7 @@ def merge_shuffles(acc, space, word, row, coeff, word_first, shuffles=None):
                 if pword is None:
                     pword = tuple(map(parity, word))
                 pw = tuple(map(parity, w))
-                getters, signs = _shuffle_plans[(pword, pw) if word_first else (pw, pword)]
-                join = "".join
-                neg = -c
-                for g, s in zip(getters, signs):
-                    w2 = join(g(uv))
-                    val = get(w2, 0) + (c if s == 1 else neg)
-                    if val:
-                        acc[w2] = val
-                    else:
-                        del acc[w2]
+                _merge_plan(acc, uv, _shuffle_plans[(pword, pw) if word_first else (pw, pword)], c)
                 continue
         for w2, c2 in terms.items():
             val = get(w2, 0) + c * c2
@@ -485,13 +393,12 @@ def shuffle_elements(x: TElement, y: TElement) -> TElement:
     return TElement._make(space, acc)
 
 
-def words_up_to(space: GradedSpace, max_len: int, *, include_empty: bool = True) -> list[Word]:
-    """All basis words of length <= max_len, by length, then
-    lexicographically in the order of the space's basis."""
-    intern = word_table(space).setdefault
-    empty = intern("", "")
-    out: list[Word] = [empty] if include_empty else []
-    layer: list[Word] = [empty]
+def words_up_to(space: GradedSpace, max_len: int) -> list[Word]:
+    """All basis words of length <= max_len, the empty word first, by
+    length, then lexicographically in the order of the space's basis."""
+    intern = space._word_table.setdefault
+    layer: list[Word] = [intern("", "")]
+    out: list[Word] = list(layer)
     codes = space.encode(space.ids)
     for _ in range(max_len):
         layer = [w + a for w in layer for a in codes]

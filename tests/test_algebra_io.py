@@ -57,7 +57,7 @@ def test_morphism_fixture_validates():
 def test_end_two_term_properties():
     alg = validate_dga(builtin("end-two-term-complex"))
     assert len(alg.space.letters) == 4
-    assert not alg.d.is_zero()
+    assert alg.d.table
     # noncommutative: composing in the two orders differs somewhere
     assert any(
         alg.mu.apply_ids((a, b)).terms != alg.mu.apply_ids((b, a)).terms

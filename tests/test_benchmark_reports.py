@@ -9,12 +9,14 @@ not only the benchmark.  The usable CPUs read 2 whatever the host has, so
 ``dbv-triples-j2`` takes the fork-pool path everywhere.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import shufflebv.bv
+from shufflebv.algebra_io import builtin, render_document
 from shufflebv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +31,12 @@ def test_pinned_report(name, capsys, monkeypatch):
     monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
     code = main(["check", w.path, *w.options, "--report", "json"])
     assert verify_report(w, code, capsys.readouterr().out) is None
+
+
+@pytest.mark.parametrize("name", ["end-two-term-complex", "ainf-mu3"])
+def test_benchmark_fixture_is_the_builtin(name):
+    # the committed inputs are what ``shufflebv fixtures dump`` writes
+    text = (ROOT / "perfbench" / "fixtures" / f"{name}.json").read_text()
+    doc = render_document(builtin(name))
+    assert json.loads(text) == doc
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,4 +1,4 @@
-"""Bracket, operator order, C-sets, axiom suites, sign regressions."""
+"""Bracket, its closed form, operator order, axiom suites, sign regressions."""
 
 import gc
 import itertools
@@ -10,16 +10,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from defect_reference import bracket_reference, homogeneous_parts, order_defect_reference
+from shuffle_reference import c_set, closed_form_bracket, enumerate_shuffles
 
 import shufflebv.bv
 import shufflebv.operators
-from shufflebv.algebra_io import DGAlgebra, builtin, validate_ainf, validate_dga, validate_morphism
+from shufflebv.algebra_io import (
+    AlgebraSpec,
+    DGAlgebra,
+    builtin,
+    builtin_names,
+    validate_ainf,
+    validate_dga,
+    validate_morphism,
+)
 from shufflebv.bv import (
     Bounds,
     Sweep,
     bracket,
-    bracket_support_check,
-    c_set,
     check_bvinf,
     check_dbv,
     check_functoriality,
@@ -31,10 +38,8 @@ from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
 from shufflebv.operators import ComposedOperator, MultilinearMap, lift_coderivation
 from shufflebv.words import (
     TElement,
-    enumerate_shuffles,
     shuffle,
     word_degree,
-    word_table,
     word_tuples_with_total,
     words_up_to,
 )
@@ -66,8 +71,8 @@ def corrupted_end2(entry=("b", "c"), out="a", coeff=-1):
 
 class InProcessContext:
     """Stands in for ``multiprocessing.get_context``: records the size of
-    every pool asked for and runs its initializer and tasks in this process,
-    so no process starts."""
+    every pool asked for and runs its tasks in this process, so no process
+    starts."""
 
     def __init__(self):
         self.pool_sizes = []
@@ -76,10 +81,8 @@ class InProcessContext:
         assert method == "fork"
         return self
 
-    def Pool(self, processes, initializer=None, initargs=()):
+    def Pool(self, processes):
         self.pool_sizes.append(processes)
-        if initializer is not None:
-            initializer(*initargs)
         return self
 
     def __enter__(self):
@@ -207,8 +210,10 @@ def test_memo_matches_reference_on_mixed_coefficients(end2):
 
 
 def test_defect_memo_lives_for_one_sweep(monkeypatch):
-    # at --jobs 2 the in-process stand-in pool runs the worker side here: a
-    # worker must empty the memo when it moves on to another sweep
+    # at --jobs 1 and, through the in-process stand-in pool, at --jobs 2
+    # the blocks run here: the memos must be empty when a sweep's first case
+    # runs, which is when a block moves on to another sweep, and when the
+    # check returns
     dga = validate_dga(builtin("end-two-term-complex"))
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
     ops = [dga.d_op, dga.delta_op] + [ainf.delta_op(k) for k in (1, 2, 3)]
@@ -221,8 +226,6 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
     run_sweeps_orig = shufflebv.bv.run_sweeps
 
     def watched(*args, **kwargs):
-        if jobs == 1:  # at --jobs 2 the worker empties it, at the first block
-            assert empty()
         report = run_axiom_orig(*args, **kwargs)
         held.append(sum(len(op._defects) for op in ops))
         return report
@@ -369,7 +372,7 @@ def test_memo_fill_matches_subset_sum(fill_ops, data):
     pairs = set(space._shuffle_cache)
     entry = op._defects[key[:-1]][key[-1]]
     assert set(space._shuffle_cache) == pairs  # no fill adds a pair
-    interned = word_table(space)
+    interned = space._word_table
     for X, level in op._defects.items():
         for stored in (level.values() if X else ()):
             assert all(w is interned[w] for w in stored)
@@ -396,16 +399,6 @@ def test_memo_fill_cancelling_shuffles(end2):
             op._defects.clear()
 
 
-def test_pickled_operator_drops_its_memos(end2):
-    op = lift_coderivation(end2.mu)
-    bracket(el(end2, ("b", "c")), el(end2, ("c",)), op)
-    assert op._defects and op._cache
-    clone = pickle.loads(pickle.dumps(op))
-    assert clone._defects == {} and clone._cache == {}
-    got = bracket(el(end2, ("b", "c")), el(end2, ("c",)), clone)
-    assert got == bracket(el(end2, ("b", "c")), el(end2, ("c",)), op)
-
-
 # -- allocation: cyclic garbage and interned words ----------------------------------
 
 
@@ -429,7 +422,7 @@ def test_suites_leave_no_cyclic_garbage():
 def test_cached_words_are_interned():
     dga = validate_dga(builtin("end-two-term-complex"))
     check_dbv(dga, Bounds(unary=3, binary=2, ternary=1))
-    table = word_table(dga.space)
+    table = dga.space._word_table
     images = [op._cache.values() for op in (dga.d_op, dga.delta_op)]
     images.append(dga.space._shuffle_cache.values())
     seen = 0
@@ -440,7 +433,26 @@ def test_cached_words_are_interned():
     assert seen > len(table) > 0  # words do recur across the caches
     clone = pickle.loads(pickle.dumps(dga.space))
     assert clone == dga.space
-    assert word_table(clone) == {} and clone._shuffle_cache == {}
+    assert clone._word_table == {} and clone._shuffle_cache == {}
+
+
+def test_serial_checks_share_no_module_state():
+    # a serial check run from inside another one's sweep leaves the outer
+    # check's state alone
+    sp = GradedSpace("s", [BasisLetter("a", 0)])
+    cases = [(sp.encode(("a",)),)] * 3
+    fail = lambda case: TElement._make(sp, {case[0]: 1})
+    inner = []
+
+    def nested(case):
+        [report] = run_sweeps([Sweep("inner", "-", cases, fail)], space=sp)
+        inner.append(report.failure_count)
+
+    sweeps = [Sweep("outer", "-", cases, nested), Sweep("last", "-", cases, fail)]
+    reports = run_sweeps(sweeps, space=sp, fail_cap=1)
+    assert inner == [3, 3, 3]
+    assert [(r.cases, r.failure_count, len(r.failures)) for r in reports] == [(3, 0, 0), (3, 3, 1)]
+    assert shufflebv.bv._worker == {}
 
 
 def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):
@@ -458,7 +470,7 @@ def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):
         assert fake.pool_sizes == sizes  # one CPU (unknown count): no pool
 
 
-# -- C-sets and bracket support ---------------------------------------------------
+# -- C-sets and the closed form of the bracket -------------------------------------
 
 
 def test_c_set_definition():
@@ -468,43 +480,125 @@ def test_c_set_definition():
             cs = c_set(sh)
             for j in range(n + m - 1):
                 crosses = (inv[j] < n) != (inv[j + 1] < n)
-                assert (j in cs.positions) == crosses
+                assert (j in cs) == crosses
 
 
 def test_c_set_identity_shuffle():
     # blocks meet only at the seam
     sh = enumerate_shuffles(2, 2)[0]
     assert sh.sigma == (0, 1, 2, 3)
-    assert c_set(sh).positions == {1}
+    assert c_set(sh) == {1}
+
+
+def bracket_of(mu, u, v, op=None):
+    """{u, v} of two words of letter ids, by ``bracket``, as a dict."""
+    x, y = TElement.word(mu.space, u), TElement.word(mu.space, v)
+    return dict(bracket(x, y, lift_coderivation(mu) if op is None else op))
 
 
 def test_bracket_support_single_letters(full2):
-    report = bracket_support_check(("e12",), ("e21",), full2.mu)
-    assert report.passed and report.cases == 2
+    want = closed_form_bracket(full2.mu, ("e12",), ("e21",))
+    assert want == bracket_of(full2.mu, ("e12",), ("e21",)) and len(want) == 2
 
 
 def test_bracket_support_longer_words():
-    ut = validate_dga(builtin("upper-triangular-2"))
-    for u in itertools.product(ut.space.ids, repeat=2):
-        for v in itertools.product(ut.space.ids, repeat=1):
-            report = bracket_support_check(u, v, ut.mu)
-            assert report.passed, (u, v, report.failures)
-    # and on the nonzero-d algebra with negative/positive degrees
-    alg = validate_dga(builtin("end-two-term-complex"))
-    words2 = list(itertools.product(alg.space.ids, repeat=2))
-    for u in words2[:8]:
-        for v in words2[:8]:
-            assert bracket_support_check(u, v, alg.mu).passed
+    # words of lengths 3 and 2, beyond the exhaustive pairs below
+    mu = ARITY_2_BUILTINS["end-two-term-complex"]
+    pairs = [(u, v) for n, m in ((3, 2), (2, 3))
+             for u in itertools.product(mu.space.ids, repeat=n)
+             for v in itertools.product(mu.space.ids, repeat=m)]
+    wrong, nonzero = closed_form_mismatches(mu, pairs)
+    assert not wrong and nonzero > 100
 
 
 def test_bracket_support_empty_word(full2):
-    report = bracket_support_check((), ("e11",), full2.mu)
-    assert report.passed and report.cases == 0
+    assert closed_form_bracket(full2.mu, (), ("e11",)) == {}
+    assert bracket_of(full2.mu, (), ("e11",)) == {}
 
 
-def test_bracket_support_requires_arity_2(end2):
-    with pytest.raises(InvalidInputError):
-        bracket_support_check(("a",), ("b",), end2.d)
+# the arity-2 map of every builtin algebra, by name
+ARITY_2_BUILTINS = {
+    spec.name: spec.multilinear("mu2", spec.space())
+    for spec in map(builtin, builtin_names())
+    if isinstance(spec, AlgebraSpec)
+}
+
+
+@st.composite
+def random_products(draw):
+    """A random degree-0 arity-2 map over two or three letters of degrees
+    -1..2, not associative in general."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=2, max_size=3))
+    space = GradedSpace("rand", [BasisLetter(f"x{i}", d) for i, d in enumerate(degrees)])
+    table = {}
+    for a, b in itertools.product(space.ids, repeat=2):
+        outs = [c for c in space.ids if space.degree(c) == space.degree(a) + space.degree(b)]
+        for c in outs:
+            coeff = draw(st.integers(-2, 2))
+            if coeff:
+                table.setdefault((a, b), {})[c] = coeff
+    return MultilinearMap(space, 2, 0, table)
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A degree-0 arity-2 map, builtin or random, and a pair of its words of
+    total length <= 5, either possibly empty."""
+    mu = draw(st.one_of(st.sampled_from(sorted(ARITY_2_BUILTINS)).map(ARITY_2_BUILTINS.get),
+                        random_products()))
+    letters = st.sampled_from(mu.space.ids)
+    u = tuple(draw(st.lists(letters, max_size=3), label="u"))
+    v = tuple(draw(st.lists(letters, max_size=5 - max(len(u), 2)), label="v"))
+    return mu, u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_form_cases())
+def test_closed_form_bracket_matches_bracket(case):
+    mu, u, v = case
+    assert bracket_of(mu, u, v) == closed_form_bracket(mu, u, v), (u, v)
+
+
+def closed_form_mismatches(mu, pairs):
+    """The pairs of words on which ``bracket`` and the closed form differ,
+    or which have a term not of length |u| + |v| - 1, and how many of the
+    pairs have a nonzero bracket."""
+    op = lift_coderivation(mu)
+    wrong, nonzero = [], 0
+    for u, v in pairs:
+        want = closed_form_bracket(mu, u, v)
+        nonzero += bool(want)
+        if bracket_of(mu, u, v, op) != want or any(len(w) != len(u) + len(v) - 1 for w in want):
+            wrong.append((u, v))
+    return wrong, nonzero
+
+
+def short_pairs(mu):
+    """Every pair of words of length <= 2, the empty word included."""
+    words = [()] + [w for n in (1, 2) for w in itertools.product(mu.space.ids, repeat=n)]
+    return itertools.product(words, repeat=2)
+
+
+def test_closed_form_bracket_matches_bracket_on_builtins():
+    # exhaustively, beside the sampled test above; the bracket of a graded
+    # commutative product, such as diagonal-2's, is zero
+    nonzero = {}
+    for name, mu in ARITY_2_BUILTINS.items():
+        wrong, nonzero[name] = closed_form_mismatches(mu, short_pairs(mu))
+        assert not wrong, name
+    assert sum(n > 0 for n in nonzero.values()) >= 4, nonzero
+
+
+def test_closed_form_catches_a_dropped_word_sign(monkeypatch):
+    # negative control: the rows of an odd operator's bracket without the
+    # sign (-1)^|u|
+    def unsigned_rows(delta, xterms):
+        return [(delta._defects[(u,)], cu, None) for u, cu in xterms.items()]
+
+    monkeypatch.setattr(shufflebv.bv, "_bracket_rows", unsigned_rows)
+    mu = ARITY_2_BUILTINS["end-two-term-complex"]
+    wrong, _ = closed_form_mismatches(mu, short_pairs(mu))
+    assert wrong
 
 
 # -- operator order ----------------------------------------------------------------
@@ -724,7 +818,7 @@ def test_check_bvinf_on_dga_viewed_as_ainf(end2):
     reports = check_bvinf(ainf, 3, Bounds(unary=4, order_slack=1))
     assert all(r.passed for r in reports), [r for r in reports if not r.passed]
     # the arity-3 lift is the zero operator here
-    assert ainf.delta_op(3).is_zero_operator()
+    assert not ainf.delta_op(3).component.table
 
 
 def test_check_bvinf_on_mu3_fixture():
@@ -734,7 +828,7 @@ def test_check_bvinf_on_mu3_fixture():
     names = [r.name for r in reports]
     assert "order_3_delta_-3" in names and "sum_relation_n_-6" in names
     # the arity-3 lift is genuinely nonzero
-    assert not ainf.delta_op(3).is_zero_operator()
+    assert ainf.delta_op(3).component.table
 
 
 def test_check_bvinf_requires_arity_2():
@@ -795,9 +889,9 @@ def test_induced_morphism_commutes_with_bracket():
 def test_run_axiom_counts():
     sp = GradedSpace("s", [BasisLetter("a", 0)])
     cases = [(sp.encode(("a",) * i),) for i in (2, 0, 1)]
-    report = run_axiom(
-        "demo", "n/a", cases, lambda c: TElement._make(sp, {c[0]: 1}), sp, fail_cap=1
-    )
+    evaluate = lambda c: TElement._make(sp, {c[0]: 1})
+    blocks = [shufflebv.bv._failures_in(cases, evaluate, 0, len(cases), 1)]
+    report = run_axiom("demo", "n/a", cases, sp, fail_cap=1, blocks=blocks)
     assert report.cases == 3 and report.failure_count == 3 and len(report.failures) == 1
     assert report.failures[0].inputs == (("a", "a"),)  # decoded to letter ids
     assert not report.passed

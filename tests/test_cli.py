@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,19 @@ def test_validate_malformed_json_is_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"\xff\xfe{}", "not UTF-8 text"),  # a UTF-16 byte-order mark
+    (b'{"a":' * 100_000, "nested too deeply"),
+], ids=["utf16-bom", "nested-100000"])
+def test_undecodable_input_is_2(tmp_path, capsys, body, message):
+    path = tmp_path / "odd.json"
+    path.write_bytes(body)
+    for command in ("validate", "check"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid input: ") and message in err
 
 
 def test_validate_unknown_key_is_2(fixture_file):
@@ -230,6 +244,18 @@ def test_check_json_report_deterministic_across_processes(fixture_file):
         payload.pop("meta")
         outputs.append(json.dumps(payload, sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+def test_readme_quick_tour_runs():
+    # the README's library block, as written, in a fresh interpreter
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    script = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(shufflebv.__file__)))
+    env = dict(PATH="/usr/bin:/bin", PYTHONPATH=package_root, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["-a", "-a - e"]
 
 
 def test_serial_commands_do_not_import_multiprocessing(fixture_file):

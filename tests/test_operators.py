@@ -25,7 +25,7 @@ from shufflebv.operators import (
     induced_morphism,
     lift_coderivation,
 )
-from shufflebv.words import TElement, word_table, words_up_to
+from shufflebv.words import TElement, words_up_to
 from test_words import id_words
 
 
@@ -229,7 +229,7 @@ def test_unknown_letter_raises_and_leaves_tables_unchanged():
             op.apply_word(w)
 
     def tables():
-        return [dict(op._cache) for op in ops] + [dict(word_table(alg.space))]
+        return [dict(op._cache) for op in ops] + [dict(alg.space._word_table)]
 
     before = tables()
     word = ("a", "b", "c")

@@ -1,4 +1,4 @@
-"""Words, the shuffle product, and deconcatenation."""
+"""Words and the shuffle product."""
 
 import gc
 import itertools
@@ -12,14 +12,10 @@ from hypothesis import given, settings, strategies as st
 from shufflebv import bv, operators, words
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError, koszul_sign
 from shufflebv.words import (
-    Shuffle,
     Table,
     TElement,
-    deconcatenations,
-    enumerate_shuffles,
     merge_images,
     merge_scaled,
-    peek_shuffle_terms,
     render_telement,
     shuffle,
     shuffle_elements,
@@ -33,6 +29,7 @@ from shufflebv.words import (
 
 from defect_reference import shuffle_many
 from lift_reference import shifted_parity
+from shuffle_reference import Shuffle, enumerate_shuffles
 from test_graded import bubble_sign
 
 
@@ -112,19 +109,6 @@ def test_shuffle_invariants_rejected():
         Shuffle((1, 0, 2), 2, 1)  # first block out of order
     with pytest.raises(InvalidInputError):
         Shuffle((0, 0, 1), 2, 1)
-
-
-# -- deconcatenation ----------------------------------------------------------
-
-
-def test_deconcatenations():
-    assert deconcatenations(("a", "b")) == [
-        ((), ("a", "b")),
-        (("a",), ("b",)),
-        (("a", "b"), ()),
-    ]
-    assert deconcatenations(()) == [((), ())]
-    assert len(deconcatenations(("a", "b", "c"))) == 4
 
 
 # -- shuffle product ----------------------------------------------------------
@@ -404,14 +388,28 @@ def test_words_up_to_and_tuples(mixed):
     assert word_tuples_with_total(mixed, 3, 2) == []
 
 
-def test_peek_shuffle_terms_reads_but_never_fills_the_cache():
+def test_memo_fill_reads_but_never_fills_the_shuffle_table(monkeypatch):
+    # a defect-memo fill takes b * c from the space's table when the table
+    # holds the pair, and computes it afresh otherwise; it never adds a pair
     space = GradedSpace("peek", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    mu = operators.MultilinearMap(space, 2, 0, {("x", "x"): {"x": 1}, ("x", "y"): {"y": 1}})
+    op = operators.lift_coderivation(mu)
     u, v = space.encode(("x", "y")), space.encode(("y",))
-    fresh = peek_shuffle_terms(space, u, v)
-    assert space._shuffle_cache == {}
+    fresh = []
+    fill = operators.shuffle_terms
+
+    def counted(space, b, c):
+        fresh.append((b, c))
+        return fill(space, b, c)
+
+    monkeypatch.setattr(operators, "shuffle_terms", counted)
+    entry = op._defects[(u,)][v]
+    assert fresh == [(u, v)] and space._shuffle_cache == {}
     cached = shuffle(space, ("x", "y"), ("y",)).terms
-    assert fresh == cached
-    assert peek_shuffle_terms(space, u, v) is cached
+    op._defects.clear()
+    assert op._defects[(u,)][v] == entry
+    assert fresh == [(u, v)] and list(space._shuffle_cache) == [(u, v)]
+    assert space._shuffle_cache[u, v] is cached
 
 
 def test_shuffle_plans_match_shuffle_signed():
