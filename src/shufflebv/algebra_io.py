@@ -27,7 +27,7 @@ from .graded import (
     render_scalar,
 )
 from .operators import MultilinearMap, Operator, composition_relations, lift_coderivation
-from .words import TElement, render_telement, words_up_to
+from .words import TElement, render_telement, word_count, words_up_to
 
 Table = dict[tuple[str, ...], dict[str, Scalar]]
 
@@ -58,6 +58,11 @@ class AlgebraSpec:
 
     def space(self) -> GradedSpace:
         return GradedSpace(self.name, [BasisLetter(i, d) for i, d in self.basis])
+
+    def top_arity(self) -> int:
+        """The highest arity with a table, or 2 if there is none: the default
+        max arity of an A-infinity validation and check."""
+        return max(map(_label_arity, self.operations), default=2)
 
     def multilinear(self, label: str, space: GradedSpace | None = None) -> MultilinearMap:
         """The named table as a degree-checked multilinear map (absent = zero)."""
@@ -390,6 +395,12 @@ def validate_dga(spec: AlgebraSpec) -> DGAlgebra:
     return DGAlgebra(space, d, mu)
 
 
+def ainf_validation_cases(space: GradedSpace, K: int) -> int:
+    """How many relation evaluations ``validate_ainf`` makes up to arity K:
+    its 2K - 1 composition relations on every word of length <= K + 2."""
+    return (2 * K - 1) * word_count(space, K + 2)
+
+
 def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
     """Lift each structure map and check the composition relations.
 
@@ -401,12 +412,11 @@ def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
     if spec.kind != "ainf":
         raise InvalidInputError(f"expected kind 'ainf', got {spec.kind!r}")
     space = spec.space()
-    arities = sorted(_label_arity(label) for label in spec.operations)
     if K is None:
-        K = max(arities, default=2)
+        K = spec.top_arity()
     if K < 1:
         raise InvalidInputError("max arity must be >= 1")
-    if any(k > K for k in arities):
+    if any(_label_arity(label) > K for label in spec.operations):
         raise InvalidInputError(f"table of arity > K={K} present")
     maps = {
         k: spec.multilinear(_label_for_arity(k), space)

@@ -14,7 +14,10 @@ are collected as data, never raised.  Each case's identity is merged into
 one dict by ``merge_images``, its images, shuffles, brackets and defects
 read by subscript from the tables of the operators, the space and the
 memo.  Every suite builds its sweeps first and hands them to one driver,
-``run_sweeps``.  Case words, like every table key, are stored words (``Word``,
+``run_sweeps``.  A sweep's cases are a stream (``words.Cases``) that knows
+its exact count before any case is made, so ``dbv_cases``, ``bvinf_cases``
+and ``functoriality_cases`` predict a check's size from its space and
+bounds alone.  Case words, like every table key, are stored words (``Word``,
 a str; see ``words``); a failure decodes its inputs to letter ids.
 """
 
@@ -35,6 +38,7 @@ from .operators import (
     induced_morphism,
 )
 from .words import (
+    Cases,
     Table,
     TElement,
     Word,
@@ -45,8 +49,8 @@ from .words import (
     shuffle_elements,
     word_degree,
     word_parity,
-    word_tuples_with_total,
-    words_up_to,
+    word_product,
+    word_tuples,
 )
 
 
@@ -134,14 +138,16 @@ class Sweep:
 
     name: str
     bound: str
-    cases: Sequence[tuple[Word, ...]]
+    cases: Cases
     evaluate: Callable[[tuple[Word, ...]], TElement | None]
 
 
 # The state of a pool check that ``_run_block`` reads in the workers, set by
 # ``run_sweeps`` before the pool forks, so that workers inherit it: the
-# check's sweeps, the per-sweep memos they fill, the failure cap, and the
-# sweep whose entries the memos hold.  A serial check keeps its own.
+# check's sweeps, the per-sweep memos they fill, the image tables and space
+# it trims, the reach of the sweeps from each one on, the failure cap, the
+# sweep whose entries the memos hold and the reach the tables were last
+# trimmed to.  A serial check keeps its own.
 _worker: dict = {}
 
 
@@ -153,38 +159,67 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _failures_in(
-    cases: Sequence[tuple[Word, ...]], evaluate: Callable, start: int, stop: int, fail_cap: int
-) -> tuple[int, list[tuple[int, TElement]]]:
-    """The failures among ``cases[start:stop]``: how many, and the first
-    ``fail_cap`` of them as (offset, defect)."""
+# A block's failures: how many, and the first ``fail_cap`` as (case, defect).
+Failures = tuple[int, list[tuple[tuple[Word, ...], TElement]]]
+
+
+def _failures_in(cases: Iterable[tuple[Word, ...]], evaluate: Callable, fail_cap: int) -> Failures:
+    """The failures among ``cases``."""
     count, kept = 0, []
-    for offset in range(start, stop):
-        defect = evaluate(cases[offset])
+    for case in cases:
+        defect = evaluate(case)
         if defect is not None and not defect.is_zero():
             count += 1
             if len(kept) < fail_cap:
-                kept.append((offset, defect))
+                kept.append((case, defect))
     return count, kept
 
 
-def _run_block(
-    task: tuple[int, int, int], state: dict = _worker
-) -> tuple[int, list[tuple[int, TElement]]]:
+def _trim(images: Sequence[dict], space: GradedSpace, reach: int) -> None:
+    """Drop every entry that no case of total word length <= ``reach`` can
+    read: from the image tables ``images``, the images of longer words; from
+    ``space``, the shuffle pairs of a longer total and the longer interned
+    words.
+
+    No case reads a word longer than its own total, and a table refills on a
+    miss, so trimming changes no result.  A table that loses entries is
+    emptied and refilled in place: its readers keep it, and its key table
+    shrinks to what is kept.
+    """
+    for table in (*images, space._word_table):
+        _keep(table, {w: v for w, v in table.items() if len(w) <= reach})
+    shuffles = space._shuffle_cache
+    _keep(shuffles, {uv: v for uv, v in shuffles.items() if len(uv[0]) + len(uv[1]) <= reach})
+
+
+def _keep(table: dict, entries: dict) -> None:
+    """Make ``table`` hold only ``entries``, a part of it, if it holds more."""
+    if len(entries) < len(table):
+        table.clear()
+        table.update(entries)
+
+
+def _run_block(task: tuple[int, int, int], state: dict = _worker) -> Failures:
     """One contiguous block of a sweep's cases (sweep index, start, stop),
     run on the check's ``state``: by default ``_worker``, which pool workers
     inherit.
 
-    The per-sweep memos are emptied when the sweep index changes; the image
-    and shuffle tables stay warm.  A block may start inside a run of cases
-    that share a memo entry: the entry is then filled here afresh.
+    When the sweep index changes, the per-sweep memos are emptied, and, if
+    the reach of the sweeps still to run has dropped, the image, shuffle and
+    intern tables are trimmed to it (``_trim``); what they keep stays warm.
+    A block may start inside a run of cases that share a memo entry: the
+    entry is then filled here afresh.
     """
     index, start, stop = task
     if index != state["held"]:
         _forget_memos(*state["memos"])
         state["held"] = index
+        reach = state["reach"][index]
+        if state["trimmed"] is None or reach < state["trimmed"]:
+            _trim(state["images"], state["space"], reach)
+            state["trimmed"] = reach
     sweep = state["sweeps"][index]
-    return _failures_in(sweep.cases, sweep.evaluate, start, stop, state["fail_cap"])
+    return _failures_in(itertools.islice(sweep.cases, start, stop), sweep.evaluate, state["fail_cap"])
 
 
 def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
@@ -196,14 +231,14 @@ def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
 def run_axiom(
     name: str,
     bound: str,
-    cases: Sequence[tuple[Word, ...]],
+    cases: Cases,
     space: GradedSpace,
     *,
     fail_cap: int,
-    blocks: Iterable[tuple[int, list[tuple[int, TElement]]]],
+    blocks: Iterable[Failures],
 ) -> AxiomReport:
-    """Report one identity over a case list of words of ``space``, keeping
-    the first ``fail_cap`` failures in case order.
+    """Report one identity over cases of words of ``space``, keeping the
+    first ``fail_cap`` failures in case order.
 
     ``blocks`` are the failures of consecutive blocks of the cases, as
     ``_run_block`` returns them.
@@ -211,8 +246,8 @@ def run_axiom(
     report = AxiomReport(name=name, bound=bound, cases=len(cases))
     for count, kept in blocks:
         report.failure_count += count
-        for offset, defect in kept[: fail_cap - len(report.failures)]:
-            inputs = tuple(map(space.decode, cases[offset]))
+        for case, defect in kept[: fail_cap - len(report.failures)]:
+            inputs = tuple(map(space.decode, case))
             report.failures.append(Failure(inputs, defect))
     return report
 
@@ -222,6 +257,7 @@ def run_sweeps(
     memos: Sequence[dict] = (),
     *,
     space: GradedSpace,
+    images: Sequence[dict] = (),
     fail_cap: int = 10,
     jobs: int = 1,
 ) -> list[AxiomReport]:
@@ -230,15 +266,19 @@ def run_sweeps(
 
     ``memos`` are the tables the sweeps fill that live for one sweep, such
     as the operators' defect memos; they are emptied when the next sweep's
-    first block starts, and when the check returns.  Each sweep is handed
-    out as contiguous blocks of cases, run by ``_run_block``, and the
-    blocks' results are merged in case order, so reports are the same at
-    every ``jobs``.  With jobs > 1 one fork-based pool, of at most one
-    worker per usable CPU, serves every sweep, one block per worker.  It
-    forks after the sweeps are built, so the workers inherit the case lists
-    and evaluators, and they keep their image and shuffle tables from one
-    sweep to the next.  Otherwise each sweep is one block, run here on
-    this call's own state, so serial checks share no module state.
+    first block starts, and when the check returns.  ``images`` are the
+    image tables of the check's operators on ``space``.  When a sweep's
+    first block starts they, and the space's shuffle and intern tables,
+    drop every entry longer than the reach of the sweeps still to run (see
+    ``_trim``); what remains outlives the check.  Each sweep is handed out
+    as contiguous blocks of cases, run by ``_run_block``, and the blocks'
+    results are merged in case order, so reports are the same at every
+    ``jobs``.  With jobs > 1 one fork-based pool, of at most one worker per
+    usable CPU, serves every sweep, one block per worker.  It forks after
+    the sweeps are built, so the workers inherit the case streams and
+    evaluators, and they keep their tables, trimmed the same way, from one
+    sweep to the next.  Otherwise each sweep is one block, run here on this
+    call's own state, so serial checks share no module state.
     """
     workers = min(jobs, _usable_cpus())
     ctx = None
@@ -253,7 +293,10 @@ def run_sweeps(
         workers = 1
     plan = [_blocks(len(s.cases), workers) for s in sweeps]
     tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
-    state = dict(sweeps=sweeps, memos=tuple(memos), fail_cap=fail_cap, held=None)
+    # reach[i]: the longest total word length of any case of sweeps[i:]
+    reach = list(itertools.accumulate((s.cases.reach for s in reversed(sweeps)), max))[::-1]
+    state = dict(sweeps=sweeps, memos=tuple(memos), images=tuple(images), space=space,
+                 reach=reach, fail_cap=fail_cap, held=None, trimmed=None)
     if ctx is not None:
         _worker.update(state)  # before the fork, so the workers inherit it
     try:
@@ -377,6 +420,65 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
 # --------------------------------------------------------------------------
 
 
+# A check's sweeps before their evaluators: (name, bound, cases) of each, in
+# report order.
+CasePlan = list[tuple[str, str, Cases]]
+
+
+def dbv_cases(space: GradedSpace, bounds: Bounds) -> CasePlan:
+    """The sweeps of ``check_dbv`` on ``space``, without their evaluators."""
+    words = (f"words <= {bounds.unary}", word_product(space, bounds.unary, 1))
+    pairs = (f"pairs <= {bounds.binary}", word_product(space, bounds.binary, 2))
+    triples = (f"triples <= {bounds.ternary}", word_product(space, bounds.ternary, 3))
+    return [
+        ("d_squared", *words),
+        ("delta_squared", *words),
+        ("d_delta_anticommutator", *words),
+        ("d_derivation", *pairs),
+        ("bracket_antisymmetry", *pairs),
+        ("bracket_leibniz", *triples),
+        ("bracket_jacobi", *triples),
+        ("delta_order_2", *triples),
+    ]
+
+
+def bvinf_cases(space: GradedSpace, K: int, bounds: Bounds) -> CasePlan:
+    """The sweeps of ``check_bvinf`` on ``space`` up to arity ``K``, without
+    their evaluators."""
+    if K < 2:
+        raise InvalidInputError("max arity must be >= 2")
+    words = (f"words <= {bounds.unary}", word_product(space, bounds.unary, 1))
+    plan = [("delta_1_is_d", *words)]
+    for k in range(1, K + 1):
+        g, total = 3 - 2 * k, k + 1 + bounds.order_slack
+        plan.append((f"degree_delta_{g}", *words))
+        plan.append((f"order_{k}_delta_{g}", f"{k + 1} nonempty words, total <= {total}",
+                     word_tuples(space, k + 1, total)))
+    # the lifts have degrees 3 - 2k, so two of them compose to 6 - 2(j + k)
+    for n in range(2, 4 - 4 * K, -2):
+        plan.append((f"sum_relation_n_{n}", *words))
+    return plan
+
+
+def functoriality_cases(space: GradedSpace, bounds: Bounds) -> CasePlan:
+    """The sweeps of ``check_functoriality`` from ``space``, without their
+    evaluators."""
+    words = (f"words <= {bounds.unary}", word_product(space, bounds.unary, 1))
+    return [
+        ("morphism_commutes_d", *words),
+        ("morphism_commutes_delta", *words),
+        ("morphism_commutes_shuffle", f"pairs <= {bounds.binary}",
+         word_product(space, bounds.binary, 2)),
+    ]
+
+
+def _run_plan(plan: CasePlan, evaluators: dict, memos, *, space, images, bounds) -> list[AxiomReport]:
+    """Run the sweeps of ``plan``, each with its evaluator by name."""
+    sweeps = [Sweep(name, bound, cases, evaluators[name]) for name, bound, cases in plan]
+    return run_sweeps(sweeps, memos, space=space, images=images, fail_cap=bounds.fail_cap,
+                      jobs=bounds.jobs)
+
+
 def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     """Every axiom of the induced structure on words, exhaustively.
 
@@ -387,13 +489,6 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     bounds = bounds or Bounds()
     space = dga.space
     d, delta = dga.d_op, dga.delta_op
-    singles = [(w,) for w in words_up_to(space, bounds.unary)]
-    pairs = list(
-        itertools.product(words_up_to(space, bounds.binary), repeat=2)
-    )
-    triples = list(
-        itertools.product(words_up_to(space, bounds.ternary), repeat=3)
-    )
     wd = lambda w: word_degree(space, w)
     # each case's identity is merged term by term into one dict, every image,
     # shuffle and F-value read by subscript: from the operators' and the
@@ -444,22 +539,20 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         _add_rows(acc, delta, ry, _add_rows({}, delta, rx, zt), -s)
         return TElement._make(space, acc)
 
-    sweeps = [
-        Sweep("d_squared", f"words <= {bounds.unary}", singles, square(d_img)),
-        Sweep("delta_squared", f"words <= {bounds.unary}", singles, square(delta_img)),
-        Sweep("d_delta_anticommutator", f"words <= {bounds.unary}", singles,
-              anticommutator),
+    evaluators = {
+        "d_squared": square(d_img),
+        "delta_squared": square(delta_img),
+        "d_delta_anticommutator": anticommutator,
         # d's order-1 defect F_2(u, v): d is a derivation of the shuffle product
-        Sweep("d_derivation", f"pairs <= {bounds.binary}", pairs,
-              lambda c: TElement._make(space, _koszul_step(d, c, shuffles))),
-        Sweep("bracket_antisymmetry", f"pairs <= {bounds.binary}", pairs, antisymmetry),
-        Sweep("bracket_leibniz", f"triples <= {bounds.ternary}", triples, leibniz),
-        Sweep("bracket_jacobi", f"triples <= {bounds.ternary}", triples, jacobi),
-        Sweep("delta_order_2", f"triples <= {bounds.ternary}", triples,
-              lambda c: TElement._make(space, _koszul_step(delta, c, shuffles))),
-    ]
+        "d_derivation": lambda c: TElement._make(space, _koszul_step(d, c, shuffles)),
+        "bracket_antisymmetry": antisymmetry,
+        "bracket_leibniz": leibniz,
+        "bracket_jacobi": jacobi,
+        "delta_order_2": lambda c: TElement._make(space, _koszul_step(delta, c, shuffles)),
+    }
     memos = (d._defects, delta._defects, word_rows, product_rows, bracket_rows)
-    return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+    return _run_plan(dbv_cases(space, bounds), evaluators, memos, space=space,
+                     images=(d_img, delta_img), bounds=bounds)
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -474,22 +567,17 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     bounds = bounds or Bounds()
     if K is None:
         K = max(ainf.maps, default=2)
-    if K < 2:
-        raise InvalidInputError("max arity must be >= 2")
     space = ainf.space
+    plan = bvinf_cases(space, K, bounds)
     ops = {k: ainf.delta_op(k) for k in range(1, K + 1)}
     shuffles = space._shuffle_cache
-    singles = [(w,) for w in words_up_to(space, bounds.unary)]
-    sweeps = []
 
     # delta_1_is_d holds by construction: ops[1] is d_lift, one cached lift
     one_img, d_img = ops[1]._cache, ainf.delta_op(1)._cache
-    sweeps.append(Sweep(
-        "delta_1_is_d",
-        f"words <= {bounds.unary}",
-        singles,
-        lambda c: TElement._make(space, merge_scaled(dict(one_img[c[0]]), d_img[c[0]], -1)),
-    ))
+    evaluators = {
+        "delta_1_is_d":
+            lambda c: TElement._make(space, merge_scaled(dict(one_img[c[0]]), d_img[c[0]], -1)),
+    }
 
     for k, op in ops.items():
         g = 3 - 2 * k
@@ -504,30 +592,19 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
             }
             return TElement._make(space, bad)
 
-        sweeps.append(Sweep(
-            f"degree_delta_{g}",
-            f"words <= {bounds.unary}",
-            singles,
-            degree_defect,
-        ))
-        tuples = word_tuples_with_total(space, k + 1, (k + 1) + bounds.order_slack)
+        evaluators[f"degree_delta_{g}"] = degree_defect
         # the order-k defect of k + 1 basis words, from op's defect memo
-        sweeps.append(Sweep(
-            f"order_{k}_delta_{g}",
-            f"{k + 1} nonempty words, total <= {k + 1 + bounds.order_slack}",
-            tuples,
-            lambda case, op=op: TElement._make(space, _koszul_step(op, case, shuffles)),
-        ))
+        evaluators[f"order_{k}_delta_{g}"] = (
+            lambda case, op=op: TElement._make(space, _koszul_step(op, case, shuffles))
+        )
 
     for n, relation in composition_relations(ops.values()):
-        sweeps.append(Sweep(
-            f"sum_relation_n_{n}",
-            f"words <= {bounds.unary}",
-            singles,
-            lambda case, relation=relation: TElement._make(space, relation(case[0])),
-        ))
+        evaluators[f"sum_relation_n_{n}"] = (
+            lambda case, relation=relation: TElement._make(space, relation(case[0]))
+        )
     memos = tuple(op._defects for op in ops.values())
-    return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+    return _run_plan(plan, evaluators, memos, space=space,
+                     images=tuple(op._cache for op in ops.values()), bounds=bounds)
 
 
 def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -536,18 +613,15 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
     bounds = bounds or Bounds()
     F = induced_morphism(morph.fmap)
     src, tgt = morph.source, morph.target
-    singles = [(w,) for w in words_up_to(src.space, bounds.unary)]
-    pairs = list(itertools.product(words_up_to(src.space, bounds.binary), repeat=2))
     # case words come from ``words_up_to`` on the source space: trusted
     el = lambda w: TElement._make(src.space, {w: 1})
 
-    sweeps = [
-        Sweep("morphism_commutes_d", f"words <= {bounds.unary}", singles,
-              lambda c: F(src.d_op(el(c[0]))) - tgt.d_op(F(el(c[0])))),
-        Sweep("morphism_commutes_delta", f"words <= {bounds.unary}", singles,
-              lambda c: F(src.delta_op(el(c[0]))) - tgt.delta_op(F(el(c[0])))),
-        Sweep("morphism_commutes_shuffle", f"pairs <= {bounds.binary}", pairs,
-              lambda c: F(shuffle_elements(el(c[0]), el(c[1])))
-              - shuffle_elements(F(el(c[0])), F(el(c[1])))),
-    ]
-    return run_sweeps(sweeps, space=src.space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+    evaluators = {
+        "morphism_commutes_d": lambda c: F(src.d_op(el(c[0]))) - tgt.d_op(F(el(c[0]))),
+        "morphism_commutes_delta":
+            lambda c: F(src.delta_op(el(c[0]))) - tgt.delta_op(F(el(c[0]))),
+        "morphism_commutes_shuffle": lambda c: F(shuffle_elements(el(c[0]), el(c[1])))
+        - shuffle_elements(F(el(c[0])), F(el(c[1]))),
+    }
+    return _run_plan(functoriality_cases(src.space, bounds), evaluators, (), space=src.space,
+                     images=(src.d_op._cache, src.delta_op._cache), bounds=bounds)

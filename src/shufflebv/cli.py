@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 axiom failure, 2 invalid input,
-3 I/O error.  JSON reports are deterministic at a fixed configuration:
-timing lives in a separate "meta" block, everything else is stable
-byte-for-byte across runs.
+Exit codes: 0 all checks pass, 1 axiom failure, 2 invalid input or a
+check refused by ``--max-cases``, 3 I/O error.  JSON reports are
+deterministic at a fixed configuration: timing lives in a separate "meta"
+block, everything else is stable byte-for-byte across runs.
 """
 
 from __future__ import annotations
@@ -15,19 +15,37 @@ import time
 
 from . import algebra_io
 from .algebra_io import (
+    AlgebraSpec,
     MorphismSpec,
     ValidationFailure,
+    ainf_validation_cases,
     builtin,
     builtin_names,
     load_document,
     render_document,
 )
-from .bv import AxiomReport, Bounds, bracket, check_bvinf, check_dbv, check_functoriality, order_defect
+from .bv import (
+    AxiomReport,
+    Bounds,
+    bracket,
+    bvinf_cases,
+    check_bvinf,
+    check_dbv,
+    check_functoriality,
+    dbv_cases,
+    functoriality_cases,
+    order_defect,
+)
 from .graded import InvalidInputError
 from .operators import lift_coderivation
 from .words import TElement, render_telement, shuffle_elements
 
 OK, AXIOM_FAILURE, INVALID_INPUT, IO_ERROR = 0, 1, 2, 3
+
+# the most cases a check may evaluate unless --max-cases says otherwise: the
+# largest bounds in use, --triple-len 3 on a four-letter algebra, come to
+# about 1.9 million
+DEFAULT_MAX_CASES = 2_000_000
 
 
 def _load(path: str):
@@ -102,11 +120,42 @@ def cmd_validate(args) -> int:
     return OK
 
 
+def _predicted_cases(doc, args, bounds: Bounds) -> list[tuple[str, int]]:
+    """The exact number of cases of each sweep of the check, and of an
+    A-infinity validation's relation evaluations, from the input's basis
+    and the bounds alone: nothing is validated, built or filled."""
+    validation = []
+    if isinstance(doc, MorphismSpec):
+        source = builtin(doc.source)
+        if not isinstance(source, AlgebraSpec):
+            return []  # validation rejects it
+        plan = functoriality_cases(source.space(), bounds)
+    elif doc.kind == "dga":
+        plan = dbv_cases(doc.space(), bounds)
+    else:
+        space = doc.space()
+        K = doc.top_arity() if args.max_arity is None else args.max_arity
+        plan = bvinf_cases(space, K, bounds)
+        if not args.assume_valid:
+            validation = [("validate", ainf_validation_cases(space, K))]
+    return validation + [(name, cases.count) for name, _, cases in plan]
+
+
 def cmd_check(args) -> int:
     doc = _load(args.path)
     if args.max_arity is not None and args.max_arity < 1:
         raise InvalidInputError("--max-arity must be >= 1")
+    if args.max_cases < 0:
+        raise InvalidInputError("--max-cases must be >= 0")
     bounds = _bounds(args)
+    predicted = _predicted_cases(doc, args, bounds)
+    total = sum(n for _, n in predicted)
+    if total > args.max_cases:
+        print(f"refused: the check would evaluate {total} cases, more than "
+              f"--max-cases {args.max_cases}; predicted cases:", file=sys.stderr)
+        for name, n in predicted:
+            print(f"  {name}: {n}", file=sys.stderr)
+        return INVALID_INPUT
     started = time.monotonic()
     try:
         if isinstance(doc, MorphismSpec):
@@ -227,6 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--report", choices=("text", "json"), default="text")
     p_check.add_argument("--fail-cap", type=int, default=10)
     p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument(
+        "--max-cases",
+        type=int,
+        default=DEFAULT_MAX_CASES,
+        help="refuse, with exit code 2, a check that would evaluate more cases "
+        f"in all (default {DEFAULT_MAX_CASES})",
+    )
     p_check.add_argument(
         "--assume-valid",
         action="store_true",

@@ -98,7 +98,8 @@ class GradedSpace:
         self._sparity = {self._code[l.id]: (l.degree + 1) & 1 for l in letters}
         from . import words  # words builds on this module
 
-        # (u, v) -> the terms of u * v, for the space's life (``words.shuffle``)
+        # (u, v) -> the terms of u * v (``words.shuffle``); a check trims it to
+        # the pairs its remaining sweeps can read (``bv._trim``)
         self._shuffle_cache = words.owned_table(self, lambda sp, uv: words.shuffle_terms(sp, *uv))
         # one str object per word, shared by every table: words are interned
         # where they are made, by ``setdefault(w, w)``; neither is pickled

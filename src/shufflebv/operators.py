@@ -124,7 +124,8 @@ class Operator:
     To define one, subclass and implement ``_apply_word``, which maps a
     stored word (a str, see ``words``) to the terms of its image.  Every
     operator keeps two tables, keyed by stored words and made with it:
-    ``_cache``, the image of each basis word, kept for the operator's life;
+    ``_cache``, the image of each basis word, which a check trims to the
+    words its remaining sweeps can read (``bv._trim``);
     and ``_defects``, its defect memo (see ``defect_table``), which the
     sweep driver empties when the next sweep starts and when a check ends.
     Callers read both by subscript, and must treat images as immutable.

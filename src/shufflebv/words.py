@@ -11,6 +11,7 @@ and rendering.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
@@ -401,30 +402,86 @@ def words_up_to(space: GradedSpace, max_len: int) -> list[Word]:
     out: list[Word] = list(layer)
     codes = space.encode(space.ids)
     for _ in range(max_len):
-        layer = [w + a for w in layer for a in codes]
-        layer = [intern(w, w) for w in layer]
+        # each new word is interned as it is made, so a word the table holds
+        # is dropped at once instead of living until the layer is done
+        layer = [intern(w, w) for w in (p + a for p in layer for a in codes)]
         out.extend(layer)
     return out
 
 
-def word_tuples_with_total(
-    space: GradedSpace, count: int, max_total: int
-) -> list[tuple[Word, ...]]:
-    """All tuples of ``count`` nonempty basis words with total length <= max_total.
+def word_count(space: GradedSpace, max_len: int) -> int:
+    """The number of basis words of length <= max_len, the empty word included."""
+    b = len(space.letters)
+    return sum(b**n for n in range(max_len + 1))
 
-    Ordered lexicographically by the positions of the words in
-    ``words_up_to``; built one tuple position at a time, which keeps that
-    order.
+
+class Cases:
+    """A sweep's case tuples, made one at a time and never stored.
+
+    ``count`` is the exact number of tuples and ``reach`` the longest total
+    word length a tuple can have; both are known before any tuple is made.
+    Iterating starts the tuples afresh, in their fixed order, so a block of
+    them is an ``itertools.islice``.
     """
-    if count > max_total:
-        return []
-    nonempty = [w for w in words_up_to(space, max(0, max_total - count + 1)) if w]
-    level: list[tuple[tuple[Word, ...], int]] = [((), 0)]
-    for remaining in range(count - 1, -1, -1):
-        level = [
-            (prefix + (w,), used + len(w))
-            for prefix, used in level
-            for w in nonempty
-            if used + len(w) + remaining <= max_total
-        ]
-    return [prefix for prefix, _ in level]
+
+    __slots__ = ("count", "reach", "_start")
+
+    def __init__(self, count: int, reach: int, start: Callable[[], Iterator[tuple[Word, ...]]]):
+        self.count = count
+        self.reach = reach
+        self._start = start
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple[Word, ...]]:
+        return self._start()
+
+
+def word_product(space: GradedSpace, max_len: int, repeat: int) -> Cases:
+    """The tuples of ``repeat`` basis words of length <= max_len, in the
+    order of ``itertools.product`` over ``words_up_to``."""
+    return Cases(
+        word_count(space, max_len) ** repeat,
+        max_len * repeat,
+        lambda: itertools.product(words_up_to(space, max_len), repeat=repeat),
+    )
+
+
+def word_tuples(space: GradedSpace, count: int, max_total: int) -> Cases:
+    """The tuples of ``count`` >= 1 nonempty basis words with total length
+    <= max_total, ordered lexicographically by the positions of the words
+    in ``words_up_to``.
+
+    With b letters, N(c, T) tuples of c words have total <= T, where
+    N(0, T) = 1 and N(c, T) = sum over L >= 1 of b^L N(c - 1, T - L).
+    """
+    b = len(space.letters)
+    n = [1] * (max_total + 1)  # N(c, t) for t = 0..max_total, from c = 0
+    for _ in range(count):
+        n = [sum(b**L * n[t - L] for L in range(1, t + 1)) for t in range(max_total + 1)]
+    return Cases(n[max_total], max_total, lambda: _word_tuples(space, count, max_total))
+
+
+def _word_tuples(space: GradedSpace, count: int, max_total: int) -> Iterator[tuple[Word, ...]]:
+    """The tuples of ``word_tuples``."""
+    longest = max_total - count + 1
+    if longest < 1:
+        return iter(())
+    # ends[m]: how many nonempty words have length <= m
+    ends = [word_count(space, m) - 1 for m in range(longest + 1)]
+    return _extend(words_up_to(space, longest)[1:], ends, (), count, max_total)
+
+
+def _extend(nonempty, ends, prefix, left, budget):
+    """``prefix`` followed by each tuple of ``left`` nonempty words with total
+    length <= budget.  The words that fit one position are a prefix of
+    ``nonempty``, which lists them by length; a module-level generator, not
+    a closure that calls itself, so it forms no reference cycle."""
+    words = itertools.islice(nonempty, ends[budget - left + 1])
+    if left == 1:
+        for w in words:
+            yield prefix + (w,)
+    else:
+        for w in words:
+            yield from _extend(nonempty, ends, prefix + (w,), left - 1, budget - len(w))

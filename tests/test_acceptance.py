@@ -39,8 +39,8 @@ from shufflebv.words import (
     shuffle,
     shuffle_elements,
     word_degree,
-    word_tuples_with_total,
 )
+from case_reference import word_tuples_with_total
 from test_words import id_words
 
 

@@ -37,12 +37,13 @@ from shufflebv.bv import (
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
 from shufflebv.operators import ComposedOperator, MultilinearMap, lift_coderivation
 from shufflebv.words import (
+    Cases,
     TElement,
     shuffle,
     word_degree,
-    word_tuples_with_total,
     words_up_to,
 )
+from case_reference import word_tuples_with_total
 from test_operators import anticommutator
 from test_words import id_words
 
@@ -67,6 +68,11 @@ def corrupted_end2(entry=("b", "c"), out="a", coeff=-1):
     spec.operations["mu2"][entry] = {out: coeff}
     space = spec.space()
     return DGAlgebra(space, spec.multilinear("d", space), spec.multilinear("mu2", space))
+
+
+def streamed(cases, reach=1):
+    """A list of cases as a stream, like the ones the suites build."""
+    return Cases(len(cases), reach, lambda: iter(cases))
 
 
 class InProcessContext:
@@ -291,25 +297,28 @@ def test_pool_blocks_inside_an_xy_group(end2, monkeypatch):
     monkeypatch.setattr(shufflebv.bv, "run_sweeps", keep)
     check_dbv(even, Bounds(unary=1, binary=1, ternary=2, fail_cap=10**6))
     sweeps, memos = built["sweeps"], built["memos"]
-    forget, run = shufflebv.bv._forget_memos, shufflebv.bv._failures_in
+    forget = shufflebv.bv._forget_memos
+    run = lambda s, start, stop: shufflebv.bv._failures_in(
+        itertools.islice(s.cases, start, stop), s.evaluate, 10**6)
     n = len(sweeps["bracket_leibniz"].cases)
+    position = {case: i for i, case in enumerate(sweeps["bracket_leibniz"].cases)}
     group = round(n ** (1 / 3))  # the triples of one (x, y)
     for name, other in (("bracket_leibniz", "bracket_jacobi"), ("bracket_jacobi", "bracket_leibniz")):
         s, o = sweeps[name], sweeps[other]
         forget(*memos)
-        _, whole = run(s.cases, s.evaluate, 0, n, 10**6)
+        _, whole = run(s, 0, n)
         assert len(whole) > n // 4
         for start, stop in ((group + 5, 3 * group + 2), (7, n), (n - group // 2, n)):
             for before in ("nothing", "another sweep", "this sweep"):
                 forget(*memos)
                 if before == "another sweep":
-                    run(o.cases, o.evaluate, start, stop, 10**6)
+                    run(o, start, stop)
                     forget(*memos)
                 elif before == "this sweep":  # up to a start inside the group
-                    run(s.cases, s.evaluate, start - 3, start, 10**6)
-                _, kept = run(s.cases, s.evaluate, start, stop, 10**6)
-                want = [(i, f.terms) for i, f in whole if start <= i < stop]
-                assert [(i, f.terms) for i, f in kept] == want, (name, start, before)
+                    run(s, start - 3, start)
+                _, kept = run(s, start, stop)
+                want = [(c, f.terms) for c, f in whole if start <= position[c] < stop]
+                assert [(c, f.terms) for c, f in kept] == want, (name, start, before)
     forget(*memos)
 
 
@@ -440,7 +449,7 @@ def test_serial_checks_share_no_module_state():
     # a serial check run from inside another one's sweep leaves the outer
     # check's state alone
     sp = GradedSpace("s", [BasisLetter("a", 0)])
-    cases = [(sp.encode(("a",)),)] * 3
+    cases = streamed([(sp.encode(("a",)),)] * 3)
     fail = lambda case: TElement._make(sp, {case[0]: 1})
     inner = []
 
@@ -460,7 +469,7 @@ def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", fake)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     sp = GradedSpace("s", [BasisLetter("a", 0)])
-    cases = [(sp.encode(("a",)),)] * 40
+    cases = streamed([(sp.encode(("a",)),)] * 40)
     evaluate = lambda case: None
     for cpus, sizes in ((2, [2]), (None, [])):
         fake.pool_sizes.clear()
@@ -890,7 +899,7 @@ def test_run_axiom_counts():
     sp = GradedSpace("s", [BasisLetter("a", 0)])
     cases = [(sp.encode(("a",) * i),) for i in (2, 0, 1)]
     evaluate = lambda c: TElement._make(sp, {c[0]: 1})
-    blocks = [shufflebv.bv._failures_in(cases, evaluate, 0, len(cases), 1)]
+    blocks = [shufflebv.bv._failures_in(iter(cases), evaluate, 1)]
     report = run_axiom("demo", "n/a", cases, sp, fail_cap=1, blocks=blocks)
     assert report.cases == 3 and report.failure_count == 3 and len(report.failures) == 1
     assert report.failures[0].inputs == (("a", "a"),)  # decoded to letter ids

@@ -1,0 +1,249 @@
+"""Case streams, the size guard built on their counts, and the trimming of
+tables to the reach of the sweeps still to run."""
+
+import hashlib
+import itertools
+import json
+import multiprocessing
+from types import SimpleNamespace
+
+import pytest
+
+import shufflebv.bv
+from shufflebv.algebra_io import AlgebraSpec, builtin, builtin_names, validate_dga
+from shufflebv.bv import Bounds, bvinf_cases, check_dbv, dbv_cases, functoriality_cases
+from shufflebv.cli import DEFAULT_MAX_CASES, main
+from shufflebv.operators import ComposedOperator
+from shufflebv.words import word_count, word_product, word_tuples, words_up_to
+
+from case_reference import word_product_list, word_tuples_with_total
+from test_bv import InProcessContext
+from test_cli import fixture_file  # noqa: F401  (a fixture)
+
+
+def algebra_spaces():
+    """(name, space) of every builtin algebra, and the source space of every
+    builtin morphism."""
+    for name in builtin_names():
+        spec = builtin(name)
+        if not isinstance(spec, AlgebraSpec):
+            spec = builtin(spec.source)
+        yield name, spec.space()
+
+
+def assert_streams(cases, want):
+    """``cases`` yields exactly the list ``want``, in order, and knows its
+    size and reach before yielding anything."""
+    count, reach = cases.count, cases.reach
+    got = list(cases)
+    assert got == want
+    assert count == len(cases) == len(got)
+    assert all(sum(map(len, case)) <= reach for case in got)
+    assert list(cases) == got  # iterating starts afresh
+
+
+# -- case streams ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, space", list(algebra_spaces()))
+def test_sweep_streams_match_the_case_lists(name, space):
+    # dBV and functoriality sweeps: itertools.product over words_up_to
+    for unary, binary, ternary in ((0, 0, 0), (3, 1, 1), (2, 2, 2)):
+        bounds = Bounds(unary, binary, ternary)
+        for plan in (dbv_cases(space, bounds), functoriality_cases(space, bounds)):
+            for sweep, label, cases in plan:
+                repeat = {"words": 1, "pairs": 2, "triples": 3}[label.split()[0]]
+                max_len = {1: unary, 2: binary, 3: ternary}[repeat]
+                assert_streams(cases, word_product_list(space, max_len, repeat))
+                assert cases.reach == repeat * max_len
+    # BV-infinity sweeps: the order sweeps take k + 1 nonempty words
+    for K in (2, 3, 4):
+        for slack in (0, 1, 2):
+            plan = bvinf_cases(space, K, Bounds(unary=2, order_slack=slack))
+            orders = [cases for sweep, _, cases in plan if sweep.startswith("order_")]
+            assert len(orders) == K
+            for k, cases in enumerate(orders, 1):
+                assert cases.reach == k + 1 + slack
+                assert_streams(cases, word_tuples_with_total(space, k + 1, k + 1 + slack))
+            singles = [cases for sweep, _, cases in plan if not sweep.startswith("order_")]
+            assert all(len(cases) == word_count(space, 2) for cases in singles)
+
+
+def test_counts_reproduce_the_ainf_order_sweeps():
+    space = builtin("ainf-mu3").space()
+    assert [len(word_tuples(space, k + 1, k + 3)) for k in (1, 2, 3)] == [306, 1728, 8343]
+    # and the sizes of the sweeps that --max-arity 9 would run, none built
+    assert word_tuples(space, 9, 11).count == 8_522_739
+    assert word_tuples(space, 10, 12).count == 31_059_774
+    assert word_tuples(space, 4, 3).count == 0 and list(word_tuples(space, 4, 3)) == []
+
+
+@pytest.mark.parametrize("cases, want", [
+    (lambda sp: word_product(sp, 1, 2), lambda sp: word_product_list(sp, 1, 2)),
+    (lambda sp: word_product(sp, 1, 3), lambda sp: word_product_list(sp, 1, 3)),
+    (lambda sp: word_tuples(sp, 2, 3), lambda sp: word_tuples_with_total(sp, 2, 3)),
+    (lambda sp: word_tuples(sp, 3, 4), lambda sp: word_tuples_with_total(sp, 3, 4)),
+])
+def test_every_block_cut_is_a_slice(cases, want):
+    # a pool block [start, stop) is an islice of the stream: each cut must
+    # give that slice of the reference list
+    space = builtin("ainf-mu3").space()
+    cases, want = cases(space), want(space)
+    n = len(want)
+    assert 10 <= n <= 300
+    for start in range(n + 1):
+        for stop in range(start, n + 1):
+            assert list(itertools.islice(cases, start, stop)) == want[start:stop]
+
+
+# -- the size guard --------------------------------------------------------------
+
+
+def test_max_cases_refuses_before_validating(fixture_file, capsys, monkeypatch):
+    # ainf-mu3 at --max-arity 9: the prediction alone, in a fraction of a
+    # second; validation and the sweeps would take hours
+    def never(*args, **kwargs):
+        raise AssertionError("a refused check must not validate or run")
+
+    for name in ("validate_ainf", "validate_dga", "validate_morphism"):
+        monkeypatch.setattr(shufflebv.algebra_io, name, never)
+    monkeypatch.setattr(shufflebv.bv, "run_sweeps", never)
+    path = fixture_file("ainf-mu3")
+    assert main(["check", path, "--max-arity", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "order_1_delta_1: 306\n" in err and "order_9_delta_-15: 31059774\n" in err
+    # validation's own evaluations: 17 relations on the 265,720 words of length <= 11
+    assert f"validate: {17 * 265_720}\n" in err
+    assert f"more than --max-cases {DEFAULT_MAX_CASES}" in err
+    # --assume-valid skips validation, so its evaluations are not counted
+    assert main(["check", path, "--max-arity", "9", "--assume-valid"]) == 2
+    assert "validate:" not in capsys.readouterr().err
+    for name in ("end-two-term-complex", "diag-into-upper-triangular"):
+        assert main(["check", fixture_file(name), "--max-cases", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "refused" in err and "cases" in err
+
+
+def test_max_cases_is_a_bound_on_the_whole_check(fixture_file, capsys):
+    # end-two-term-complex at (2, 1, 1): 3 * 21 + 2 * 25 + 3 * 125 cases
+    path = fixture_file("end-two-term-complex")
+    small = ["--max-len", "2", "--pair-len", "1", "--triple-len", "1"]
+    assert main(["check", path, *small, "--max-cases", str(63 + 50 + 375)]) == 0
+    assert main(["check", path, *small, "--max-cases", str(63 + 50 + 374)]) == 2
+    assert main(["check", path, *small, "--max-cases", "-1"]) == 2
+    assert "--max-cases must be >= 0" in capsys.readouterr().err
+
+
+def test_default_max_cases_admits_the_builtins_and_the_probes():
+    # every builtin at the default bounds, the benchmark workloads and the
+    # largest bounds in use (--max-len 8, --pair-len 4, --triple-len 3 on
+    # end-two-term-complex) stay under the default; ainf-mu3 at
+    # --max-arity 7 does not
+    from shufflebv.cli import _bounds, _predicted_cases, build_parser
+
+    def total(name, *options):
+        args = build_parser().parse_args(["check", "-", *options])
+        return sum(n for _, n in _predicted_cases(builtin(name), args, _bounds(args)))
+
+    for name in builtin_names():
+        assert total(name) <= DEFAULT_MAX_CASES, name
+    for options in (("--max-len", "7", "--pair-len", "3", "--triple-len", "1"),
+                    ("--max-len", "4", "--pair-len", "2", "--triple-len", "2"),
+                    ("--max-len", "8"), ("--pair-len", "4"), ("--triple-len", "3")):
+        assert total("end-two-term-complex", *options) <= DEFAULT_MAX_CASES, options
+    assert total("end-two-term-complex", "--triple-len", "3") == 1_860_920
+    assert total("ainf-mu3", "--max-arity", "6") <= DEFAULT_MAX_CASES
+    assert total("ainf-mu3", "--max-arity", "7") > DEFAULT_MAX_CASES
+
+
+# -- trimming the tables to the remaining reach ---------------------------------
+
+
+def report_digest(reports):
+    blob = json.dumps([r.to_json() for r in reports], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# failure counts and the sha256 of the full reports (every witness kept) of
+# check_dbv on end-two-term-complex, and with delta o d in place of delta,
+# pinned from the code before tables were trimmed
+TRIM_PINS = {
+    ((4, 1, 1), "delta"): ([0] * 8, "369bd79f695f8d846f7d7221efcf6ec5cc2321fcc55ccaf5835e794db3f5c438"),
+    ((4, 1, 1), "delta o d"):
+        ([0, 0, 0, 0, 0, 14, 0, 6], "5a704e296de17edda273bca09542f121225e5d644a620c4421675f54159c5690"),
+    ((5, 2, 1), "delta"): ([0] * 8, "1682680007e216bf8f1cc4eb94f1a7f87a66bec3248908cd20147b224cfe854d"),
+    ((5, 2, 1), "delta o d"):
+        ([0, 0, 0, 0, 116, 14, 0, 6], "a7d85dfe2e6f59690a4f9e8c28dc7aa1ce587ca47ca067ff252c1e87164c748b"),
+}
+
+
+@pytest.mark.parametrize("bounds, operator", list(TRIM_PINS))
+def test_tables_hold_nothing_beyond_the_remaining_reach(bounds, operator, monkeypatch):
+    # At (4, 1, 1) the reach of the remaining sweeps falls from 4 to 3 after
+    # the unary sweeps; at (5, 2, 1) from 5 to 4, then to 3 after the pair
+    # sweeps.  When each sweep's first case runs, at --jobs 1 and through
+    # the in-process stand-in pool, no image, shuffle pair or interned word
+    # may be longer than that reach, and the reports must not change.
+    seen = []  # (sweep, reach, longest entry) at each sweep's first case
+
+    def longest(alg):
+        space = alg.space
+        lengths = [len(w) for op in (alg.d_op, alg.delta_op) for w in op._cache]
+        lengths += [len(u) + len(v) for u, v in space._shuffle_cache]
+        lengths += map(len, space._word_table)
+        return max(lengths, default=0)
+
+    run_sweeps = shufflebv.bv.run_sweeps
+
+    def watched(sweeps, memos=(), **kwargs):
+        def first_case_checks(s, reach):
+            started = []
+
+            def evaluate(case):
+                if not started:
+                    started.append(case)
+                    seen.append((s.name, reach, longest(alg)))
+                return s.evaluate(case)
+
+            return evaluate
+
+        checked = [
+            shufflebv.bv.Sweep(s.name, s.bound, s.cases,
+                               first_case_checks(s, max(t.cases.reach for t in sweeps[i:])))
+            for i, s in enumerate(sweeps)
+        ]
+        return run_sweeps(checked, memos, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", InProcessContext())
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(shufflebv.bv, "run_sweeps", watched)
+    unary, binary, ternary = bounds
+    reaches = []
+    for jobs in (1, 2):
+        end2 = validate_dga(builtin("end-two-term-complex"))
+        alg = end2 if operator == "delta" else SimpleNamespace(
+            space=end2.space, d_op=end2.d_op, delta_op=ComposedOperator(end2.delta_op, end2.d_op),
+        )
+        # tables that a check with larger bounds left behind are trimmed too
+        words_up_to(end2.space, unary + 2)
+        end2.d_op._cache[end2.space.encode(("a",) * (unary + 2))]
+        seen.clear()
+        reports = check_dbv(alg, Bounds(unary, binary, ternary, fail_cap=10**6, jobs=jobs))
+        assert ([r.failure_count for r in reports], report_digest(reports)) == TRIM_PINS[bounds, operator]
+        assert [name for name, _, _ in seen] == [r.name for r in reports]
+        assert all(longest <= reach for _, reach, longest in seen), seen
+        assert max(longest for _, _, longest in seen) > 3  # the unary sweeps did fill
+        reaches.append([reach for _, reach, _ in seen])
+    assert reaches[0] == reaches[1]
+    assert sorted(set(reaches[0]), reverse=True) == ([4, 3] if bounds == (4, 1, 1) else [5, 4, 3])
+
+
+def test_trimmed_reports_match_through_a_fork_pool():
+    # the same reports, witnesses included, from a real pool of two workers
+    # (a serial run where fewer than two CPUs are usable)
+    end2 = validate_dga(builtin("end-two-term-complex"))
+    even = SimpleNamespace(space=end2.space, d_op=end2.d_op,
+                           delta_op=ComposedOperator(end2.delta_op, end2.d_op))
+    reports = check_dbv(even, Bounds(5, 2, 1, fail_cap=10**6, jobs=2))
+    assert ([r.failure_count for r in reports], report_digest(reports)) == TRIM_PINS[
+        (5, 2, 1), "delta o d"]

@@ -23,9 +23,9 @@ from shufflebv.words import (
     shuffle_terms,
     sorted_terms,
     word_degree,
-    word_tuples_with_total,
     words_up_to,
 )
+from case_reference import word_tuples_with_total
 
 from defect_reference import shuffle_many
 from lift_reference import shifted_parity
