@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .graded import (
     AElement,
@@ -27,7 +27,7 @@ from .graded import (
     render_scalar,
 )
 from .operators import MultilinearMap, Operator, composition_relations, lift_coderivation
-from .words import TElement, render_telement, word_count, words_up_to
+from .words import TElement, capped, render_telement, word_count, words_up_to
 
 Table = dict[tuple[str, ...], dict[str, Scalar]]
 
@@ -47,6 +47,13 @@ def _label_for_arity(k: int) -> str:
     return "d" if k == 1 else f"mu{k}"
 
 
+def default_arity(arities: Iterable[int], check: bool = False) -> int:
+    """The max arity of an A-infinity validation, or check, given none: the
+    highest of ``arities`` with a table, or 2 if none; at least 2 for a check."""
+    top = max(arities, default=2)
+    return max(top, 2) if check else top
+
+
 @dataclass
 class AlgebraSpec:
     """A plain, unvalidated description of a DG or A-infinity algebra."""
@@ -59,10 +66,9 @@ class AlgebraSpec:
     def space(self) -> GradedSpace:
         return GradedSpace(self.name, [BasisLetter(i, d) for i, d in self.basis])
 
-    def top_arity(self) -> int:
-        """The highest arity with a table, or 2 if there is none: the default
-        max arity of an A-infinity validation and check."""
-        return max(map(_label_arity, self.operations), default=2)
+    def top_arity(self, check: bool = False) -> int:
+        """The ``default_arity`` of a validation, or check, of this algebra."""
+        return default_arity(map(_label_arity, self.operations), check)
 
     def multilinear(self, label: str, space: GradedSpace | None = None) -> MultilinearMap:
         """The named table as a degree-checked multilinear map (absent = zero)."""
@@ -397,8 +403,9 @@ def validate_dga(spec: AlgebraSpec) -> DGAlgebra:
 
 def ainf_validation_cases(space: GradedSpace, K: int) -> int:
     """How many relation evaluations ``validate_ainf`` makes up to arity K:
-    its 2K - 1 composition relations on every word of length <= K + 2."""
-    return (2 * K - 1) * word_count(space, K + 2)
+    its 2K - 1 composition relations on every word of length <= K + 2,
+    capped (see ``words.capped``)."""
+    return capped((2 * K - 1) * word_count(space, K + 2))
 
 
 def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:

@@ -15,9 +15,9 @@ one dict by ``merge_images``, its images, shuffles, brackets and defects
 read by subscript from the tables of the operators, the space and the
 memo.  Every suite builds its sweeps first and hands them to one driver,
 ``run_sweeps``.  A sweep's cases are a stream (``words.Cases``) that knows
-its exact count before any case is made, so ``dbv_cases``, ``bvinf_cases``
-and ``functoriality_cases`` predict a check's size from its space and
-bounds alone.  Case words, like every table key, are stored words (``Word``,
+its count (``words.capped``) before any case is made, so ``dbv_cases``,
+``bvinf_cases`` and ``functoriality_cases`` predict a check's size from its
+space and bounds alone.  Case words, like every table key, are stored words (``Word``,
 a str; see ``words``); a failure decodes its inputs to letter ids.
 """
 
@@ -30,6 +30,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from .algebra_io import default_arity
 from .graded import GradedSpace, InvalidInputError, Scalar, render_scalar
 from .operators import (
     Operator,
@@ -144,10 +145,10 @@ class Sweep:
 
 # The state of a pool check that ``_run_block`` reads in the workers, set by
 # ``run_sweeps`` before the pool forks, so that workers inherit it: the
-# check's sweeps, the per-sweep memos they fill, the image tables and space
-# it trims, the reach of the sweeps from each one on, the failure cap, the
-# sweep whose entries the memos hold and the reach the tables were last
-# trimmed to.  A serial check keeps its own.
+# check's sweeps, the per-sweep memos of its own they fill, its space, the
+# reach of the sweeps from each one on, the failure cap, the sweep whose
+# entries the memos hold and the reach the tables were last trimmed to.  A
+# serial check keeps its own.
 _worker: dict = {}
 
 
@@ -175,18 +176,18 @@ def _failures_in(cases: Iterable[tuple[Word, ...]], evaluate: Callable, fail_cap
     return count, kept
 
 
-def _trim(images: Sequence[dict], space: GradedSpace, reach: int) -> None:
+def _trim(space: GradedSpace, reach: int) -> None:
     """Drop every entry that no case of total word length <= ``reach`` can
-    read: from the image tables ``images``, the images of longer words; from
-    ``space``, the shuffle pairs of a longer total and the longer interned
-    words.
+    read: from the image table of every operator on ``space``, the images of
+    longer words; from ``space``, the shuffle pairs of a longer total and the
+    longer interned words.
 
     No case reads a word longer than its own total, and a table refills on a
     miss, so trimming changes no result.  A table that loses entries is
     emptied and refilled in place: its readers keep it, and its key table
     shrinks to what is kept.
     """
-    for table in (*images, space._word_table):
+    for table in (*(op._cache for op in space._operators), space._word_table):
         _keep(table, {w: v for w, v in table.items() if len(w) <= reach})
     shuffles = space._shuffle_cache
     _keep(shuffles, {uv: v for uv, v in shuffles.items() if len(uv[0]) + len(uv[1]) <= reach})
@@ -205,18 +206,18 @@ def _run_block(task: tuple[int, int, int], state: dict = _worker) -> Failures:
     inherit.
 
     When the sweep index changes, the per-sweep memos are emptied, and, if
-    the reach of the sweeps still to run has dropped, the image, shuffle and
-    intern tables are trimmed to it (``_trim``); what they keep stays warm.
+    the reach of the sweeps still to run has dropped, the space's tables
+    are trimmed to it (``_trim``); what they keep stays warm.
     A block may start inside a run of cases that share a memo entry: the
     entry is then filled here afresh.
     """
     index, start, stop = task
     if index != state["held"]:
-        _forget_memos(*state["memos"])
+        _forget_memos(state["space"], *state["memos"])
         state["held"] = index
         reach = state["reach"][index]
         if state["trimmed"] is None or reach < state["trimmed"]:
-            _trim(state["images"], state["space"], reach)
+            _trim(state["space"], reach)
             state["trimmed"] = reach
     sweep = state["sweeps"][index]
     return _failures_in(itertools.islice(sweep.cases, start, stop), sweep.evaluate, state["fail_cap"])
@@ -257,19 +258,17 @@ def run_sweeps(
     memos: Sequence[dict] = (),
     *,
     space: GradedSpace,
-    images: Sequence[dict] = (),
     fail_cap: int = 10,
     jobs: int = 1,
 ) -> list[AxiomReport]:
     """Run a check's sweeps, whose cases are words of ``space``, in order
     and report each one.
 
-    ``memos`` are the tables the sweeps fill that live for one sweep, such
-    as the operators' defect memos; they are emptied when the next sweep's
-    first block starts, and when the check returns.  ``images`` are the
-    image tables of the check's operators on ``space``.  When a sweep's
-    first block starts they, and the space's shuffle and intern tables,
-    drop every entry longer than the reach of the sweeps still to run (see
+    ``memos`` are the check's own tables that live for one sweep.  When a
+    sweep's first block starts they, and the defect memos of the operators
+    on ``space``, are emptied (also when the check returns), and those
+    operators' image tables and the space's shuffle and intern tables drop
+    every entry longer than the reach of the sweeps still to run (see
     ``_trim``); what remains outlives the check.  Each sweep is handed out
     as contiguous blocks of cases, run by ``_run_block``, and the blocks'
     results are merged in case order, so reports are the same at every
@@ -295,8 +294,8 @@ def run_sweeps(
     tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
     # reach[i]: the longest total word length of any case of sweeps[i:]
     reach = list(itertools.accumulate((s.cases.reach for s in reversed(sweeps)), max))[::-1]
-    state = dict(sweeps=sweeps, memos=tuple(memos), images=tuple(images), space=space,
-                 reach=reach, fail_cap=fail_cap, held=None, trimmed=None)
+    state = dict(sweeps=sweeps, memos=tuple(memos), space=space, reach=reach,
+                 fail_cap=fail_cap, held=None, trimmed=None)
     if ctx is not None:
         _worker.update(state)  # before the fork, so the workers inherit it
     try:
@@ -315,7 +314,7 @@ def run_sweeps(
     finally:
         if ctx is not None:
             _worker.clear()
-        _forget_memos(*memos)
+        _forget_memos(space, *memos)
 
 
 # --------------------------------------------------------------------------
@@ -323,10 +322,11 @@ def run_sweeps(
 # --------------------------------------------------------------------------
 
 
-def _forget_memos(*memos: dict) -> None:
-    """Empty the per-sweep ``memos``; the sweep driver calls this when a
-    sweep's first block starts and when a check ends."""
-    for memo in memos:
+def _forget_memos(space: GradedSpace, *memos: dict) -> None:
+    """Empty the defect memo of every operator on ``space``, and the
+    per-sweep ``memos``; the sweep driver calls this when a sweep's first
+    block starts and when a check ends."""
+    for memo in (*(op._defects for op in space._operators), *memos):
         memo.clear()
 
 
@@ -472,11 +472,10 @@ def functoriality_cases(space: GradedSpace, bounds: Bounds) -> CasePlan:
     ]
 
 
-def _run_plan(plan: CasePlan, evaluators: dict, memos, *, space, images, bounds) -> list[AxiomReport]:
+def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds) -> list[AxiomReport]:
     """Run the sweeps of ``plan``, each with its evaluator by name."""
     sweeps = [Sweep(name, bound, cases, evaluators[name]) for name, bound, cases in plan]
-    return run_sweeps(sweeps, memos, space=space, images=images, fail_cap=bounds.fail_cap,
-                      jobs=bounds.jobs)
+    return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
 
 
 def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -550,9 +549,8 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         "bracket_jacobi": jacobi,
         "delta_order_2": lambda c: TElement._make(space, _koszul_step(delta, c, shuffles)),
     }
-    memos = (d._defects, delta._defects, word_rows, product_rows, bracket_rows)
-    return _run_plan(dbv_cases(space, bounds), evaluators, memos, space=space,
-                     images=(d_img, delta_img), bounds=bounds)
+    return _run_plan(dbv_cases(space, bounds), evaluators,
+                     (word_rows, product_rows, bracket_rows), space=space, bounds=bounds)
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -562,11 +560,12 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     ``delta_ops`` (arity -> lifted Operator), and have passed validation.
     For each arity k <= K: the lift has operator degree 3-2k and order k;
     for each total degree n, the sum of the composites of two lifts with
-    degrees summing to n vanishes on words up to the unary bound.
+    degrees summing to n vanishes on words up to the unary bound.  K is by
+    default ``algebra_io.default_arity`` of ``maps``.
     """
     bounds = bounds or Bounds()
     if K is None:
-        K = max(ainf.maps, default=2)
+        K = default_arity(ainf.maps, check=True)
     space = ainf.space
     plan = bvinf_cases(space, K, bounds)
     ops = {k: ainf.delta_op(k) for k in range(1, K + 1)}
@@ -602,9 +601,7 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
         evaluators[f"sum_relation_n_{n}"] = (
             lambda case, relation=relation: TElement._make(space, relation(case[0]))
         )
-    memos = tuple(op._defects for op in ops.values())
-    return _run_plan(plan, evaluators, memos, space=space,
-                     images=tuple(op._cache for op in ops.values()), bounds=bounds)
+    return _run_plan(plan, evaluators, space=space, bounds=bounds)
 
 
 def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -623,5 +620,5 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
         "morphism_commutes_shuffle": lambda c: F(shuffle_elements(el(c[0]), el(c[1])))
         - shuffle_elements(F(el(c[0])), F(el(c[1]))),
     }
-    return _run_plan(functoriality_cases(src.space, bounds), evaluators, (), space=src.space,
-                     images=(src.d_op._cache, src.delta_op._cache), bounds=bounds)
+    plan = functoriality_cases(src.space, bounds)
+    return _run_plan(plan, evaluators, space=src.space, bounds=bounds)

@@ -38,7 +38,7 @@ from .bv import (
 )
 from .graded import InvalidInputError
 from .operators import lift_coderivation
-from .words import TElement, render_telement, shuffle_elements
+from .words import COUNT_LIMIT, TElement, render_telement, render_word, shuffle_elements
 
 OK, AXIOM_FAILURE, INVALID_INPUT, IO_ERROR = 0, 1, 2, 3
 
@@ -66,7 +66,7 @@ def _print_reports_text(reports: list[AxiomReport], out) -> None:
         status = "PASS" if r.passed else f"FAIL ({r.failure_count} failing)"
         print(f"{status}  {r.name}: {r.cases} cases [{r.bound}]", file=out)
         for f in r.failures:
-            ins = " | ".join("1" if not w else "(x)".join(w) for w in f.inputs)
+            ins = " | ".join(map(render_word, f.inputs))
             print(f"    inputs: {ins}", file=out)
             print(f"    defect: {render_telement(f.defect)}", file=out)
 
@@ -104,26 +104,21 @@ def cmd_validate(args) -> int:
         raise InvalidInputError("--max-arity must be >= 1")
     if args.fail_cap < 1:
         raise InvalidInputError("--fail-cap must be >= 1")
-    try:
-        if isinstance(doc, MorphismSpec):
-            algebra_io.validate_morphism(doc)
-        elif doc.kind == "dga":
-            algebra_io.validate_dga(doc)
-        else:
-            algebra_io.validate_ainf(doc, args.max_arity)
-    except ValidationFailure as exc:
-        print(f"INVALID: {len(exc.violations)} violation(s)")
-        for v in exc.violations[: args.fail_cap]:
-            print(f"  {v}")
-        return INVALID_INPUT
+    if isinstance(doc, MorphismSpec):
+        algebra_io.validate_morphism(doc)
+    elif doc.kind == "dga":
+        algebra_io.validate_dga(doc)
+    else:
+        algebra_io.validate_ainf(doc, args.max_arity)
     print("VALID")
     return OK
 
 
 def _predicted_cases(doc, args, bounds: Bounds) -> list[tuple[str, int]]:
-    """The exact number of cases of each sweep of the check, and of an
-    A-infinity validation's relation evaluations, from the input's basis
-    and the bounds alone: nothing is validated, built or filled."""
+    """The number of cases of each sweep of the check, and of an A-infinity
+    validation's relation evaluations, from the input's basis and the
+    bounds alone: nothing is validated, built or filled.  Each is exact up
+    to ``words.COUNT_LIMIT`` and capped beyond it."""
     validation = []
     if isinstance(doc, MorphismSpec):
         source = builtin(doc.source)
@@ -134,10 +129,10 @@ def _predicted_cases(doc, args, bounds: Bounds) -> list[tuple[str, int]]:
         plan = dbv_cases(doc.space(), bounds)
     else:
         space = doc.space()
-        K = doc.top_arity() if args.max_arity is None else args.max_arity
-        plan = bvinf_cases(space, K, bounds)
+        arity = lambda check: doc.top_arity(check) if args.max_arity is None else args.max_arity
+        plan = bvinf_cases(space, arity(True), bounds)
         if not args.assume_valid:
-            validation = [("validate", ainf_validation_cases(space, K))]
+            validation = [("validate", ainf_validation_cases(space, arity(False)))]
     return validation + [(name, cases.count) for name, _, cases in plan]
 
 
@@ -150,34 +145,30 @@ def cmd_check(args) -> int:
     bounds = _bounds(args)
     predicted = _predicted_cases(doc, args, bounds)
     total = sum(n for _, n in predicted)
-    if total > args.max_cases:
-        print(f"refused: the check would evaluate {total} cases, more than "
+    # a capped count is refused whatever --max-cases says
+    if total > min(args.max_cases, COUNT_LIMIT):
+        shown = lambda n: n if n <= COUNT_LIMIT else f"more than {COUNT_LIMIT}"
+        print(f"refused: the check would evaluate {shown(total)} cases, more than "
               f"--max-cases {args.max_cases}; predicted cases:", file=sys.stderr)
         for name, n in predicted:
-            print(f"  {name}: {n}", file=sys.stderr)
+            print(f"  {name}: {shown(n)}", file=sys.stderr)
         return INVALID_INPUT
     started = time.monotonic()
-    try:
-        if isinstance(doc, MorphismSpec):
-            morph = algebra_io.validate_morphism(doc)
-            reports = check_functoriality(morph, bounds)
-        elif doc.kind == "dga":
-            if args.assume_valid:
-                dga = algebra_io.DGAlgebra.from_spec_unchecked(doc)
-            else:
-                dga = algebra_io.validate_dga(doc)
-            reports = check_dbv(dga, bounds)
+    if isinstance(doc, MorphismSpec):
+        morph = algebra_io.validate_morphism(doc)
+        reports = check_functoriality(morph, bounds)
+    elif doc.kind == "dga":
+        if args.assume_valid:
+            dga = algebra_io.DGAlgebra.from_spec_unchecked(doc)
         else:
-            if args.assume_valid:
-                ainf = algebra_io.AinfAlgebra.from_spec_unchecked(doc)
-            else:
-                ainf = algebra_io.validate_ainf(doc, args.max_arity)
-            reports = check_bvinf(ainf, args.max_arity, bounds)
-    except ValidationFailure as exc:
-        print(f"INVALID: {len(exc.violations)} violation(s)")
-        for v in exc.violations[: args.fail_cap]:
-            print(f"  {v}")
-        return INVALID_INPUT
+            dga = algebra_io.validate_dga(doc)
+        reports = check_dbv(dga, bounds)
+    else:
+        if args.assume_valid:
+            ainf = algebra_io.AinfAlgebra.from_spec_unchecked(doc)
+        else:
+            ainf = algebra_io.validate_ainf(doc, args.max_arity)
+        reports = check_bvinf(ainf, args.max_arity, bounds)
     _emit_check_report(
         args,
         reports,
@@ -323,8 +314,10 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return INVALID_INPUT
-    except ValidationFailure as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+    except ValidationFailure as exc:  # raised only by validate and check, with --fail-cap
+        print(f"INVALID: {len(exc.violations)} violation(s)")
+        for v in exc.violations[: args.fail_cap]:
+            print(f"  {v}")
         return INVALID_INPUT
 
 

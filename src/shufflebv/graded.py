@@ -8,6 +8,7 @@ integer inputs stay integers throughout.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -104,6 +105,9 @@ class GradedSpace:
         # one str object per word, shared by every table: words are interned
         # where they are made, by ``setdefault(w, w)``; neither is pickled
         self._word_table: dict = {}
+        # the live operators on the space, held weakly: each enrols itself, and
+        # a check trims and empties their tables (``bv._trim``, ``bv._forget_memos``)
+        self._operators = weakref.WeakSet()
 
     def __eq__(self, other):
         if self is other:

@@ -123,11 +123,11 @@ class Operator:
 
     To define one, subclass and implement ``_apply_word``, which maps a
     stored word (a str, see ``words``) to the terms of its image.  Every
-    operator keeps two tables, keyed by stored words and made with it:
-    ``_cache``, the image of each basis word, which a check trims to the
-    words its remaining sweeps can read (``bv._trim``);
+    operator enrols with its space and keeps two tables, keyed by stored
+    words: ``_cache``, the image of each basis word, which a check on the
+    space trims to the words its remaining sweeps can read (``bv._trim``);
     and ``_defects``, its defect memo (see ``defect_table``), which the
-    sweep driver empties when the next sweep starts and when a check ends.
+    sweep driver empties when a sweep starts and when a check ends.
     Callers read both by subscript, and must treat images as immutable.
     """
 
@@ -136,6 +136,7 @@ class Operator:
         self.degree = degree
         self._cache = owned_table(self, type(self)._apply_word)
         self._defects = defect_table(self)
+        space._operators.add(self)
 
     def apply_word(self, ids: Sequence[str]) -> dict[tuple[str, ...], Scalar]:
         """The image of one word, both given by their letter ids."""

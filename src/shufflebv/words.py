@@ -409,17 +409,33 @@ def words_up_to(space: GradedSpace, max_len: int) -> list[Word]:
     return out
 
 
+# The largest case count held exactly: a larger one reads COUNT_LIMIT + 1.
+# No sweep of that size could finish, so no admitted check has one; capping
+# keeps every count a small integer, computed in microseconds at any bounds.
+COUNT_LIMIT = 10**18
+
+
+def capped(n: int) -> int:
+    """``n``, or COUNT_LIMIT + 1 if it is larger."""
+    return min(n, COUNT_LIMIT + 1)
+
+
 def word_count(space: GradedSpace, max_len: int) -> int:
-    """The number of basis words of length <= max_len, the empty word included."""
+    """The number of basis words of length <= max_len, the empty word
+    included, capped (see ``capped``)."""
     b = len(space.letters)
-    return sum(b**n for n in range(max_len + 1))
+    if b == 1:
+        return capped(max_len + 1)
+    # with 64 or more lengths the count passes b^63 > COUNT_LIMIT
+    return capped((b ** min(max_len + 1, 64) - 1) // (b - 1))
 
 
 class Cases:
     """A sweep's case tuples, made one at a time and never stored.
 
-    ``count`` is the exact number of tuples and ``reach`` the longest total
-    word length a tuple can have; both are known before any tuple is made.
+    ``count`` is the number of tuples, capped (see ``capped``), and ``reach``
+    the longest total word length a tuple can have; both are known before
+    any tuple is made.
     Iterating starts the tuples afresh, in their fixed order, so a block of
     them is an ``itertools.islice``.
     """
@@ -442,7 +458,7 @@ def word_product(space: GradedSpace, max_len: int, repeat: int) -> Cases:
     """The tuples of ``repeat`` basis words of length <= max_len, in the
     order of ``itertools.product`` over ``words_up_to``."""
     return Cases(
-        word_count(space, max_len) ** repeat,
+        capped(word_count(space, max_len) ** repeat),
         max_len * repeat,
         lambda: itertools.product(words_up_to(space, max_len), repeat=repeat),
     )
@@ -453,14 +469,37 @@ def word_tuples(space: GradedSpace, count: int, max_total: int) -> Cases:
     <= max_total, ordered lexicographically by the positions of the words
     in ``words_up_to``.
 
-    With b letters, N(c, T) tuples of c words have total <= T, where
-    N(0, T) = 1 and N(c, T) = sum over L >= 1 of b^L N(c - 1, T - L).
+    With b letters, the c words of a tuple of total t are a composition of
+    t into c parts, with b^t letterings, so the count, capped (see
+    ``capped``), is N = sum over t = c..max_total of b^t C(t - 1, c - 1).
+    With b = 1 that is C(max_total, c).  Each term is at least twice the
+    last for b >= 2, so the sum passes COUNT_LIMIT within 64 terms.
     """
     b = len(space.letters)
-    n = [1] * (max_total + 1)  # N(c, t) for t = 0..max_total, from c = 0
-    for _ in range(count):
-        n = [sum(b**L * n[t - L] for L in range(1, t + 1)) for t in range(max_total + 1)]
-    return Cases(n[max_total], max_total, lambda: _word_tuples(space, count, max_total))
+    if b == 1:
+        n = _comb(max_total, count)
+    else:
+        n, term = 0, b ** min(count, 64)  # b^c C(c - 1, c - 1)
+        for t in range(count, max_total + 1):
+            n += term
+            if n > COUNT_LIMIT:
+                break
+            term = term * b * t // (t - count + 1)  # b^(t + 1) C(t, c - 1)
+    return Cases(capped(n), max_total, lambda: _word_tuples(space, count, max_total))
+
+
+def _comb(n: int, k: int) -> int:
+    """C(n, k), capped (see ``capped``); each partial product C(n - k + i, i)
+    is at least 2^i, so the loop passes COUNT_LIMIT within 64 steps."""
+    k = min(k, n - k)
+    if k < 0:
+        return 0
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > COUNT_LIMIT:
+            break
+    return capped(value)
 
 
 def _word_tuples(space: GradedSpace, count: int, max_total: int) -> Iterator[tuple[Word, ...]]:

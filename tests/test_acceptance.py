@@ -365,6 +365,32 @@ def test_leibniz_defect_is_signed_order_2_defect_on_random_odd_lifts():
     assert sorted(nonzero) == [0, 0, 0, 114, 114, 114]
 
 
+def test_jacobi_sweep_is_signed_order_2_sweep_of_delta_squared(monkeypatch):
+    # The Jacobi analogue of the test above: for the lift delta of any
+    # degree-0 product, J(x, y, z) = (-1)^|y| F_3(x, y, z) of delta o delta.
+    # With mu(b, c) = -a, not associative, the Jacobi sweep of delta fails on
+    # exactly the triples where the order-2 sweep of delta o delta does,
+    # witness for witness, whether they run here or in a fork pool's workers.
+    import shufflebv.bv
+    from types import SimpleNamespace
+    from test_bv import corrupted_end2
+
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    bad = corrupted_end2()
+    squared = SimpleNamespace(space=bad.space, d_op=bad.d_op,
+                              delta_op=ComposedOperator(bad.delta_op, bad.delta_op))
+    degree = lambda ids: word_degree(bad.space, bad.space.encode(ids))
+    for jobs in (1, 2):
+        bounds = Bounds(unary=1, binary=1, ternary=2, fail_cap=10_000, jobs=jobs)
+        jacobi = {r.name: r for r in check_dbv(bad, bounds)}["bracket_jacobi"]
+        order2 = {r.name: r for r in check_dbv(squared, bounds)}["delta_order_2"]
+        assert jacobi.failure_count == order2.failure_count == len(jacobi.failures) == 1752
+        assert [f.inputs for f in jacobi.failures] == [f.inputs for f in order2.failures]
+        for fj, fo in zip(jacobi.failures, order2.failures):
+            s = -1 if degree(fj.inputs[1]) & 1 else 1
+            assert fj.defect.terms == {w: s * c for w, c in fo.defect.terms.items()}, fj.inputs
+
+
 def _degree_consistent_perturbations(spec):
     """All single-structure-constant modifications that keep degrees intact."""
     space = spec.space()
@@ -658,3 +684,26 @@ def test_functoriality_negative_control_swap(end2, monkeypatch):
         ("morphism_commutes_delta", 85, 60),
         ("morphism_commutes_shuffle", 441, 0),
     ]
+
+
+def test_functoriality_witnesses_are_in_the_target_letters(monkeypatch):
+    # d11 -> e11, d22 -> e12 from diagonal-2 into upper-triangular-2 is not
+    # multiplicative.  A witness's inputs are words of the source and its
+    # defect an element of the target: decoded with the source's letters,
+    # e12 would read as d22.
+    src = validate_dga(builtin("diagonal-2"))
+    tgt = validate_dga(builtin("upper-triangular-2"))
+    f = MultilinearMap(src.space, 1, 0, {("d11",): {"e11": 1}, ("d22",): {"e12": 1}},
+                       target=tgt.space)
+    morph = DGMorphism(src, tgt, f)
+    bounds = lambda jobs: Bounds(unary=2, binary=1, fail_cap=2, jobs=jobs)
+    check = lambda jobs: check_functoriality(morph, bounds(jobs))
+    assert [(name, count) for name, _, count in _reports_at_jobs_1_and_2(monkeypatch, check)] == [
+        ("morphism_commutes_d", 0),
+        ("morphism_commutes_delta", 2),
+        ("morphism_commutes_shuffle", 0),
+    ]
+    first = check(1)[1].failures[0]
+    assert first.inputs == (("d11", "d22"),)
+    assert first.defect.space == tgt.space and list(first.defect) == [(("e12",), -1)]
+    assert first.to_json()["defect"]["pretty"] == "-e12"

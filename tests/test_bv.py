@@ -267,10 +267,10 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
         assert any(held)  # the sweeps do fill the memo
         assert empty()
         assert all(op._defects is memo for op, memo in zip(ops, memos))
-    # per jobs value, check_dbv hands the driver d's and delta's memos and its
-    # three tables of bracket rows, check_bvinf its three lifts' memos
-    assert len(passed) == 2 * (5 + 3)
-    assert all(any(m is memo for m in passed) for memo in memos)
+    # per jobs value, check_dbv hands the driver only its three tables of
+    # bracket rows, and check_bvinf nothing: the driver empties the
+    # operators' memos through their space
+    assert len(passed) == 2 * 3
     assert fake.pool_sizes == [2, 2]  # --jobs 2 did take the pool path
 
 
@@ -296,7 +296,7 @@ def test_pool_blocks_inside_an_xy_group(end2, monkeypatch):
 
     monkeypatch.setattr(shufflebv.bv, "run_sweeps", keep)
     check_dbv(even, Bounds(unary=1, binary=1, ternary=2, fail_cap=10**6))
-    sweeps, memos = built["sweeps"], built["memos"]
+    sweeps, memos = built["sweeps"], (end2.space, *built["memos"])
     forget = shufflebv.bv._forget_memos
     run = lambda s, start, stop: shufflebv.bv._failures_in(
         itertools.islice(s.cases, start, stop), s.evaluate, 10**6)
@@ -608,6 +608,70 @@ def test_closed_form_catches_a_dropped_word_sign(monkeypatch):
     mu = ARITY_2_BUILTINS["end-two-term-complex"]
     wrong, _ = closed_form_mismatches(mu, short_pairs(mu))
     assert wrong
+
+
+# -- the Jacobi analogue: the Jacobiator through delta o delta ---------------------
+
+
+def jacobiator(x, y, z, delta):
+    """J(x, y, z) = {x, {y, z}} - {{x, y}, z} - s {y, {x, z}} with
+    s = (-1)^((|x|+1)(|y|+1)), the expression of the ``bracket_jacobi`` sweep."""
+    b = lambda p, q: bracket(p, q, delta)
+    s = -1 if (x.degree() + 1) & (y.degree() + 1) & 1 else 1
+    return b(x, b(y, z)) - b(b(x, y), z) - s * b(y, b(x, z))
+
+
+def jacobi_mismatches(mu, triples):
+    """The triples of words on which J(x, y, z) of delta, the lift of ``mu``,
+    is not (-1)^|y| F_3(x, y, z) of delta o delta (Koszul; Voronov's derived
+    brackets), and how many of the triples have a nonzero J."""
+    delta = lift_coderivation(mu)
+    square = ComposedOperator(delta, delta)
+    wrong, nonzero = [], 0
+    for t in triples:
+        x, y, z = (TElement.word(mu.space, w) for w in t)
+        j = jacobiator(x, y, z, delta)
+        nonzero += not j.is_zero()
+        if j != (-1 if y.degree() & 1 else 1) * order_defect(square, 2, [x, y, z]):
+            wrong.append(t)
+    return wrong, nonzero
+
+
+def nonempty_triples(mu):
+    """Every triple of nonempty words of length <= 2."""
+    words = [w for n in (1, 2) for w in itertools.product(mu.space.ids, repeat=n)]
+    return itertools.product(words, repeat=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=random_products(), data=st.data())
+def test_jacobiator_is_signed_order_2_defect_of_delta_squared(mu, data):
+    # delta is odd, so delta o delta = {delta, delta} / 2, whose order-2
+    # defect is the Jacobiator of the derived bracket; it holds for any
+    # degree-0 arity-2 map, associative or not
+    word = st.lists(st.sampled_from(mu.space.ids), min_size=1, max_size=2).map(tuple)
+    triple = data.draw(st.tuples(word, word, word), label="triple")
+    wrong, _ = jacobi_mismatches(mu, [triple])
+    assert not wrong, triple
+
+
+def test_jacobiator_on_a_non_associative_product():
+    # mu(b, c) = -a on end-two-term-complex: J is nonzero on 1,752 of the
+    # 8,000 triples, and equals (-1)^|y| F_3 of delta o delta on all of them
+    mu = corrupted_end2().mu
+    assert jacobi_mismatches(mu, nonempty_triples(mu)) == ([], 1752)
+
+
+def test_jacobiator_catches_a_dropped_word_sign(monkeypatch):
+    # negative control: bracket rows without the sign (-1)^|u| break the
+    # relation on more triples than the true Jacobiator is nonzero on
+    def unsigned_rows(delta, xterms):
+        return [(delta._defects[(u,)], cu, None) for u, cu in xterms.items()]
+
+    monkeypatch.setattr(shufflebv.bv, "_bracket_rows", unsigned_rows)
+    mu = corrupted_end2().mu
+    wrong, _ = jacobi_mismatches(mu, nonempty_triples(mu))
+    assert len(wrong) > 1752
 
 
 # -- operator order ----------------------------------------------------------------

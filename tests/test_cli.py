@@ -69,6 +69,57 @@ def test_validate_fail_cap_below_one_is_2(fixture_file, capsys):
     assert main(["validate", fixture_file("dual-numbers"), "--fail-cap", "0"]) == 2
 
 
+def test_validate_and_check_report_a_validation_failure_alike(fixture_file, capsys):
+    # one handler, in main, reports the failed validation of every command:
+    # the count, then the first --fail-cap violations, on stdout, exit 2
+    for name, mutate in (("end-two-term-complex", flip_first_mu2_sign), ("ainf-mu3", corrupt_mu3)):
+        path = fixture_file(name, mutate=mutate)
+        outputs = []
+        for command in ("validate", "check"):
+            assert main([command, path, "--fail-cap", "2"]) == 2
+            out, err = capsys.readouterr()
+            assert err == ""
+            outputs.append(out)
+        lines = outputs[0].splitlines()
+        assert outputs[0] == outputs[1] and len(lines) == 3, name
+        assert lines[0].startswith("INVALID: ") and lines[0].endswith(" violation(s)")
+
+
+def only_d(doc):
+    doc["kind"] = "ainf"
+    doc["operations"] = {"d": doc["operations"]["d"]}
+
+
+def no_tables(doc):
+    doc["kind"] = "ainf"
+    doc["operations"] = {}
+
+
+def test_ainf_default_arity(fixture_file, capsys):
+    # the highest arity with a table, or 2 if there is none; a check's is at
+    # least 2, while validating d alone checks d^2 = 0 at arity 1
+    from shufflebv.algebra_io import ainf_validation_cases, load_document
+    from shufflebv.cli import _bounds, _predicted_cases, build_parser
+
+    for mutate, validated in ((only_d, 1), (no_tables, 2)):
+        path = fixture_file("end-two-term-complex", mutate=mutate)
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out == "VALID\n"
+        payloads = []
+        for arity in ([], ["--max-arity", "2"]):
+            assert main(["check", path, "--report", "json", "--max-len", "3", *arity]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("meta")
+            payload["config"].pop("max_arity")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1] and len(payloads[0]["axioms"]) == 8
+        args = build_parser().parse_args(["check", path])
+        doc = load_document(path)
+        predicted = _predicted_cases(doc, args, _bounds(args))
+        assert predicted[0] == ("validate", ainf_validation_cases(doc.space(), validated))
+        assert len(predicted) == 1 + 8
+
+
 def test_validate_missing_file_is_3(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 3
 

@@ -5,16 +5,21 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import shufflebv
 import shufflebv.bv
 from shufflebv.algebra_io import AlgebraSpec, builtin, builtin_names, validate_dga
 from shufflebv.bv import Bounds, bvinf_cases, check_dbv, dbv_cases, functoriality_cases
 from shufflebv.cli import DEFAULT_MAX_CASES, main
 from shufflebv.operators import ComposedOperator
-from shufflebv.words import word_count, word_product, word_tuples, words_up_to
+from shufflebv.graded import BasisLetter, GradedSpace
+from shufflebv.words import COUNT_LIMIT, capped, word_count, word_product, word_tuples, words_up_to
 
 from case_reference import word_product_list, word_tuples_with_total
 from test_bv import InProcessContext
@@ -156,6 +161,46 @@ def test_default_max_cases_admits_the_builtins_and_the_probes():
     assert total("ainf-mu3", "--max-arity", "7") > DEFAULT_MAX_CASES
 
 
+@pytest.mark.parametrize("name, options, sweeps", [
+    ("end-two-term-complex", ("--max-len", "10000"), 8),
+    ("ainf-mu3", ("--order-slack", "3000"), 1 + 4 * 3),  # validation, then 4K sweeps
+    ("ainf-mu3", ("--max-arity", "400"), 1 + 4 * 400),
+])
+def test_huge_bounds_are_refused_within_seconds(fixture_file, name, options, sweeps):
+    # At these bounds an exact count has thousands of digits.  Counts are
+    # capped at COUNT_LIMIT, so each refusal takes a fraction of a second;
+    # it runs in a child process, so a hang fails as a timeout.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(shufflebv.__file__)))
+    env = dict(PATH="/usr/bin:/bin", PYTHONPATH=package_root)
+    command = [sys.executable, "-m", "shufflebv.cli", "check", fixture_file(name), *options]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    first, *lines = proc.stderr.splitlines()
+    assert first.startswith(f"refused: the check would evaluate more than {COUNT_LIMIT} cases")
+    assert len(lines) == sweeps
+    assert all(line.startswith("  ") for line in lines)
+    assert f": more than {COUNT_LIMIT}" in proc.stderr
+
+
+def test_counts_are_exact_up_to_the_cap():
+    # capped counts against the sums they stand for, on 1 to 3 letters: N(c, T)
+    # by its recurrence, word_count by its sum of powers, beyond the cap too
+    def exact_tuples(b, c, T):
+        n = [1] * (T + 1)
+        for _ in range(c):
+            n = [sum(b**L * n[t - L] for L in range(1, t + 1)) for t in range(T + 1)]
+        return n[T]
+
+    for b in (1, 2, 3):
+        space = GradedSpace("s", [BasisLetter(f"x{i}", 0) for i in range(b)])
+        for L in range(90):
+            assert word_count(space, L) == capped(sum(b**n for n in range(L + 1))), (b, L)
+        for c, T in itertools.chain(itertools.product(range(1, 6), range(12)),
+                                    [(2, 70), (3, 150), (40, 45), (70, 72), (30, 200)]):
+            assert len(word_tuples(space, c, T)) == capped(exact_tuples(b, c, T)), (b, c, T)
+    assert capped(COUNT_LIMIT) == COUNT_LIMIT and capped(COUNT_LIMIT + 5) == COUNT_LIMIT + 1
+
+
 # -- trimming the tables to the remaining reach ---------------------------------
 
 
@@ -187,8 +232,11 @@ def test_tables_hold_nothing_beyond_the_remaining_reach(bounds, operator, monkey
     seen = []  # (sweep, reach, longest entry) at each sweep's first case
 
     def longest(alg):
+        # the check's operators and, for delta o d, its parts, named here
+        # rather than read from the space's enrolment
         space = alg.space
-        lengths = [len(w) for op in (alg.d_op, alg.delta_op) for w in op._cache]
+        ops = [alg.d_op, alg.delta_op, *(parts if operator != "delta" else ())]
+        lengths = [len(w) for op in ops for w in op._cache]
         lengths += [len(u) + len(v) for u, v in space._shuffle_cache]
         lengths += map(len, space._word_table)
         return max(lengths, default=0)
@@ -221,8 +269,9 @@ def test_tables_hold_nothing_beyond_the_remaining_reach(bounds, operator, monkey
     reaches = []
     for jobs in (1, 2):
         end2 = validate_dga(builtin("end-two-term-complex"))
+        parts = (end2.delta_op, end2.d_op)
         alg = end2 if operator == "delta" else SimpleNamespace(
-            space=end2.space, d_op=end2.d_op, delta_op=ComposedOperator(end2.delta_op, end2.d_op),
+            space=end2.space, d_op=end2.d_op, delta_op=ComposedOperator(*parts),
         )
         # tables that a check with larger bounds left behind are trimmed too
         words_up_to(end2.space, unary + 2)
