@@ -12,6 +12,7 @@ The arity-k operation has intrinsic degree 2-k (so "d" has degree +1 and
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -377,25 +378,20 @@ def validate_dga(spec: AlgebraSpec) -> DGAlgebra:
         lhs = d.apply(d.apply_ids((a,)))
         if lhs:
             violations.append(Violation("d_squared", (a,), lhs, AElement.zero(space)))
-    for a in letters:
+    for a, b in itertools.product(letters, repeat=2):
         sa = -1 if space.degree(a) & 1 else 1
-        for b in letters:
-            lhs = d.apply(mu.apply_ids((a, b)))
-            rhs = mu.apply(d.apply_ids((a,)), AElement.letter(space, b)) + sa * mu.apply(
-                AElement.letter(space, a), d.apply_ids((b,))
-            )
-            if lhs != rhs:
-                violations.append(Violation("leibniz", (a, b), lhs, rhs))
-    for a in letters:
-        ea = AElement.letter(space, a)
-        for b in letters:
-            eb = AElement.letter(space, b)
-            for c in letters:
-                ec = AElement.letter(space, c)
-                lhs = mu.apply(mu.apply(ea, eb), ec)
-                rhs = mu.apply(ea, mu.apply(eb, ec))
-                if lhs != rhs:
-                    violations.append(Violation("associativity", (a, b, c), lhs, rhs))
+        lhs = d.apply(mu.apply_ids((a, b)))
+        rhs = mu.apply(d.apply_ids((a,)), AElement.letter(space, b)) + sa * mu.apply(
+            AElement.letter(space, a), d.apply_ids((b,))
+        )
+        if lhs != rhs:
+            violations.append(Violation("leibniz", (a, b), lhs, rhs))
+    for abc in itertools.product(letters, repeat=3):
+        ea, eb, ec = (AElement.letter(space, a) for a in abc)
+        lhs = mu.apply(mu.apply(ea, eb), ec)
+        rhs = mu.apply(ea, mu.apply(eb, ec))
+        if lhs != rhs:
+            violations.append(Violation("associativity", abc, lhs, rhs))
     if violations:
         raise ValidationFailure(violations)
     return DGAlgebra(space, d, mu)
@@ -464,13 +460,11 @@ def validate_morphism(
         rhs = tgt.d.apply(fmap.apply_ids((a,)))
         if lhs != rhs:
             violations.append(Violation("commutes_with_d", (a,), lhs, rhs))
-    for a in src.space.ids:
-        fa = fmap.apply_ids((a,))
-        for b in src.space.ids:
-            lhs = fmap.apply(src.mu.apply_ids((a, b)))
-            rhs = tgt.mu.apply(fa, fmap.apply_ids((b,)))
-            if lhs != rhs:
-                violations.append(Violation("multiplicative", (a, b), lhs, rhs))
+    for a, b in itertools.product(src.space.ids, repeat=2):
+        lhs = fmap.apply(src.mu.apply_ids((a, b)))
+        rhs = tgt.mu.apply(fmap.apply_ids((a,)), fmap.apply_ids((b,)))
+        if lhs != rhs:
+            violations.append(Violation("multiplicative", (a, b), lhs, rhs))
     if violations:
         raise ValidationFailure(violations)
     return DGMorphism(src, tgt, fmap)
@@ -524,13 +518,9 @@ def _upper_triangular_2() -> AlgebraSpec:
 
 def _full_matrix_2() -> AlgebraSpec:
     units = ("e11", "e12", "e21", "e22")
-    table: Table = {}
-    for i in "12":
-        for j in "12":
-            for k in "12":
-                for l in "12":
-                    if j == k:
-                        table[(f"e{i}{j}", f"e{k}{l}")] = _one(f"e{i}{l}")
+    table: Table = {
+        (f"e{i}{j}", f"e{j}{l}"): _one(f"e{i}{l}") for i, j, l in itertools.product("12", repeat=3)
+    }
     return AlgebraSpec(
         name="full-matrix-2",
         kind="dga",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -405,9 +406,7 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
     shuffles = space._shuffle_cache
     acc: dict[Word, Scalar] = {}
     for combo in itertools.product(*(x.terms.items() for x in inputs)):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
+        coeff = math.prod(c for _, c in combo)
         # no sweep repeats a case tuple, so the top level is not stored;
         # its shuffles recur across cases and go through the space's table
         key = tuple(w for w, _ in combo)
@@ -557,7 +556,7 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     """Verify degree, operator order, and the composition relations.
 
     ``ainf`` must expose ``space``, ``maps`` (arity -> MultilinearMap) and
-    ``delta_ops`` (arity -> lifted Operator), and have passed validation.
+    ``delta_op(k)`` (the lift of arity k), and have passed validation.
     For each arity k <= K: the lift has operator degree 3-2k and order k;
     for each total degree n, the sum of the composites of two lifts with
     degrees summing to n vanishes on words up to the unary bound.  K is by

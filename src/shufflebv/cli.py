@@ -47,6 +47,11 @@ OK, AXIOM_FAILURE, INVALID_INPUT, IO_ERROR = 0, 1, 2, 3
 # about 1.9 million
 DEFAULT_MAX_CASES = 2_000_000
 
+# the most predictions a refusal lists one by one: an A-infinity check at
+# arity K has 4K + 1, so every check up to arity 15 lists them all, and the
+# refusal's output stays short at any --max-arity
+SHOWN_PREDICTIONS = 64
+
 
 def _load(path: str):
     try:
@@ -150,8 +155,11 @@ def cmd_check(args) -> int:
         shown = lambda n: n if n <= COUNT_LIMIT else f"more than {COUNT_LIMIT}"
         print(f"refused: the check would evaluate {shown(total)} cases, more than "
               f"--max-cases {args.max_cases}; predicted cases:", file=sys.stderr)
-        for name, n in predicted:
+        for name, n in predicted[:SHOWN_PREDICTIONS]:
             print(f"  {name}: {shown(n)}", file=sys.stderr)
+        rest = predicted[SHOWN_PREDICTIONS:]
+        if rest:
+            print(f"  remaining sweeps ({len(rest)}): {shown(sum(n for _, n in rest))}", file=sys.stderr)
         return INVALID_INPUT
     started = time.monotonic()
     if isinstance(doc, MorphismSpec):

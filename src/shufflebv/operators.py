@@ -23,6 +23,8 @@ checker in algebra_io pins the convention; see the README).
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graded import (
@@ -99,16 +101,10 @@ class MultilinearMap:
                 f"expected {self.arity} arguments, got {len(args)}"
             )
         acc: dict[str, Scalar] = {}
-        stack = [((), 1)]
-        for x in args:
-            stack = [
-                (ids + (a,), c * ca)
-                for ids, c in stack
-                for a, ca in x.terms.items()
-            ]
-        for ids, c in stack:
-            for b, cb in self.table.get(ids, {}).items():
-                acc[b] = acc.get(b, 0) + c * cb
+        for combo in itertools.product(*(x.terms.items() for x in args)):
+            coeff = math.prod(c for _, c in combo)
+            for b, cb in self.table.get(tuple(a for a, _ in combo), {}).items():
+                acc[b] = acc.get(b, 0) + coeff * cb
         return AElement(self.target, acc)
 
     def __repr__(self):
@@ -354,7 +350,13 @@ def composition_relations(
 
 
 class InducedMap:
-    """Letterwise application of a degree-0 linear map of graded spaces."""
+    """Letterwise application of a degree-0 linear map of graded spaces.
+
+    ``_cache`` is its image table: the image of a source word a_1 ... a_n
+    is f(a_1) ... f(a_n), the sum over every choice of one term of f per
+    letter.  Distinct choices give distinct words, so an image never
+    cancels inside itself.
+    """
 
     def __init__(self, f: MultilinearMap):
         if f.arity != 1 or f.degree != 0:
@@ -362,37 +364,22 @@ class InducedMap:
         self.f = f
         self.source = f.space
         self.target = f.target
-        # f's table from the source's code points to the target's
+        # f's table from the source's code points to the target's; the fill
+        # closes over it alone, so the table holds no reference to the map
         src, tgt = self.source, self.target
-        self._letters = {
+        letters = {
             src.encode(a): {tgt.encode((b,)): c for b, c in entry.items()}
             for a, entry in f.table.items()
         }
+        self._cache = Table(lambda w: {
+            "".join(b for b, _ in combo): math.prod(c for _, c in combo)
+            for combo in itertools.product(*(letters.get(a, {}).items() for a in w))
+        })
 
     def __call__(self, x: TElement) -> TElement:
         if x.space != self.source:
             raise InvalidInputError("element lives in the wrong space")
-        table = self._letters
-        acc: dict[Word, Scalar] = {}
-        for w, c in x.terms.items():
-            images = [("", c)]
-            for a in w:
-                entry = table.get(a)
-                if not entry:
-                    images = []
-                    break
-                images = [
-                    (w2 + b, cc * cb)
-                    for w2, cc in images
-                    for b, cb in entry.items()
-                ]
-            for w2, c2 in images:
-                val = acc.get(w2, 0) + c2
-                if val:
-                    acc[w2] = val
-                elif w2 in acc:
-                    del acc[w2]
-        return TElement._make(self.target, acc)
+        return TElement._make(self.target, merge_images({}, x.terms, self._cache, 1))
 
 
 def induced_morphism(f: MultilinearMap) -> InducedMap:

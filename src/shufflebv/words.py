@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .graded import (
@@ -241,42 +241,19 @@ def shuffle_signed(u, v, pu, pv):
     ``pu`` and ``pv`` are the degree parities of the letters of u and v.
     Returns a list of (word, sign) pairs, word a tuple, sign +1 or -1, in
     the order that takes the next letter from u before taking it from v
-    (lexicographic in the positions occupied by u).
+    (lexicographic in the positions occupied by u).  A shuffle is the choice
+    of the slots that u's letters take: u[i] in slot k crosses the k - i
+    letters of v placed before it.
     """
-    n, m = len(u), len(v)
-    if n == 0:
-        return [(tuple(v), 1)]
-    if m == 0:
-        return [(tuple(u), 1)]
-    # su[i] = parity of the total degree of u[i:]
-    su = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        su[i] = su[i + 1] ^ pu[i]
+    # sv[j] = parity of the total degree of v[:j]
+    sv = list(itertools.accumulate(pv, xor, initial=0))
     out = []
-    append = out.append
-    word = [None] * (n + m)
-    # Depth-first over (i, j, parity, letter): letters u[:i] and v[:j] are
-    # placed, and ``letter`` goes to slot i + j - 1.  An explicit stack, not
-    # a self-referencing closure, so the output is never part of a cycle and
-    # is freed as soon as the caller drops it.
-    stack = [(0, 0, 0, None)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        i, j, par, letter = pop()
-        k = i + j
-        if k:
-            word[k - 1] = letter
-        if i == n:
-            word[k:] = v[j:]
-            append((tuple(word), -1 if par else 1))
-        elif j == m:
-            word[k:] = u[i:]
-            append((tuple(word), -1 if par else 1))
-        else:
-            # v[j] emitted now crosses every remaining letter of u; it is
-            # pushed first so that the branch taking u[i] is enumerated first
-            push((i, j + 1, par ^ (pv[j] & su[i]), v[j]))
-            push((i + 1, j, par, u[i]))
+    for slots in itertools.combinations(range(len(u) + len(v)), len(u)):
+        word, par = list(v), 0
+        for i, k in enumerate(slots):
+            word.insert(k, u[i])
+            par ^= pu[i] & sv[k - i]
+        out.append((tuple(word), -1 if par else 1))
     return out
 
 

@@ -29,6 +29,7 @@ from shufflebv.cli import main
 from shufflebv.graded import BasisLetter, GradedSpace
 from shufflebv.operators import (
     ComposedOperator,
+    InducedMap,
     MultilinearMap,
     Operator,
     OperatorSum,
@@ -683,6 +684,33 @@ def test_functoriality_negative_control_swap(end2, monkeypatch):
         ("morphism_commutes_d", 85, 70),
         ("morphism_commutes_delta", 85, 60),
         ("morphism_commutes_shuffle", 441, 0),
+    ]
+
+
+def test_functoriality_negative_control_corrupted_images(end2, monkeypatch):
+    # the identity of end-two-term-complex, through an induced map whose
+    # image table negates every image of a word of length 2: F(x * y) then
+    # differs from F(x) * F(y) for letters x, y with x * y nonzero, and F no
+    # longer commutes with delta, which joins letters; d keeps word lengths,
+    # so F still commutes with it
+    import shufflebv.bv
+
+    def corrupted(f):
+        F = InducedMap(f)
+        fill = F._cache.fill
+        F._cache.fill = lambda w: {v: -c for v, c in fill(w).items()} if len(w) == 2 else fill(w)
+        return F
+
+    ident = MultilinearMap(end2.space, 1, 0, {(a,): {a: 1} for a in end2.space.ids})
+    morph = DGMorphism(end2, end2, ident)
+    check = lambda jobs: check_functoriality(morph, Bounds(unary=3, binary=2, jobs=jobs))
+    honest = _reports_at_jobs_1_and_2(monkeypatch, check)
+    assert [count for _, _, count in honest] == [0, 0, 0]
+    monkeypatch.setattr(shufflebv.bv, "induced_morphism", corrupted)
+    assert _reports_at_jobs_1_and_2(monkeypatch, check) == [
+        ("morphism_commutes_d", 85, 0),
+        ("morphism_commutes_delta", 85, 48),
+        ("morphism_commutes_shuffle", 441, 142),
     ]
 
 

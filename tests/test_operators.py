@@ -448,3 +448,31 @@ def test_induced_morphism_expands_multilinearly():
     F = induced_morphism(f)
     got = F(TElement.word(sp, ("a", "b")))
     assert dict(got) == {("a", "b"): 2, ("b", "b"): 2}
+
+    # the image table against letter-by-letter products: f(a) = x + y,
+    # f(b) = x - y, f(d) = -x, and c has no image
+    src = GradedSpace("src", [BasisLetter(a, 0) for a in "abcd"])
+    tgt = GradedSpace("tgt", [BasisLetter("x", 0), BasisLetter("y", 0)])
+    f = MultilinearMap(src, 1, 0, {("a",): {"x": 1, "y": 1}, ("b",): {"x": 1, "y": -1},
+                                   ("d",): {"x": -1}}, target=tgt)
+    F = induced_morphism(f)
+
+    def letter_by_letter(word):
+        # F(word), multiplied out one letter at a time, on letter ids
+        image = {(): 1}
+        for a in word:
+            image = {w + (b,): c * cb for w, c in image.items()
+                     for b, cb in f.table.get((a,), {}).items()}
+        return image
+
+    long_word = ("d",) * 1998 + ("a", "b")
+    for word in [*id_words(src, 3), long_word]:
+        got = F._cache[src.encode(word)]
+        assert {tgt.decode(w): c for w, c in got.items()} == letter_by_letter(word), word
+    assert F._cache[""] == {"": 1}
+    assert F._cache[src.encode(("a", "c"))] == {}
+    assert len(F._cache[src.encode(long_word)]) == 4
+    # the xx and yy terms cancel across the two source words
+    commutator = TElement(src, {("a", "b"): 1, ("b", "a"): -1})
+    assert dict(F(commutator)) == {("x", "y"): -2, ("y", "x"): 2}
+    assert F(TElement(src, {("a", "c"): 1, ("c",): 5})).is_zero()

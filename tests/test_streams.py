@@ -16,7 +16,7 @@ import shufflebv
 import shufflebv.bv
 from shufflebv.algebra_io import AlgebraSpec, builtin, builtin_names, validate_dga
 from shufflebv.bv import Bounds, bvinf_cases, check_dbv, dbv_cases, functoriality_cases
-from shufflebv.cli import DEFAULT_MAX_CASES, main
+from shufflebv.cli import DEFAULT_MAX_CASES, SHOWN_PREDICTIONS, main
 from shufflebv.operators import ComposedOperator
 from shufflebv.graded import BasisLetter, GradedSpace
 from shufflebv.words import COUNT_LIMIT, capped, word_count, word_product, word_tuples, words_up_to
@@ -120,6 +120,12 @@ def test_max_cases_refuses_before_validating(fixture_file, capsys, monkeypatch):
     # validation's own evaluations: 17 relations on the 265,720 words of length <= 11
     assert f"validate: {17 * 265_720}\n" in err
     assert f"more than --max-cases {DEFAULT_MAX_CASES}" in err
+    # past the first SHOWN_PREDICTIONS, one line sums the rest: at arity 17,
+    # five composition relations on the 364 words of length <= 5
+    assert main(["check", path, "--max-arity", "17"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 + SHOWN_PREDICTIONS + 1
+    assert err[-2] == "  sum_relation_n_-52: 364" and err[-1] == "  remaining sweeps (5): 1820"
     # --assume-valid skips validation, so its evaluations are not counted
     assert main(["check", path, "--max-arity", "9", "--assume-valid"]) == 2
     assert "validate:" not in capsys.readouterr().err
@@ -165,11 +171,13 @@ def test_default_max_cases_admits_the_builtins_and_the_probes():
     ("end-two-term-complex", ("--max-len", "10000"), 8),
     ("ainf-mu3", ("--order-slack", "3000"), 1 + 4 * 3),  # validation, then 4K sweeps
     ("ainf-mu3", ("--max-arity", "400"), 1 + 4 * 400),
+    ("ainf-mu3", ("--max-arity", "20000"), 1 + 4 * 20000),
 ])
 def test_huge_bounds_are_refused_within_seconds(fixture_file, name, options, sweeps):
     # At these bounds an exact count has thousands of digits.  Counts are
     # capped at COUNT_LIMIT, so each refusal takes a fraction of a second;
-    # it runs in a child process, so a hang fails as a timeout.
+    # it runs in a child process, so a hang fails as a timeout.  The refusal
+    # lists at most SHOWN_PREDICTIONS predictions, then one line for the rest.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(shufflebv.__file__)))
     env = dict(PATH="/usr/bin:/bin", PYTHONPATH=package_root)
     command = [sys.executable, "-m", "shufflebv.cli", "check", fixture_file(name), *options]
@@ -177,8 +185,10 @@ def test_huge_bounds_are_refused_within_seconds(fixture_file, name, options, swe
     assert proc.returncode == 2 and proc.stdout == ""
     first, *lines = proc.stderr.splitlines()
     assert first.startswith(f"refused: the check would evaluate more than {COUNT_LIMIT} cases")
-    assert len(lines) == sweeps
+    assert len(lines) == min(sweeps, SHOWN_PREDICTIONS) + (sweeps > SHOWN_PREDICTIONS)
     assert all(line.startswith("  ") for line in lines)
+    if sweeps > SHOWN_PREDICTIONS:
+        assert lines[-1] == f"  remaining sweeps ({sweeps - SHOWN_PREDICTIONS}): more than {COUNT_LIMIT}"
     assert f": more than {COUNT_LIMIT}" in proc.stderr
 
 

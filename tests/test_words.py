@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import weakref
 from fractions import Fraction
 from math import comb
@@ -170,23 +171,43 @@ def test_shuffle_signed_empty_blocks():
     assert shuffle_signed((), (), (), ()) == [((), 1)]
 
 
+def reference_shuffles(n, m, pu, pv):
+    """The signed shuffles of u0..u(n-1) and v0..v(m-1): enumerate_shuffles
+    lists them lexicographically in the first block's slots,
+    Shuffle.interleave builds each word and koszul_sign signs it from the
+    permutation."""
+    u = tuple(f"u{i}" for i in range(n))
+    v = tuple(f"v{j}" for j in range(m))
+    return u, v, [
+        (sh.interleave(u, v), koszul_sign([s + 1 for s in sh.sigma], pu + pv))
+        for sh in enumerate_shuffles(n, m)
+    ]
+
+
 def test_shuffle_signed_matches_shuffle_enumeration_in_order():
-    # enumerate_shuffles lists the shuffles lexicographically in the first
-    # block's slots, Shuffle.interleave builds each word and koszul_sign signs
-    # it from the permutation: the same terms in the same order.
+    # every parity pattern up to n, m <= 3: the same terms in the same order
     for n, m in itertools.product(range(4), repeat=2):
-        u = tuple(f"u{i}" for i in range(n))
-        v = tuple(f"v{j}" for j in range(m))
         for pu in itertools.product((0, 1), repeat=n):
             for pv in itertools.product((0, 1), repeat=m):
-                want = [
-                    (
-                        sh.interleave(u, v),
-                        koszul_sign([s + 1 for s in sh.sigma], pu + pv),
-                    )
-                    for sh in enumerate_shuffles(n, m)
-                ]
+                u, v, want = reference_shuffles(n, m, pu, pv)
                 assert shuffle_signed(u, v, pu, pv) == want, (u, v, pu, pv)
+
+
+def test_shuffle_signed_at_the_lengths_the_sweeps_use():
+    # --pair-len 4 builds plans up to (4, 4) and --triple-len 3 defect-memo
+    # fills reach n + m = 9: a few seeded parity patterns for each n + m <= 9,
+    # the all-odd one among them
+    rng = random.Random(9)
+    for n, m in itertools.product(range(10), repeat=2):
+        if n + m > 9:
+            continue
+        patterns = [((1,) * n, (1,) * m)] + [
+            (tuple(rng.getrandbits(1) for _ in range(n)), tuple(rng.getrandbits(1) for _ in range(m)))
+            for _ in range(3)
+        ]
+        for pu, pv in patterns:
+            u, v, want = reference_shuffles(n, m, pu, pv)
+            assert shuffle_signed(u, v, pu, pv) == want, (n, m, pu, pv)
 
 
 def test_merge_scaled():
