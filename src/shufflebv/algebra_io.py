@@ -28,7 +28,7 @@ from .graded import (
     render_scalar,
 )
 from .operators import MultilinearMap, Operator, composition_relations, lift_coderivation
-from .words import TElement, capped, render_telement, word_count, words_up_to
+from .words import TElement, capped, owned_table, render_telement, word_count, words_up_to
 
 Table = dict[tuple[str, ...], dict[str, Scalar]]
 
@@ -329,7 +329,8 @@ class AinfAlgebra:
     def __init__(self, space: GradedSpace, maps: dict[int, MultilinearMap]):
         self.space = space
         self.maps = dict(maps)
-        self._lifts: dict[int, Operator] = {}
+        self._lifts = owned_table(self, lambda alg, k: lift_coderivation(
+            alg.maps.get(k) or MultilinearMap(alg.space, k, 2 - k, {})))
 
     @classmethod
     def from_spec_unchecked(cls, spec: AlgebraSpec) -> "AinfAlgebra":
@@ -342,12 +343,7 @@ class AinfAlgebra:
         return cls(space, maps)
 
     def delta_op(self, k: int) -> Operator:
-        op = self._lifts.get(k)
-        if op is None:
-            c = self.maps.get(k) or MultilinearMap(self.space, k, 2 - k, {})
-            op = lift_coderivation(c)
-            self._lifts[k] = op
-        return op
+        return self._lifts[k]
 
 
 class DGMorphism:
@@ -355,6 +351,14 @@ class DGMorphism:
         self.source = source
         self.target = target
         self.fmap = fmap
+
+    @classmethod
+    def from_spec_unchecked(cls, spec: MorphismSpec) -> "DGMorphism":
+        """Build between the builtin endpoints without validating either
+        endpoint or the map; the caller asserts they are valid."""
+        src, tgt = (DGAlgebra.from_spec_unchecked(_as_dga_spec(builtin(name)))
+                    for name in (spec.source, spec.target))
+        return cls(src, tgt, MultilinearMap(src.space, 1, 0, spec.mapping, target=tgt.space))
 
 
 def validate_dga(spec: AlgebraSpec) -> DGAlgebra:
@@ -441,18 +445,13 @@ def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
     return alg
 
 
-def validate_morphism(
-    spec: MorphismSpec,
-    resolve=None,
-) -> DGMorphism:
+def validate_morphism(spec: MorphismSpec) -> DGMorphism:
     """Check that a degree-0 map commutes with d and mu on all basis inputs.
 
-    ``resolve`` maps an algebra name to its AlgebraSpec; the builtin
-    gallery is used by default.  Both endpoint algebras are validated.
+    Both endpoints name builtin algebras, and both are validated.
     """
-    resolve = resolve or builtin
-    src = validate_dga(_as_dga_spec(resolve(spec.source)))
-    tgt = validate_dga(_as_dga_spec(resolve(spec.target)))
+    src = validate_dga(_as_dga_spec(builtin(spec.source)))
+    tgt = validate_dga(_as_dga_spec(builtin(spec.target)))
     fmap = MultilinearMap(src.space, 1, 0, spec.mapping, target=tgt.space)
     violations: list[Violation] = []
     for a in src.space.ids:

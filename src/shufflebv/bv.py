@@ -36,6 +36,7 @@ from .graded import GradedSpace, InvalidInputError, Scalar, render_scalar
 from .operators import (
     Operator,
     _koszul_step,
+    composite_sum,
     composition_relations,
     induced_morphism,
 )
@@ -144,8 +145,8 @@ class Sweep:
     evaluate: Callable[[tuple[Word, ...]], TElement | None]
 
 
-# The state of a pool check that ``_run_block`` reads in the workers, set by
-# ``run_sweeps`` before the pool forks, so that workers inherit it: the
+# The state of a pool check that ``_run_block`` reads in a worker, set there
+# by the pool's initializer, so the checking process never writes it: the
 # check's sweeps, the per-sweep memos of its own they fill, its space, the
 # reach of the sweeps from each one on, the failure cap, the sweep whose
 # entries the memos hold and the reach the tables were last trimmed to.  A
@@ -203,8 +204,8 @@ def _keep(table: dict, entries: dict) -> None:
 
 def _run_block(task: tuple[int, int, int], state: dict = _worker) -> Failures:
     """One contiguous block of a sweep's cases (sweep index, start, stop),
-    run on the check's ``state``: by default ``_worker``, which pool workers
-    inherit.
+    run on the check's ``state``: by default ``_worker``, which a pool
+    worker's initializer fills.
 
     When the sweep index changes, the per-sweep memos are emptied, and, if
     the reach of the sweeps still to run has dropped, the space's tables
@@ -274,11 +275,11 @@ def run_sweeps(
     as contiguous blocks of cases, run by ``_run_block``, and the blocks'
     results are merged in case order, so reports are the same at every
     ``jobs``.  With jobs > 1 one fork-based pool, of at most one worker per
-    usable CPU, serves every sweep, one block per worker.  It forks after
-    the sweeps are built, so the workers inherit the case streams and
-    evaluators, and they keep their tables, trimmed the same way, from one
-    sweep to the next.  Otherwise each sweep is one block, run here on this
-    call's own state, so serial checks share no module state.
+    usable CPU, serves every sweep, one block per worker.  Its initializer
+    hands each forked worker the check's state, unpickled, case streams and
+    evaluators included, and the workers keep their tables, trimmed the same
+    way, from one sweep to the next.  Otherwise each sweep is one block, run
+    here on this call's own state, so no check writes module state here.
     """
     workers = min(jobs, _usable_cpus())
     ctx = None
@@ -297,10 +298,8 @@ def run_sweeps(
     reach = list(itertools.accumulate((s.cases.reach for s in reversed(sweeps)), max))[::-1]
     state = dict(sweeps=sweeps, memos=tuple(memos), space=space, reach=reach,
                  fail_cap=fail_cap, held=None, trimmed=None)
-    if ctx is not None:
-        _worker.update(state)  # before the fork, so the workers inherit it
     try:
-        with nullcontext() if ctx is None else ctx.Pool(workers) as pool:
+        with nullcontext() if ctx is None else ctx.Pool(workers, _worker.update, (state,)) as pool:
             # read in order, as each sweep's run_axiom consumes its blocks;
             # serially, a block runs only then
             if pool is None:
@@ -313,8 +312,6 @@ def run_sweeps(
                 for s, spans in zip(sweeps, plan)
             ]
     finally:
-        if ctx is not None:
-            _worker.clear()
         _forget_memos(space, *memos)
 
 
@@ -491,7 +488,6 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     # each case's identity is merged term by term into one dict, every image,
     # shuffle and F-value read by subscript: from the operators' and the
     # space's tables, and from delta's per-sweep defect memo
-    d_img, delta_img = d._cache, delta._cache
     shuffles = space._shuffle_cache
     # signed bracket rows, read by subscript: of each word, and, once per
     # (x, y) of the triples, whose innermost index is z, of x * y (Leibniz)
@@ -503,13 +499,11 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         lambda xy: _bracket_rows(delta, _add_rows({}, delta, word_rows[xy[0]], {xy[1]: 1}))
     )
 
-    def square(img):
-        return lambda c: TElement._make(space, merge_images({}, img[c[0]], img, 1))
-
-    def anticommutator(case):
-        w = case[0]
-        acc = merge_images({}, delta_img[w], d_img, 1)
-        return TElement._make(space, merge_images(acc, d_img[w], delta_img, 1))
+    # the composites are the arity <= 2 A-infinity relations of (d, mu);
+    # explicit pairs, since a caller's d and delta may share a degree
+    def composite(*pairs):
+        relation = composite_sum(pairs)
+        return lambda c: TElement._make(space, relation(c[0]))
 
     def antisymmetry(case):
         x, y = case
@@ -538,9 +532,9 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         return TElement._make(space, acc)
 
     evaluators = {
-        "d_squared": square(d_img),
-        "delta_squared": square(delta_img),
-        "d_delta_anticommutator": anticommutator,
+        "d_squared": composite((d, d)),
+        "delta_squared": composite((delta, delta)),
+        "d_delta_anticommutator": composite((d, delta), (delta, d)),
         # d's order-1 defect F_2(u, v): d is a derivation of the shuffle product
         "d_derivation": lambda c: TElement._make(space, _koszul_step(d, c, shuffles)),
         "bracket_antisymmetry": antisymmetry,

@@ -163,7 +163,10 @@ def cmd_check(args) -> int:
         return INVALID_INPUT
     started = time.monotonic()
     if isinstance(doc, MorphismSpec):
-        morph = algebra_io.validate_morphism(doc)
+        if args.assume_valid:
+            morph = algebra_io.DGMorphism.from_spec_unchecked(doc)
+        else:
+            morph = algebra_io.validate_morphism(doc)
         reports = check_functoriality(morph, bounds)
     elif doc.kind == "dga":
         if args.assume_valid:

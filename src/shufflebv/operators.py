@@ -325,28 +325,33 @@ class OperatorSum(Operator):
         return acc
 
 
+def composite_sum(pairs: Sequence[tuple[Operator, Operator]]) -> Callable[[Word], dict[Word, Scalar]]:
+    """w -> the terms of the sum of P(Q(w)) over the (P, Q) of ``pairs``, in
+    order; images are read from the operators' tables."""
+
+    def relation(w: Word) -> dict[Word, Scalar]:
+        acc: dict[Word, Scalar] = {}
+        for P, Q in pairs:
+            merge_images(acc, Q._cache[w], P._cache, 1)
+        return acc
+
+    return relation
+
+
 def composition_relations(
     ops: Iterable[Operator],
 ) -> Iterator[tuple[int, Callable[[Word], dict[Word, Scalar]]]]:
     """The composition relations of ``ops``, highest total degree first.
 
-    Yields (n, relation), where relation(w) is the terms of the sum of
-    P(Q(w)) over the ordered pairs of ``ops`` whose degrees add to n, pairs
-    in decreasing degree of P, then of Q.  For the lifts of an A-infinity
-    algebra's structure maps these are its A-infinity relations, and every
-    relation(w) is zero.  Images are read from the operators' tables.
+    Yields (n, relation), where relation is the ``composite_sum`` of the
+    ordered pairs of ``ops`` whose degrees add to n, pairs in decreasing
+    degree of P, then of Q.  For the lifts of an A-infinity algebra's
+    structure maps these are its A-infinity relations, and every
+    relation(w) is zero.
     """
     ops = sorted(ops, key=lambda op: -op.degree)
     for n in sorted({P.degree + Q.degree for P in ops for Q in ops}, reverse=True):
-        pairs = [(P, Q) for P in ops for Q in ops if P.degree + Q.degree == n]
-
-        def relation(w: Word, pairs=pairs) -> dict[Word, Scalar]:
-            acc: dict[Word, Scalar] = {}
-            for P, Q in pairs:
-                merge_images(acc, Q._cache[w], P._cache, 1)
-            return acc
-
-        yield n, relation
+        yield n, composite_sum([(P, Q) for P in ops for Q in ops if P.degree + Q.degree == n])
 
 
 class InducedMap:

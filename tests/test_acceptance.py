@@ -670,6 +670,31 @@ def test_bvinf_negative_control_delta_3_flipped(monkeypatch):
     assert _bvinf_failures(monkeypatch, bad) == {"order_3_delta_-3": 1237}
 
 
+def test_bvinf_negative_control_outer_relations(monkeypatch, tmp_path, capsys):
+    # ainf-mu3 with a structure map added, unchecked.  With d(p) = q and
+    # d(q) = r, d squares to nonzero and is no derivation of mu2, so the
+    # relations n = 2 (d d), 0 (d, delta_2) and -2 (d, delta_3) fail, while
+    # delta_1 = d keeps its degree and order.  With mu3(q, p, p) = r, delta_3
+    # breaks the relations where it meets delta_2 (n = -4) and itself
+    # (n = -6).  validate rejects both.
+    variants = {
+        "d(p) = q, d(q) = r": (
+            lambda ops: ops.update(d={("p",): {"q": 1}, ("q",): {"r": 1}}),
+            {"sum_relation_n_2": 301, "sum_relation_n_0": 106, "sum_relation_n_-2": 27}),
+        "mu3(q, p, p) = r": (
+            lambda ops: ops["mu3"].update({("q", "p", "p"): {"r": 1}}),
+            {"sum_relation_n_-4": 6, "sum_relation_n_-6": 1}),
+    }
+    for name, (mutate, failures) in variants.items():
+        spec = builtin("ainf-mu3")
+        mutate(spec.operations)
+        assert _bvinf_failures(monkeypatch, AinfAlgebra.from_spec_unchecked(spec)) == failures, name
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(render_document(spec)))
+        assert main(["validate", str(path)]) == 2, name
+        assert capsys.readouterr().out.startswith("INVALID"), name
+
+
 def test_functoriality_negative_control_swap(end2, monkeypatch):
     # the a <-> e swap on end-two-term-complex, unchecked: it commutes with
     # neither d nor the product, but, like every degree-0 letterwise map,

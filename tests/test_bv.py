@@ -78,7 +78,8 @@ def streamed(cases, reach=1):
 class InProcessContext:
     """Stands in for ``multiprocessing.get_context``: records the size of
     every pool asked for and runs its tasks in this process, so no process
-    starts."""
+    starts.  On entry it runs the pool's initializer here, as a worker
+    would; on exit it puts back the ``_worker`` state that it found."""
 
     def __init__(self):
         self.pool_sizes = []
@@ -87,14 +88,21 @@ class InProcessContext:
         assert method == "fork"
         return self
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer=None, initargs=()):
         self.pool_sizes.append(processes)
+        self.init = (initializer, initargs)
         return self
 
     def __enter__(self):
+        self.saved = dict(shufflebv.bv._worker)
+        initializer, initargs = self.init
+        if initializer is not None:
+            initializer(*initargs)
         return self
 
     def __exit__(self, *exc):
+        shufflebv.bv._worker.clear()
+        shufflebv.bv._worker.update(self.saved)
         return False
 
     def imap(self, fn, iterable, chunksize=1):
@@ -462,6 +470,33 @@ def test_serial_checks_share_no_module_state():
     assert inner == [3, 3, 3]
     assert [(r.cases, r.failure_count, len(r.failures)) for r in reports] == [(3, 0, 0), (3, 3, 1)]
     assert shufflebv.bv._worker == {}
+
+
+def test_pool_checks_write_no_module_state(end2, monkeypatch):
+    # a --jobs 2 check hands its state to the workers through the pool's
+    # initializer: the checking process's ``_worker`` stays empty when the
+    # pool starts and while the reports are merged
+    fork = multiprocessing.get_context("fork")
+    seen = []
+
+    class RecordingContext:
+        def __call__(self, method):
+            return self
+
+        def Pool(self, *args, **kwargs):
+            seen.append(dict(shufflebv.bv._worker))
+            return fork.Pool(*args, **kwargs)
+
+    def watched(*args, **kwargs):
+        seen.append(dict(shufflebv.bv._worker))
+        return run_axiom(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", RecordingContext())
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(shufflebv.bv, "run_axiom", watched)
+    reports = check_dbv(end2, Bounds(unary=2, binary=1, ternary=1, jobs=2))
+    assert all(r.passed for r in reports)
+    assert seen == [{}] * (1 + len(reports))
 
 
 def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):

@@ -212,6 +212,42 @@ def test_check_corrupted_with_assume_valid_is_1(fixture_file, capsys):
     assert "FAIL" in out and "defect" in out
 
 
+def corrupt_map(doc):
+    # d22 -> e12: not multiplicative, so the induced map misses delta
+    doc["map"][1]["output"] = [["e12", "1"]]
+
+
+def test_check_morphism_assume_valid_skips_validation(fixture_file, capsys, monkeypatch):
+    path = fixture_file("diag-into-upper-triangular", mutate=corrupt_map)
+    args = ["check", path, "--max-len", "2", "--pair-len", "1"]
+    assert main(args) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID: 2 violation(s)") and "multiplicative" in out
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    for jobs in ("1", "2"):
+        assert main(args + ["--assume-valid", "--jobs", jobs]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:4] == [
+            "FAIL (2 failing)  morphism_commutes_delta: 7 cases [words <= 2]",
+            "    inputs: d11(x)d22",
+            "    defect: -e12",
+        ]
+        assert out[0].startswith("PASS") and out[-1].startswith("PASS")
+    # the flag skips validation only: endpoints must still be builtin dgas,
+    # and map entries must still be degree-consistent
+    for source, target, image in (("nope", "upper-triangular-2", "e11"),
+                                  ("ainf-mu3", "upper-triangular-2", "e11"),
+                                  ("diagonal-2", "end-two-term-complex", "b")):
+        def mutate(doc):
+            doc.update(source=source, target=target)
+            doc["map"] = [{"inputs": ["d11"], "output": [[image, "1"]]}]
+
+        path = fixture_file("diag-into-upper-triangular", mutate=mutate)
+        for extra in ([], ["--assume-valid"]):
+            assert main(args + extra) == 2
+            assert "invalid input" in capsys.readouterr().err
+
+
 def test_check_json_report_deterministic(fixture_file, capsys):
     path = fixture_file("end-two-term-complex")
     args = [
