@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .graded import (
     AElement,
@@ -55,14 +54,18 @@ def default_arity(arities: Iterable[int], check: bool = False) -> int:
     return max(top, 2) if check else top
 
 
-@dataclass
 class AlgebraSpec:
     """A plain, unvalidated description of a DG or A-infinity algebra."""
 
-    name: str
-    kind: str  # "dga" | "ainf"
-    basis: list[tuple[str, int]]
-    operations: dict[str, Table] = field(default_factory=dict)
+    def __init__(self, name: str, kind: str, basis: list[tuple[str, int]],
+                 operations: dict[str, Table] | None = None):
+        self.name = name
+        self.kind = kind  # "dga" | "ainf"
+        self.basis = basis
+        self.operations = {} if operations is None else operations
+
+    def __eq__(self, other):
+        return type(other) is AlgebraSpec and vars(self) == vars(other)
 
     def space(self) -> GradedSpace:
         return GradedSpace(self.name, [BasisLetter(i, d) for i, d in self.basis])
@@ -79,14 +82,17 @@ class AlgebraSpec:
         )
 
 
-@dataclass
 class MorphismSpec:
     """A degree-0 linear map between two named algebras."""
 
-    name: str
-    source: str
-    target: str
-    mapping: Table = field(default_factory=dict)
+    def __init__(self, name: str, source: str, target: str, mapping: Table | None = None):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.mapping = {} if mapping is None else mapping
+
+    def __eq__(self, other):
+        return type(other) is MorphismSpec and vars(self) == vars(other)
 
 
 # --------------------------------------------------------------------------
@@ -273,12 +279,14 @@ def render_document(spec: AlgebraSpec | MorphismSpec) -> dict:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Violation:
-    rule: str
-    inputs: tuple
-    lhs: object
-    rhs: object
+    """A failed rule of a validation, at the basis inputs, with both sides."""
+
+    def __init__(self, rule: str, inputs: tuple, lhs, rhs):
+        self.rule = rule
+        self.inputs = inputs
+        self.lhs = lhs
+        self.rhs = rhs
 
     def __str__(self):
         def show(x):

@@ -27,9 +27,9 @@ import functools
 import itertools
 import math
 import os
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
 
 from .algebra_io import default_arity
 from .graded import GradedSpace, InvalidInputError, Scalar, render_scalar
@@ -62,13 +62,13 @@ from .words import (
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Failure:
     """A failing case: its input words, each as its letter ids, and the
     nonzero defect."""
 
-    inputs: tuple[tuple[str, ...], ...]
-    defect: TElement
+    def __init__(self, inputs: tuple[tuple[str, ...], ...], defect: TElement):
+        self.inputs = inputs
+        self.defect = defect
 
     def to_json(self) -> dict:
         return {
@@ -80,15 +80,16 @@ class Failure:
         }
 
 
-@dataclass
 class AxiomReport:
     """Outcome of one exhaustively checked identity."""
 
-    name: str
-    bound: str
-    cases: int
-    failures: list[Failure] = field(default_factory=list)
-    failure_count: int = 0
+    def __init__(self, name: str, bound: str, cases: int,
+                 failures: list[Failure] | None = None, failure_count: int = 0):
+        self.name = name
+        self.bound = bound
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.failure_count = failure_count
 
     @property
     def passed(self) -> bool:
@@ -109,24 +110,21 @@ class AxiomReport:
         return f"AxiomReport({self.name}: {status}, {self.cases} cases)"
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(namedtuple("Bounds", "unary binary ternary order_slack fail_cap jobs",
+                        defaults=(5, 3, 2, 2, 10, 1))):
     """Word-length bounds for the exhaustive sweeps."""
 
-    unary: int = 5
-    binary: int = 3
-    ternary: int = 2
-    order_slack: int = 2
-    fail_cap: int = 10
-    jobs: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.unary, self.binary, self.ternary, self.order_slack) < 0:
             raise InvalidInputError("bounds must be nonnegative")
         if self.fail_cap < 1:
             raise InvalidInputError("fail_cap must be >= 1")
         if self.jobs < 1:
             raise InvalidInputError("jobs must be >= 1")
+        return self
 
 
 # --------------------------------------------------------------------------
@@ -134,20 +132,22 @@ class Bounds:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Sweep:
     """One identity of a check: ``evaluate`` gives each case's defect, and
     a nonzero defect is a failure."""
 
-    name: str
-    bound: str
-    cases: Cases
-    evaluate: Callable[[tuple[Word, ...]], TElement | None]
+    def __init__(self, name: str, bound: str, cases: Cases,
+                 evaluate: Callable[[tuple[Word, ...]], TElement | None]):
+        self.name = name
+        self.bound = bound
+        self.cases = cases
+        self.evaluate = evaluate
 
 
 # The state of a pool check that ``_run_block`` reads in a worker, set there
 # by the pool's initializer, so the checking process never writes it: the
 # check's sweeps, the per-sweep memos of its own they fill, its space, the
+# other spaces and its own image tables that it trims with that space, the
 # reach of the sweeps from each one on, the failure cap, the sweep whose
 # entries the memos hold and the reach the tables were last trimmed to.  A
 # serial check keeps its own.
@@ -178,21 +178,25 @@ def _failures_in(cases: Iterable[tuple[Word, ...]], evaluate: Callable, fail_cap
     return count, kept
 
 
-def _trim(space: GradedSpace, reach: int) -> None:
+def _trim(spaces: Iterable[GradedSpace], reach: int, images: Iterable[dict] = ()) -> None:
     """Drop every entry that no case of total word length <= ``reach`` can
-    read: from the image table of every operator on ``space``, the images of
-    longer words; from ``space``, the shuffle pairs of a longer total and the
-    longer interned words.
+    read: from ``images`` and from the image table of every operator on each
+    of ``spaces``, the images of longer words; from each space, the shuffle
+    pairs of a longer total and the longer interned words.
 
     No case reads a word longer than its own total, and a table refills on a
     miss, so trimming changes no result.  A table that loses entries is
     emptied and refilled in place: its readers keep it, and its key table
     shrinks to what is kept.
     """
-    for table in (*(op._cache for op in space._operators), space._word_table):
+    tables = list(images)
+    for space in spaces:
+        tables += (op._cache for op in space._operators)
+        tables.append(space._word_table)
+        shuffles = space._shuffle_cache
+        _keep(shuffles, {uv: v for uv, v in shuffles.items() if len(uv[0]) + len(uv[1]) <= reach})
+    for table in tables:
         _keep(table, {w: v for w, v in table.items() if len(w) <= reach})
-    shuffles = space._shuffle_cache
-    _keep(shuffles, {uv: v for uv, v in shuffles.items() if len(uv[0]) + len(uv[1]) <= reach})
 
 
 def _keep(table: dict, entries: dict) -> None:
@@ -219,7 +223,7 @@ def _run_block(task: tuple[int, int, int], state: dict = _worker) -> Failures:
         state["held"] = index
         reach = state["reach"][index]
         if state["trimmed"] is None or reach < state["trimmed"]:
-            _trim(state["space"], reach)
+            _trim((state["space"], *state["targets"]), reach, state["images"])
             state["trimmed"] = reach
     sweep = state["sweeps"][index]
     return _failures_in(itertools.islice(sweep.cases, start, stop), sweep.evaluate, state["fail_cap"])
@@ -262,6 +266,8 @@ def run_sweeps(
     space: GradedSpace,
     fail_cap: int = 10,
     jobs: int = 1,
+    targets: Sequence[GradedSpace] = (),
+    images: Sequence[dict] = (),
 ) -> list[AxiomReport]:
     """Run a check's sweeps, whose cases are words of ``space``, in order
     and report each one.
@@ -271,7 +277,9 @@ def run_sweeps(
     on ``space``, are emptied (also when the check returns), and those
     operators' image tables and the space's shuffle and intern tables drop
     every entry longer than the reach of the sweeps still to run (see
-    ``_trim``); what remains outlives the check.  Each sweep is handed out
+    ``_trim``); so do the tables of ``targets``, the other spaces the sweeps
+    read, and ``images``, the check's own image tables keyed by words of
+    ``space``.  What remains outlives the check.  Each sweep is handed out
     as contiguous blocks of cases, run by ``_run_block``, and the blocks'
     results are merged in case order, so reports are the same at every
     ``jobs``.  With jobs > 1 one fork-based pool, of at most one worker per
@@ -296,8 +304,8 @@ def run_sweeps(
     tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
     # reach[i]: the longest total word length of any case of sweeps[i:]
     reach = list(itertools.accumulate((s.cases.reach for s in reversed(sweeps)), max))[::-1]
-    state = dict(sweeps=sweeps, memos=tuple(memos), space=space, reach=reach,
-                 fail_cap=fail_cap, held=None, trimmed=None)
+    state = dict(sweeps=sweeps, memos=tuple(memos), space=space, targets=tuple(targets),
+                 images=tuple(images), reach=reach, fail_cap=fail_cap, held=None, trimmed=None)
     try:
         with nullcontext() if ctx is None else ctx.Pool(workers, _worker.update, (state,)) as pool:
             # read in order, as each sweep's run_axiom consumes its blocks;
@@ -468,10 +476,12 @@ def functoriality_cases(space: GradedSpace, bounds: Bounds) -> CasePlan:
     ]
 
 
-def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds) -> list[AxiomReport]:
-    """Run the sweeps of ``plan``, each with its evaluator by name."""
+def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds, **trimmed) -> list[AxiomReport]:
+    """Run the sweeps of ``plan``, each with its evaluator by name;
+    ``trimmed`` gives ``run_sweeps``'s ``targets`` and ``images``."""
     sweeps = [Sweep(name, bound, cases, evaluators[name]) for name, bound, cases in plan]
-    return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs)
+    return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs,
+                      **trimmed)
 
 
 def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -614,4 +624,7 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
         - shuffle_elements(F(el(c[0])), F(el(c[1]))),
     }
     plan = functoriality_cases(src.space, bounds)
-    return _run_plan(plan, evaluators, space=src.space, bounds=bounds)
+    # F's images and the target's tables hold words no longer than their
+    # source words, so the source's reach trims them too
+    return _run_plan(plan, evaluators, space=src.space, bounds=bounds,
+                     targets=(tgt.space,), images=(F._cache,))

@@ -13,7 +13,12 @@ import json
 import sys
 import time
 
-from . import algebra_io
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+from . import __version__, algebra_io
 from .algebra_io import (
     AlgebraSpec,
     MorphismSpec,
@@ -76,6 +81,19 @@ def _print_reports_text(reports: list[AxiomReport], out) -> None:
             print(f"    defect: {render_telement(f.defect)}", file=out)
 
 
+def _meta(elapsed: float) -> dict:
+    """The report's run-dependent block: the check's wall time, this
+    process's CPU time so far, start-up included, and its peak RSS where the
+    platform reports it."""
+    meta = {"elapsed_s": round(elapsed, 3), "version": __version__,
+            "cpu_s": round(time.process_time(), 3)}
+    if resource is not None:
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        meta["peak_rss_mb"] = round(maxrss / (1024**2 if sys.platform == "darwin" else 1024), 3)
+    return meta
+
+
 def _emit_check_report(args, reports: list[AxiomReport], elapsed: float, config: dict) -> None:
     if args.report == "json":
         payload = {
@@ -84,7 +102,7 @@ def _emit_check_report(args, reports: list[AxiomReport], elapsed: float, config:
             "command": "check",
             "config": config,
             "axioms": [r.to_json() for r in reports],
-            "meta": {"elapsed_s": round(elapsed, 3)},
+            "meta": _meta(elapsed),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -9,11 +9,12 @@ integer inputs stay integers throughout.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
-Scalar = Union[int, Fraction]
+# an exact rational: ``fractions`` is imported only where a scalar is not an
+# int, so integer-only inputs never load it (nor ``decimal``, which it imports)
+Scalar = "int | Fraction"
 
 
 class InvalidInputError(ValueError):
@@ -29,6 +30,8 @@ def normalize_scalar(c) -> Scalar:
     t = type(c)
     if t is int:
         return c
+    from fractions import Fraction
+
     if t is Fraction:
         return int(c) if c.denominator == 1 else c
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
@@ -45,6 +48,8 @@ def parse_scalar(text: str) -> Scalar:
     s = text.strip()
     try:
         if "/" in s:
+            from fractions import Fraction
+
             num, den = s.split("/")
             return normalize_scalar(Fraction(int(num), int(den)))
         return int(s)
@@ -59,12 +64,10 @@ def render_scalar(c: Scalar) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-@dataclass(frozen=True)
-class BasisLetter:
+class BasisLetter(namedtuple("BasisLetter", "id degree")):
     """A homogeneous basis element: symbolic id plus integer degree."""
 
-    id: str
-    degree: int
+    __slots__ = ()
 
 
 def shifted_degree(letter: BasisLetter) -> int:

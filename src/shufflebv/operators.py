@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graded import (
     AElement,

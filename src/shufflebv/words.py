@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from operator import itemgetter, xor
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .graded import (
     GradedSpace,

@@ -268,7 +268,14 @@ def test_check_json_report_deterministic(fixture_file, capsys):
     second = json.loads(capsys.readouterr().out)
     meta1, meta2 = first.pop("meta"), second.pop("meta")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    assert "elapsed_s" in meta1 and "elapsed_s" in meta2
+    # peak_rss_mb is left out where the platform has no ``resource`` module
+    numbers = ["elapsed_s", "cpu_s"] + (["peak_rss_mb"] if shufflebv.cli.resource else [])
+    for meta in (meta1, meta2):
+        assert set(meta) == {"version", *numbers}
+        assert meta["version"] == shufflebv.__version__
+        assert all(type(meta[k]) in (int, float) and meta[k] >= 0 for k in numbers)
+        assert meta["cpu_s"] > 0
+    assert meta2["cpu_s"] >= meta1["cpu_s"]  # one process: its CPU time so far
     assert first["format_version"] == 1
     assert {a["name"] for a in first["axioms"]} >= {"d_squared", "bracket_jacobi"}
     assert all(a["passed"] for a in first["axioms"])

@@ -306,3 +306,34 @@ def test_trimmed_reports_match_through_a_fork_pool():
     reports = check_dbv(even, Bounds(5, 2, 1, fail_cap=10**6, jobs=2))
     assert ([r.failure_count for r in reports], report_digest(reports)) == TRIM_PINS[
         (5, 2, 1), "delta o d"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_functoriality_trims_both_spaces_and_the_induced_map(jobs, monkeypatch):
+    # the check reads the tables of the source space, of the target space and
+    # of the induced map F; once it returns, none of them holds a word longer
+    # than the final reach (2, of the pair sweep), although the unary sweeps
+    # filled them up to length 7.  At jobs 2 the in-process stand-in pool
+    # trims the same tables through its worker state.
+    from shufflebv.algebra_io import validate_morphism
+
+    morph = validate_morphism(builtin("diag-into-upper-triangular"))
+    maps = []
+    induced = shufflebv.bv.induced_morphism
+    monkeypatch.setattr(shufflebv.bv, "induced_morphism", lambda f: maps.append(induced(f)) or maps[-1])
+    monkeypatch.setattr(multiprocessing, "get_context", InProcessContext())
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    reports = shufflebv.bv.check_functoriality(morph, Bounds(unary=7, binary=1, jobs=jobs))
+    assert [(r.name, r.cases, r.failure_count) for r in reports] == [
+        ("morphism_commutes_d", 255, 0),
+        ("morphism_commutes_delta", 255, 0),
+        ("morphism_commutes_shuffle", 9, 0),
+    ]
+    for space in (morph.source.space, morph.target.space):
+        images = [w for op in space._operators for w in op._cache]
+        assert images  # the last sweep did fill
+        assert max(map(len, images)) <= 2, space.name
+        assert max(map(len, space._word_table)) <= 2, space.name
+        assert all(len(u) + len(v) <= 2 for u, v in space._shuffle_cache), space.name
+    (F,) = maps
+    assert F._cache and max(map(len, F._cache)) <= 2
