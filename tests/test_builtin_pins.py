@@ -10,7 +10,10 @@ characters.  Two pinned reports have failure witnesses on multi-character
 letters: each fixture with the sign of one ``mu2`` entry flipped, checked
 under ``--assume-valid``.  Every pin was taken before words were stored as
 strings, so any change in how words are stored, ordered or rendered that
-reaches a report fails here.
+reaches a report fails here.  Two failing morphisms, checked under
+``--assume-valid`` at the default bounds, pin the functoriality witnesses at
+``--jobs`` 1 and 2; they were taken while the check still evaluated through
+element arithmetic.
 """
 
 import hashlib
@@ -91,6 +94,30 @@ FLIPPED_PINS = {
     ),
 }
 
+# morphism -> its map (letter -> output terms), then the exit code, the
+# (name, cases, failure_count) of each sweep and the digest of the json report
+# without ``config.jobs`` of ``check --assume-valid`` at the default bounds
+FAILING_MORPHISMS = {
+    # the a <-> e swap commutes with neither d nor the product (as every
+    # degree-0 letterwise map, it commutes with the shuffle product)
+    "end-two-term-complex-swap": (
+        ("end-two-term-complex", "end-two-term-complex",
+         {"a": [["e", "1"]], "b": [["b", "1"]], "c": [["c", "1"]], "e": [["a", "1"]]}),
+        1,
+        [("morphism_commutes_d", 1365, 1302), ("morphism_commutes_delta", 1365, 1244),
+         ("morphism_commutes_shuffle", 7225, 0)],
+        "172c09e6deca83ac179d3e1e41d41ac67ae20c68d501c8fc4ea42da6f869516d",
+    ),
+    # d22 -> e12 is not multiplicative: its witnesses are target words
+    "diag-into-upper-triangular-d22-e12": (
+        ("diagonal-2", "upper-triangular-2", {"d11": [["e11", "1"]], "d22": [["e12", "1"]]}),
+        1,
+        [("morphism_commutes_d", 63, 0), ("morphism_commutes_delta", 63, 48),
+         ("morphism_commutes_shuffle", 225, 0)],
+        "a3fe0aa1b816c4c4c5cd5b2e4fd40a4ecd57c62041705765ac73851634e79e4c",
+    ),
+}
+
 # ``eval`` arguments -> the line it prints
 EVAL_PINS = {
     ("dual-numbers", "shuffle", "one,eps", "eps,one"): (
@@ -145,6 +172,23 @@ def test_failure_witnesses_pinned(name, tmp_path, capsys):
     digest = _report_digest(capsys.readouterr().out)
     assert main(["check", path, *SMALL, "--assume-valid", "--report", "text"]) == code
     assert [code, digest, _sha(capsys.readouterr().out)] == pins
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(FAILING_MORPHISMS))
+def test_failing_functoriality_pinned(name, jobs, tmp_path, capsys):
+    # at --jobs 2 through a real fork pool where two CPUs are usable, so the
+    # workers' failures travel back to the parent
+    (source, target, images), *pins = FAILING_MORPHISMS[name]
+    doc = {"format": 1, "kind": "morphism", "name": name, "source": source, "target": target,
+           "map": [{"inputs": [a], "output": out} for a, out in images.items()]}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path), "--assume-valid", "--report", "json", "--jobs", str(jobs)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"].pop("jobs") == jobs
+    sweeps = [(r["name"], r["cases"], r["failure_count"]) for r in report["axioms"]]
+    assert [code, sweeps, _report_digest(json.dumps(report))] == pins
 
 
 @pytest.mark.parametrize("key", sorted(EVAL_PINS))
