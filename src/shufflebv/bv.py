@@ -10,10 +10,11 @@ order-n expression are both read off the operator's defect memo
 (``operators.defect_table``), which lives for one sweep.  ``check_dbv`` and
 ``check_bvinf`` verify every axiom of the induced structure by exhaustive
 evaluation over basis words up to caller-supplied length bounds; failures
-are collected as data, never raised.  Each case's identity is merged into
-one dict by ``merge_images``, its images, shuffles, brackets and defects
-read by subscript from the tables of the operators, the space and the
-memo.  Every suite builds its sweeps first and hands them to one driver,
+are collected as data, never raised.  In every check, each case's identity
+is merged into one dict, its images, shuffles, brackets and defects read by
+subscript from the tables of the operators, the induced map, the spaces and
+the memo; ``run_axiom`` alone makes a nonempty one a failure's element.
+Every suite builds its sweeps first and hands them to one driver,
 ``run_sweeps``.  A sweep's cases are a stream (``words.Cases``) that knows
 its count (``words.capped``) before any case is made, so ``dbv_cases``,
 ``bvinf_cases`` and ``functoriality_cases`` predict a check's size from its
@@ -49,7 +50,6 @@ from .words import (
     merge_scaled,
     merge_shuffles,
     render_telement,
-    shuffle_elements,
     word_degree,
     word_parity,
     word_product,
@@ -64,7 +64,7 @@ from .words import (
 
 class Failure:
     """A failing case: its input words, each as its letter ids, and the
-    nonzero defect."""
+    nonzero defect, an element of the space the check's defects live in."""
 
     def __init__(self, inputs: tuple[tuple[str, ...], ...], defect: TElement):
         self.inputs = inputs
@@ -133,11 +133,11 @@ class Bounds(namedtuple("Bounds", "unary binary ternary order_slack fail_cap job
 
 
 class Sweep:
-    """One identity of a check: ``evaluate`` gives each case's defect, and
-    a nonzero defect is a failure."""
+    """One identity of a check: ``evaluate`` gives the terms of each case's
+    defect as a dict, and a nonempty one is a failure."""
 
     def __init__(self, name: str, bound: str, cases: Cases,
-                 evaluate: Callable[[tuple[Word, ...]], TElement | None]):
+                 evaluate: Callable[[tuple[Word, ...]], dict[Word, Scalar]]):
         self.name = name
         self.bound = bound
         self.cases = cases
@@ -147,8 +147,8 @@ class Sweep:
 # The state of a pool check that ``_run_block`` reads in a worker, set there
 # by the pool's initializer, so the checking process never writes it: the
 # check's sweeps, the per-sweep memos of its own they fill, its space, the
-# other spaces and its own image tables that it trims with that space, the
-# reach of the sweeps from each one on, the failure cap, the sweep whose
+# spaces and its own image tables that it trims (its space and the target's),
+# the reach of the sweeps from each one on, the failure cap, the sweep whose
 # entries the memos hold and the reach the tables were last trimmed to.  A
 # serial check keeps its own.
 _worker: dict = {}
@@ -162,8 +162,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A block's failures: how many, and the first ``fail_cap`` as (case, defect).
-Failures = tuple[int, list[tuple[tuple[Word, ...], TElement]]]
+# A block's failures: how many, and the first ``fail_cap`` as (case, terms).
+Failures = tuple[int, list[tuple[tuple[Word, ...], dict[Word, Scalar]]]]
 
 
 def _failures_in(cases: Iterable[tuple[Word, ...]], evaluate: Callable, fail_cap: int) -> Failures:
@@ -171,7 +171,7 @@ def _failures_in(cases: Iterable[tuple[Word, ...]], evaluate: Callable, fail_cap
     count, kept = 0, []
     for case in cases:
         defect = evaluate(case)
-        if defect is not None and not defect.is_zero():
+        if defect:
             count += 1
             if len(kept) < fail_cap:
                 kept.append((case, defect))
@@ -223,7 +223,7 @@ def _run_block(task: tuple[int, int, int], state: dict = _worker) -> Failures:
         state["held"] = index
         reach = state["reach"][index]
         if state["trimmed"] is None or reach < state["trimmed"]:
-            _trim((state["space"], *state["targets"]), reach, state["images"])
+            _trim(state["spaces"], reach, state["images"])
             state["trimmed"] = reach
     sweep = state["sweeps"][index]
     return _failures_in(itertools.islice(sweep.cases, start, stop), sweep.evaluate, state["fail_cap"])
@@ -243,19 +243,21 @@ def run_axiom(
     *,
     fail_cap: int,
     blocks: Iterable[Failures],
+    target: GradedSpace | None = None,
 ) -> AxiomReport:
     """Report one identity over cases of words of ``space``, keeping the
     first ``fail_cap`` failures in case order.
 
     ``blocks`` are the failures of consecutive blocks of the cases, as
-    ``_run_block`` returns them.
+    ``_run_block`` returns them.  Each kept defect's terms become an element
+    of ``target``, by default ``space``, here in the checking process.
     """
     report = AxiomReport(name=name, bound=bound, cases=len(cases))
     for count, kept in blocks:
         report.failure_count += count
         for case, defect in kept[: fail_cap - len(report.failures)]:
             inputs = tuple(map(space.decode, case))
-            report.failures.append(Failure(inputs, defect))
+            report.failures.append(Failure(inputs, TElement._make(target or space, defect)))
     return report
 
 
@@ -266,7 +268,7 @@ def run_sweeps(
     space: GradedSpace,
     fail_cap: int = 10,
     jobs: int = 1,
-    targets: Sequence[GradedSpace] = (),
+    target: GradedSpace | None = None,
     images: Sequence[dict] = (),
 ) -> list[AxiomReport]:
     """Run a check's sweeps, whose cases are words of ``space``, in order
@@ -277,17 +279,18 @@ def run_sweeps(
     on ``space``, are emptied (also when the check returns), and those
     operators' image tables and the space's shuffle and intern tables drop
     every entry longer than the reach of the sweeps still to run (see
-    ``_trim``); so do the tables of ``targets``, the other spaces the sweeps
-    read, and ``images``, the check's own image tables keyed by words of
-    ``space``.  What remains outlives the check.  Each sweep is handed out
-    as contiguous blocks of cases, run by ``_run_block``, and the blocks'
-    results are merged in case order, so reports are the same at every
-    ``jobs``.  With jobs > 1 one fork-based pool, of at most one worker per
-    usable CPU, serves every sweep, one block per worker.  Its initializer
-    hands each forked worker the check's state, unpickled, case streams and
-    evaluators included, and the workers keep their tables, trimmed the same
-    way, from one sweep to the next.  Otherwise each sweep is one block, run
-    here on this call's own state, so no check writes module state here.
+    ``_trim``); so do the tables of ``target``, the space the defects are
+    elements of (by default ``space``), and ``images``, the check's own
+    image tables keyed by words of ``space``.  What remains outlives the
+    check.  Each sweep is handed out as contiguous blocks of cases, run by
+    ``_run_block``, and the blocks' results are merged in case order, so
+    reports are the same at every ``jobs``.  With jobs > 1 one fork-based
+    pool, of at most one worker per usable CPU, serves every sweep, one
+    block per worker.  Its initializer hands each forked worker the check's
+    state, unpickled, case streams and evaluators included, and the workers
+    keep their tables, trimmed the same way, from one sweep to the next.
+    Otherwise each sweep is one block, run here on this call's own state, so
+    no check writes module state here.
     """
     workers = min(jobs, _usable_cpus())
     ctx = None
@@ -304,7 +307,8 @@ def run_sweeps(
     tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
     # reach[i]: the longest total word length of any case of sweeps[i:]
     reach = list(itertools.accumulate((s.cases.reach for s in reversed(sweeps)), max))[::-1]
-    state = dict(sweeps=sweeps, memos=tuple(memos), space=space, targets=tuple(targets),
+    spaces = (space,) if target is None else (space, target)
+    state = dict(sweeps=sweeps, memos=tuple(memos), space=space, spaces=spaces,
                  images=tuple(images), reach=reach, fail_cap=fail_cap, held=None, trimmed=None)
     try:
         with nullcontext() if ctx is None else ctx.Pool(workers, _worker.update, (state,)) as pool:
@@ -316,7 +320,7 @@ def run_sweeps(
                 results = pool.imap(_run_block, tasks)
             return [
                 run_axiom(s.name, s.bound, s.cases, space, fail_cap=fail_cap,
-                          blocks=itertools.islice(results, len(spans)))
+                          blocks=itertools.islice(results, len(spans)), target=target)
                 for s, spans in zip(sweeps, plan)
             ]
     finally:
@@ -476,9 +480,14 @@ def functoriality_cases(space: GradedSpace, bounds: Bounds) -> CasePlan:
     ]
 
 
+def _on_word(relation: Callable[[Word], dict[Word, Scalar]]) -> Callable:
+    """The evaluator of one-word cases that applies ``relation`` to the word."""
+    return lambda case: relation(case[0])
+
+
 def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds, **trimmed) -> list[AxiomReport]:
     """Run the sweeps of ``plan``, each with its evaluator by name;
-    ``trimmed`` gives ``run_sweeps``'s ``targets`` and ``images``."""
+    ``trimmed`` gives ``run_sweeps``'s ``target`` and ``images``."""
     sweeps = [Sweep(name, bound, cases, evaluators[name]) for name, bound, cases in plan]
     return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs,
                       **trimmed)
@@ -509,17 +518,11 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         lambda xy: _bracket_rows(delta, _add_rows({}, delta, word_rows[xy[0]], {xy[1]: 1}))
     )
 
-    # the composites are the arity <= 2 A-infinity relations of (d, mu);
-    # explicit pairs, since a caller's d and delta may share a degree
-    def composite(*pairs):
-        relation = composite_sum(pairs)
-        return lambda c: TElement._make(space, relation(c[0]))
-
     def antisymmetry(case):
         x, y = case
         s = -1 if ((wd(x) + 1) & 1) & ((wd(y) + 1) & 1) else 1
         acc = _add_rows({}, delta, word_rows[x], {y: 1})
-        return TElement._make(space, _add_rows(acc, delta, word_rows[y], {x: 1}, s))
+        return _add_rows(acc, delta, word_rows[y], {x: 1}, s)
 
     def leibniz(case):
         # {x * y, z} - x * {y, z} - s {x, z} * y
@@ -529,7 +532,7 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         acc = _add_rows({}, delta, product_rows[x, y], zt)
         merge_shuffles(acc, space, x, _add_rows({}, delta, word_rows[y], zt), -1, True, shuffles)
         merge_shuffles(acc, space, y, _add_rows({}, delta, word_rows[x], zt), -s, False, shuffles)
-        return TElement._make(space, acc)
+        return acc
 
     def jacobi(case):
         # {x, {y, z}} - {{x, y}, z} - s {y, {x, z}}
@@ -538,19 +541,20 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         rx, ry, zt = word_rows[x], word_rows[y], {z: 1}
         acc = _add_rows({}, delta, rx, _add_rows({}, delta, ry, zt))
         _add_rows(acc, delta, bracket_rows[x, y], zt, -1)
-        _add_rows(acc, delta, ry, _add_rows({}, delta, rx, zt), -s)
-        return TElement._make(space, acc)
+        return _add_rows(acc, delta, ry, _add_rows({}, delta, rx, zt), -s)
 
     evaluators = {
-        "d_squared": composite((d, d)),
-        "delta_squared": composite((delta, delta)),
-        "d_delta_anticommutator": composite((d, delta), (delta, d)),
+        # the composites are the arity <= 2 A-infinity relations of (d, mu);
+        # explicit terms, since a caller's d and delta may share a degree
+        "d_squared": _on_word(composite_sum([(1, d, d)])),
+        "delta_squared": _on_word(composite_sum([(1, delta, delta)])),
+        "d_delta_anticommutator": _on_word(composite_sum([(1, d, delta), (1, delta, d)])),
         # d's order-1 defect F_2(u, v): d is a derivation of the shuffle product
-        "d_derivation": lambda c: TElement._make(space, _koszul_step(d, c, shuffles)),
+        "d_derivation": lambda c: _koszul_step(d, c, shuffles),
         "bracket_antisymmetry": antisymmetry,
         "bracket_leibniz": leibniz,
         "bracket_jacobi": jacobi,
-        "delta_order_2": lambda c: TElement._make(space, _koszul_step(delta, c, shuffles)),
+        "delta_order_2": lambda c: _koszul_step(delta, c, shuffles),
     }
     return _run_plan(dbv_cases(space, bounds), evaluators,
                      (word_rows, product_rows, bracket_rows), space=space, bounds=bounds)
@@ -577,8 +581,7 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
     # delta_1_is_d holds by construction: ops[1] is d_lift, one cached lift
     one_img, d_img = ops[1]._cache, ainf.delta_op(1)._cache
     evaluators = {
-        "delta_1_is_d":
-            lambda c: TElement._make(space, merge_scaled(dict(one_img[c[0]]), d_img[c[0]], -1)),
+        "delta_1_is_d": lambda c: merge_scaled(dict(one_img[c[0]]), d_img[c[0]], -1),
     }
 
     for k, op in ops.items():
@@ -587,23 +590,14 @@ def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> lis
         def degree_defect(case, op_img=op._cache, g=g):
             w = case[0]
             base = word_degree(space, w)
-            bad = {
-                w2: c
-                for w2, c in op_img[w].items()
-                if word_degree(space, w2) != base + g
-            }
-            return TElement._make(space, bad)
+            return {w2: c for w2, c in op_img[w].items() if word_degree(space, w2) != base + g}
 
         evaluators[f"degree_delta_{g}"] = degree_defect
         # the order-k defect of k + 1 basis words, from op's defect memo
-        evaluators[f"order_{k}_delta_{g}"] = (
-            lambda case, op=op: TElement._make(space, _koszul_step(op, case, shuffles))
-        )
+        evaluators[f"order_{k}_delta_{g}"] = lambda case, op=op: _koszul_step(op, case, shuffles)
 
     for n, relation in composition_relations(ops.values()):
-        evaluators[f"sum_relation_n_{n}"] = (
-            lambda case, relation=relation: TElement._make(space, relation(case[0]))
-        )
+        evaluators[f"sum_relation_n_{n}"] = _on_word(relation)
     return _run_plan(plan, evaluators, space=space, bounds=bounds)
 
 
@@ -613,18 +607,24 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
     bounds = bounds or Bounds()
     F = induced_morphism(morph.fmap)
     src, tgt = morph.source, morph.target
-    # case words come from ``words_up_to`` on the source space: trusted
-    el = lambda w: TElement._make(src.space, {w: 1})
+
+    def shuffle_defect(case):
+        # F(u * v) - F(u) * F(v), from the source's and the target's shuffle tables
+        u, v = case
+        acc = merge_images({}, src.space._shuffle_cache[u, v], F._cache, 1)
+        for w, c in F._cache[u].items():
+            merge_shuffles(acc, tgt.space, w, F._cache[v], -c, True, tgt.space._shuffle_cache)
+        return acc
 
     evaluators = {
-        "morphism_commutes_d": lambda c: F(src.d_op(el(c[0]))) - tgt.d_op(F(el(c[0]))),
+        # F o D - D' o F, read from the image tables of F and of the operators
+        "morphism_commutes_d": _on_word(composite_sum([(1, F, src.d_op), (-1, tgt.d_op, F)])),
         "morphism_commutes_delta":
-            lambda c: F(src.delta_op(el(c[0]))) - tgt.delta_op(F(el(c[0]))),
-        "morphism_commutes_shuffle": lambda c: F(shuffle_elements(el(c[0]), el(c[1])))
-        - shuffle_elements(F(el(c[0])), F(el(c[1]))),
+            _on_word(composite_sum([(1, F, src.delta_op), (-1, tgt.delta_op, F)])),
+        "morphism_commutes_shuffle": shuffle_defect,
     }
     plan = functoriality_cases(src.space, bounds)
     # F's images and the target's tables hold words no longer than their
     # source words, so the source's reach trims them too
     return _run_plan(plan, evaluators, space=src.space, bounds=bounds,
-                     targets=(tgt.space,), images=(F._cache,))
+                     target=tgt.space, images=(F._cache,))

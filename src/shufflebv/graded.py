@@ -42,11 +42,14 @@ def normalize_scalar(c) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse "p" or "p/q" (base 10).  Floats are rejected."""
+    """Parse "p" or "p/q" in ASCII base-10 digits.  Floats are rejected, and
+    so are "_" separators and non-ASCII digits, which ``int`` takes."""
     if not isinstance(text, str):
         raise InvalidInputError(f"scalar must be a string, got {text!r}")
     s = text.strip()
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError("not ASCII base-10 digits")
         if "/" in s:
             from fractions import Fraction
 

@@ -134,11 +134,6 @@ class Operator:
         self._defects = defect_table(self)
         space._operators.add(self)
 
-    def apply_word(self, ids: Sequence[str]) -> dict[tuple[str, ...], Scalar]:
-        """The image of one word, both given by their letter ids."""
-        decode = self.space.decode
-        return {decode(w): c for w, c in self._cache[self.space.encode(ids)].items()}
-
     def _apply_word(self, w: Word) -> dict[Word, Scalar]:
         raise NotImplementedError
 
@@ -325,14 +320,15 @@ class OperatorSum(Operator):
         return acc
 
 
-def composite_sum(pairs: Sequence[tuple[Operator, Operator]]) -> Callable[[Word], dict[Word, Scalar]]:
-    """w -> the terms of the sum of P(Q(w)) over the (P, Q) of ``pairs``, in
-    order; images are read from the operators' tables."""
+def composite_sum(terms: Sequence[tuple[Scalar, Operator, Operator]]) -> Callable[[Word], dict[Word, Scalar]]:
+    """w -> the terms of the sum of c P(Q(w)) over the (c, P, Q) of ``terms``,
+    in order, each c nonzero; images are read from the image tables
+    (``_cache``) of P and Q, operators or induced maps."""
 
     def relation(w: Word) -> dict[Word, Scalar]:
         acc: dict[Word, Scalar] = {}
-        for P, Q in pairs:
-            merge_images(acc, Q._cache[w], P._cache, 1)
+        for c, P, Q in terms:
+            merge_images(acc, Q._cache[w], P._cache, c)
         return acc
 
     return relation
@@ -351,7 +347,7 @@ def composition_relations(
     """
     ops = sorted(ops, key=lambda op: -op.degree)
     for n in sorted({P.degree + Q.degree for P in ops for Q in ops}, reverse=True):
-        yield n, composite_sum([(P, Q) for P in ops for Q in ops if P.degree + Q.degree == n])
+        yield n, composite_sum([(1, P, Q) for P in ops for Q in ops if P.degree + Q.degree == n])
 
 
 class InducedMap:

@@ -64,15 +64,15 @@ def coderivation_defect(D, w):
     def splits(word):
         return [(word[:i], word[i:]) for i in range(len(word) + 1)]
 
-    for w1, c in D.apply_word(w).items():
+    for w1, c in D(w):
         for pair in splits(w1):
             add(pair, c)
     dpar = D.degree & 1
     for left, right in splits(w):
-        for l2, c in D.apply_word(left).items():
+        for l2, c in D(left):
             add((l2, right), -c)
         left_par = sum(shifted_parity(space, a) for a in left) & 1
         sign = -1 if (dpar and left_par) else 1
-        for r2, c in D.apply_word(right).items():
+        for r2, c in D(right):
             add((left, r2), -sign * c)
     return acc

@@ -209,7 +209,7 @@ def test_validation_completeness_at_basis_level():
             ComposedOperator(dop, dop), ComposedOperator(muop, muop), anticommutator(dop, muop)
         ]
         return all(
-            not op.apply_word(w)
+            not op(w)
             for op in checks
             for w in id_words(space, 4)
         )

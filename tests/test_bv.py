@@ -325,8 +325,8 @@ def test_pool_blocks_inside_an_xy_group(end2, monkeypatch):
                 elif before == "this sweep":  # up to a start inside the group
                     run(s, start - 3, start)
                 _, kept = run(s, start, stop)
-                want = [(c, f.terms) for c, f in whole if start <= position[c] < stop]
-                assert [(c, f.terms) for c, f in kept] == want, (name, start, before)
+                want = [(c, f) for c, f in whole if start <= position[c] < stop]
+                assert kept == want, (name, start, before)
     forget(*memos)
 
 
@@ -458,7 +458,7 @@ def test_serial_checks_share_no_module_state():
     # check's state alone
     sp = GradedSpace("s", [BasisLetter("a", 0)])
     cases = streamed([(sp.encode(("a",)),)] * 3)
-    fail = lambda case: TElement._make(sp, {case[0]: 1})
+    fail = lambda case: {case[0]: 1}
     inner = []
 
     def nested(case):
@@ -499,13 +499,29 @@ def test_pool_checks_write_no_module_state(end2, monkeypatch):
     assert seen == [{}] * (1 + len(reports))
 
 
+def test_pool_failures_hold_the_check_space(end2, monkeypatch):
+    # the workers of a real fork pool hand back each failure's terms, and the
+    # checking process makes its element in the check's own space, not in a
+    # copy unpickled beside every failure (a functoriality witness, in the
+    # target space: test_functoriality_witnesses_are_in_the_target_letters)
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    even = SimpleNamespace(space=end2.space, d_op=end2.d_op,
+                           delta_op=ComposedOperator(end2.delta_op, end2.d_op))
+    reports = check_dbv(even, Bounds(3, 2, 1, jobs=2))
+    failures = [f for r in reports for f in r.failures]
+    assert len(failures) > 10
+    assert all(f.defect.space is end2.space for f in failures)
+
+
 def test_run_axiom_pool_falls_back_to_cpu_count(monkeypatch):
     fake = InProcessContext()
     monkeypatch.setattr(multiprocessing, "get_context", fake)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     sp = GradedSpace("s", [BasisLetter("a", 0)])
     cases = streamed([(sp.encode(("a",)),)] * 40)
-    evaluate = lambda case: None
+    evaluate = lambda case: {}
     for cpus, sizes in ((2, [2]), (None, [])):
         fake.pool_sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -997,9 +1013,11 @@ def test_induced_morphism_commutes_with_bracket():
 def test_run_axiom_counts():
     sp = GradedSpace("s", [BasisLetter("a", 0)])
     cases = [(sp.encode(("a",) * i),) for i in (2, 0, 1)]
-    evaluate = lambda c: TElement._make(sp, {c[0]: 1})
+    evaluate = lambda c: {c[0]: 1}
     blocks = [shufflebv.bv._failures_in(iter(cases), evaluate, 1)]
     report = run_axiom("demo", "n/a", cases, sp, fail_cap=1, blocks=blocks)
     assert report.cases == 3 and report.failure_count == 3 and len(report.failures) == 1
     assert report.failures[0].inputs == (("a", "a"),)  # decoded to letter ids
+    # the defect's terms become an element of the check's space
+    assert report.failures[0].defect == TElement(sp, {("a", "a"): 1})
     assert not report.passed

@@ -164,6 +164,17 @@ def test_non_list_output_is_2(fixture_file, capsys, output):
         assert "'output' must be a list" in capsys.readouterr().err, args
 
 
+@pytest.mark.parametrize("coeff", ["1_000", "3/1_0", "\u0661\u0662"])
+def test_non_ascii_or_separated_coefficient_is_2(fixture_file, capsys, coeff):
+    # a coefficient is "p" or "p/q" in ASCII base-10 digits: int() would
+    # read these as 1000, 3/10 and 12
+    def set_coeff(doc):
+        doc["operations"]["mu2"][0]["output"][0][1] = coeff
+
+    assert main(["validate", fixture_file("dual-numbers", mutate=set_coeff)]) == 2
+    assert "bad scalar" in capsys.readouterr().err
+
+
 # -- check ------------------------------------------------------------------
 
 

@@ -44,7 +44,8 @@ def bubble_sign(perm, degrees):
 
 @pytest.mark.parametrize(
     "text,value",
-    [("3", 3), ("-7", -7), ("1/2", Fraction(1, 2)), ("-4/6", Fraction(-2, 3)), ("4/2", 2)],
+    [("3", 3), ("-7", -7), ("1/2", Fraction(1, 2)), ("-4/6", Fraction(-2, 3)), ("4/2", 2),
+     ("+3", 3), (" 4 ", 4), ("2/-4", Fraction(-1, 2)), ("0/5", 0)],
 )
 def test_parse_scalar(text, value):
     got = parse_scalar(text)
@@ -55,7 +56,11 @@ def test_parse_scalar(text, value):
         assert isinstance(got, int)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "a", "1/0", "", "1/2/3"])
+# underscores and non-ASCII digits (here Arabic-Indic 12), which int() takes
+SEPARATED_OR_NON_ASCII = ["1_000", "3/1_0", "\u0661\u0662", "1/\u0662", "\u00a04"]
+
+
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "a", "1/0", "", "1/2/3", *SEPARATED_OR_NON_ASCII])
 def test_parse_scalar_rejects(bad):
     with pytest.raises(InvalidInputError):
         parse_scalar(bad)

@@ -103,15 +103,15 @@ def test_lift_mu_on_pair(end2):
 
 def test_lift_arity2_on_single_letter(end2):
     for a in end2.space.ids:
-        assert end2.delta_op.apply_word((a,)) == {}
-    assert end2.delta_op.apply_word(()) == {}
+        assert dict(end2.delta_op((a,))) == {}
+    assert dict(end2.delta_op(())) == {}
 
 
 def test_lift_matches_printed_formulas(end2):
     sp = end2.space
     for w in id_words(sp, 4):
-        assert end2.d_op.apply_word(w) == d_lift_oracle(sp, end2.d, w), w
-        assert end2.delta_op.apply_word(w) == delta_lift_oracle(sp, end2.mu, w), w
+        assert dict(end2.d_op(w)) == d_lift_oracle(sp, end2.d, w), w
+        assert dict(end2.delta_op(w)) == delta_lift_oracle(sp, end2.mu, w), w
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,8 +139,8 @@ def test_lift_matches_printed_formulas_random_degrees(data):
     mu = MultilinearMap(sp, 2, 0, random_table(2, 0))
     dop, muop = lift_coderivation(dmap), lift_coderivation(mu)
     w = tuple(data.draw(st.sampled_from(ids)) for _ in range(data.draw(st.integers(0, 4))))
-    assert dop.apply_word(w) == d_lift_oracle(sp, dmap, w)
-    assert muop.apply_word(w) == delta_lift_oracle(sp, mu, w)
+    assert dict(dop(w)) == d_lift_oracle(sp, dmap, w)
+    assert dict(muop(w)) == delta_lift_oracle(sp, mu, w)
 
 
 def _builtin_lifts():
@@ -164,7 +164,7 @@ def test_prefix_fill_matches_block_scan_on_builtin_fixtures():
     seen = 0
     for name, label, op in _builtin_lifts():
         for w in reversed(id_words(op.space, 5)):
-            assert op.apply_word(w) == lift_image_reference(op, w), (name, label, w)
+            assert dict(op(w)) == lift_image_reference(op, w), (name, label, w)
         seen += 1
     assert seen == 15  # six DG algebras, and ainf-mu3 in arities 1 to 3
 
@@ -197,7 +197,7 @@ def test_prefix_fill_matches_block_scan_random(data):
     op = lift_coderivation(MultilinearMap(sp, k, g0, table))
     words = id_words(sp, 4)
     for w in data.draw(st.permutations(words)):
-        assert op.apply_word(w) == lift_image_reference(op, w), w
+        assert dict(op(w)) == lift_image_reference(op, w), w
 
 
 def test_prefix_fill_merges_the_last_block_with_cancellation():
@@ -205,9 +205,9 @@ def test_prefix_fill_merges_the_last_block_with_cancellation():
     # the prefix's term u (x) u and the last block's cancelling
     sp = GradedSpace("u", [BasisLetter("u", 0)])
     op = lift_coderivation(MultilinearMap(sp, 2, 0, {("u", "u"): {"u": 1}}))
-    assert op.apply_word(("u", "u")) == {("u",): 1}
-    assert op.apply_word(("u", "u", "u")) == {} == lift_image_reference(op, ("u", "u", "u"))
-    assert op.apply_word(("u",) * 4) == {("u",) * 3: 1}
+    assert dict(op(("u", "u"))) == {("u",): 1}
+    assert dict(op(("u", "u", "u"))) == {} == lift_image_reference(op, ("u", "u", "u"))
+    assert dict(op(("u",) * 4)) == {("u",) * 3: 1}
 
 
 def test_long_word_fills_without_recursion(end2):
@@ -215,10 +215,10 @@ def test_long_word_fills_without_recursion(end2):
     # has an image of at most one term
     w = ("c",) * 1999 + ("a",)
     for op in (lift_coderivation(end2.d), lift_coderivation(end2.mu)):
-        assert op.apply_word(w) == lift_image_reference(op, w)
+        assert dict(op(w)) == lift_image_reference(op, w)
         assert len(op._cache) == len(w) + 1  # w and each of its prefixes
         assert set(op._cache) == {op.space.encode(w[:i]) for i in range(len(w) + 1)}
-        assert len(op.apply_word(w)) == 1
+        assert len(dict(op(w))) == 1
 
 
 def test_unknown_letter_raises_and_leaves_tables_unchanged():
@@ -226,7 +226,7 @@ def test_unknown_letter_raises_and_leaves_tables_unchanged():
     ops = [alg.d_op, alg.delta_op, ComposedOperator(alg.d_op, alg.delta_op)]
     for op in ops:
         for w in id_words(alg.space, 2):
-            op.apply_word(w)
+            op(w)
 
     def tables():
         return [dict(op._cache) for op in ops] + [dict(alg.space._word_table)]
@@ -237,7 +237,7 @@ def test_unknown_letter_raises_and_leaves_tables_unchanged():
         bad = word[:i] + ("zz",) + word[i:]
         for op in ops:
             with pytest.raises(InvalidInputError, match="zz"):
-                op.apply_word(bad)
+                op(bad)
             with pytest.raises(InvalidInputError, match="zz"):
                 op(bad)
             assert tables() == before, (bad, op)
@@ -259,14 +259,14 @@ def test_lift_is_linear_and_corestriction_recovers_component(end2):
     )
     op2 = lift_coderivation(double)
     for w in id_words(sp, 3):
-        lhs = op2.apply_word(w)
-        rhs = {k: 2 * c for k, c in end2.d_op.apply_word(w).items()}
+        lhs = dict(op2(w))
+        rhs = {k: 2 * c for k, c in end2.d_op(w)}
         assert lhs == rhs
     # corestriction: on arity-length words, length-1 output terms give the
     # twisted component; for the product that twist is (-1)^|first|
     for a, b in itertools.product(sp.ids, repeat=2):
         length1 = {
-            w[0]: c for w, c in end2.delta_op.apply_word((a, b)).items() if len(w) == 1
+            w[0]: c for w, c in end2.delta_op((a, b)) if len(w) == 1
         }
         twist = -1 if sp.degree(a) & 1 else 1
         expected = {k: twist * c for k, c in end2.mu.table.get((a, b), {}).items()}
@@ -284,7 +284,7 @@ def test_compose_degrees(end2):
 def test_compose_d_squared_vanishes(end2):
     dd = ComposedOperator(end2.d_op, end2.d_op)
     for w in id_words(end2.space, 4):
-        assert dd.apply_word(w) == {}
+        assert dict(dd(w)) == {}
 
 
 def anticommutator(P, Q):
@@ -296,16 +296,16 @@ def test_anticommutator(end2):
     dd2 = anticommutator(end2.d_op, end2.d_op)
     dd = ComposedOperator(end2.d_op, end2.d_op)
     for w in id_words(sp, 3):
-        assert dd2.apply_word(w) == {k: 2 * c for k, c in dd.apply_word(w).items()}
+        assert dict(dd2(w)) == {k: 2 * c for k, c in dd(w)}
     mixed = anticommutator(end2.d_op, end2.delta_op)
     for w in id_words(sp, 4):
-        assert mixed.apply_word(w) == {}
+        assert dict(mixed(w)) == {}
     # composites and sums fill their own table once per word, like their parts
     for op, n in ((dd2, 3), (dd, 3), (mixed, 4), (mixed.parts[0][1], 4)):
         assert set(op._cache) == set(words_up_to(sp, n))
         images = {w: op._cache[w] for w in op._cache}
         for w in id_words(sp, n):
-            op.apply_word(w)
+            op(w)
         assert all(op._cache[w] is image for w, image in images.items())
     assert end2.d_op._cache and end2.delta_op._cache
 
@@ -344,7 +344,7 @@ def test_image_table_fills_each_word_once(end2, monkeypatch):
     for _ in range(2):
         for w in ws:
             assert op(end2.space.decode(w)).terms is op._cache[w]
-            dd.apply_word(end2.space.decode(w))
+            dd(end2.space.decode(w))
     assert sorted(calls) == sorted(op._cache) and len(calls) == len(set(calls))
     assert set(ws) <= set(calls)
 
@@ -390,7 +390,7 @@ def associator_vanishes_on_words(spec_ops, max_len=5):
     sp = GradedSpace("ut", [BasisLetter("e11", 0), BasisLetter("e12", 0), BasisLetter("e22", 0)])
     mu = MultilinearMap(sp, 2, 0, spec_ops)
     sq = ComposedOperator(lift_coderivation(mu), lift_coderivation(mu))
-    return sp, mu, all(not sq.apply_word(w) for w in id_words(sp, max_len))
+    return sp, mu, all(not sq(w) for w in id_words(sp, max_len))
 
 
 UT_TABLE = {
