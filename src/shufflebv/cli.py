@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 axiom failure, 2 invalid input or a
-check refused by ``--max-cases``, 3 I/O error.  JSON reports are
+check or validation refused by ``--max-cases``, 3 I/O error.  JSON reports are
 deterministic at a fixed configuration: timing lives in a separate "meta"
 block, everything else is stable byte-for-byte across runs.
 """
@@ -127,6 +127,10 @@ def cmd_validate(args) -> int:
         raise InvalidInputError("--max-arity must be >= 1")
     if args.fail_cap < 1:
         raise InvalidInputError("--fail-cap must be >= 1")
+    if args.max_cases < 0:
+        raise InvalidInputError("--max-cases must be >= 0")
+    if _refused("validation", _validation_cases(doc, args), args.max_cases):
+        return INVALID_INPUT
     if isinstance(doc, MorphismSpec):
         algebra_io.validate_morphism(doc)
     elif doc.kind == "dga":
@@ -137,12 +141,22 @@ def cmd_validate(args) -> int:
     return OK
 
 
+def _validation_cases(doc, args) -> list[tuple[str, int]]:
+    """An A-infinity validation's relation evaluations, from the input's
+    basis and arity alone, as ``[("validate", count)]``; [] for any other
+    input, whose identities are checked on basis tuples."""
+    if isinstance(doc, MorphismSpec) or doc.kind != "ainf":
+        return []
+    arity = doc.top_arity() if args.max_arity is None else args.max_arity
+    return [("validate", ainf_validation_cases(doc.space(), arity))]
+
+
 def _predicted_cases(doc, args, bounds: Bounds) -> list[tuple[str, int]]:
     """The number of cases of each sweep of the check, and of an A-infinity
     validation's relation evaluations, from the input's basis and the
     bounds alone: nothing is validated, built or filled.  Each is exact up
     to ``words.COUNT_LIMIT`` and capped beyond it."""
-    validation = []
+    validation = [] if args.assume_valid else _validation_cases(doc, args)
     if isinstance(doc, MorphismSpec):
         source = builtin(doc.source)
         if not isinstance(source, AlgebraSpec):
@@ -151,12 +165,27 @@ def _predicted_cases(doc, args, bounds: Bounds) -> list[tuple[str, int]]:
     elif doc.kind == "dga":
         plan = dbv_cases(doc.space(), bounds)
     else:
-        space = doc.space()
-        arity = lambda check: doc.top_arity(check) if args.max_arity is None else args.max_arity
-        plan = bvinf_cases(space, arity(True), bounds)
-        if not args.assume_valid:
-            validation = [("validate", ainf_validation_cases(space, arity(False)))]
+        arity = doc.top_arity(True) if args.max_arity is None else args.max_arity
+        plan = bvinf_cases(doc.space(), arity, bounds)
     return validation + [(name, cases.count) for name, _, cases in plan]
+
+
+def _refused(what: str, predicted: list[tuple[str, int]], max_cases: int) -> bool:
+    """Whether the ``predicted`` cases of a check or validation exceed
+    ``max_cases``, or are capped; if so, prints the refusal to stderr."""
+    total = sum(n for _, n in predicted)
+    # a capped count is refused whatever --max-cases says
+    if total <= min(max_cases, COUNT_LIMIT):
+        return False
+    shown = lambda n: n if n <= COUNT_LIMIT else f"more than {COUNT_LIMIT}"
+    print(f"refused: the {what} would evaluate {shown(total)} cases, more than "
+          f"--max-cases {max_cases}; predicted cases:", file=sys.stderr)
+    for name, n in predicted[:SHOWN_PREDICTIONS]:
+        print(f"  {name}: {shown(n)}", file=sys.stderr)
+    rest = predicted[SHOWN_PREDICTIONS:]
+    if rest:
+        print(f"  remaining sweeps ({len(rest)}): {shown(sum(n for _, n in rest))}", file=sys.stderr)
+    return True
 
 
 def cmd_check(args) -> int:
@@ -166,18 +195,7 @@ def cmd_check(args) -> int:
     if args.max_cases < 0:
         raise InvalidInputError("--max-cases must be >= 0")
     bounds = _bounds(args)
-    predicted = _predicted_cases(doc, args, bounds)
-    total = sum(n for _, n in predicted)
-    # a capped count is refused whatever --max-cases says
-    if total > min(args.max_cases, COUNT_LIMIT):
-        shown = lambda n: n if n <= COUNT_LIMIT else f"more than {COUNT_LIMIT}"
-        print(f"refused: the check would evaluate {shown(total)} cases, more than "
-              f"--max-cases {args.max_cases}; predicted cases:", file=sys.stderr)
-        for name, n in predicted[:SHOWN_PREDICTIONS]:
-            print(f"  {name}: {shown(n)}", file=sys.stderr)
-        rest = predicted[SHOWN_PREDICTIONS:]
-        if rest:
-            print(f"  remaining sweeps ({len(rest)}): {shown(sum(n for _, n in rest))}", file=sys.stderr)
+    if _refused("check", _predicted_cases(doc, args, bounds), args.max_cases):
         return INVALID_INPUT
     started = time.monotonic()
     if isinstance(doc, MorphismSpec):
@@ -280,29 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = Bounds()
+    max_cases = dict(type=int, default=DEFAULT_MAX_CASES, help="refuse, with exit code 2, a run "
+                     f"that would evaluate more cases in all (default {DEFAULT_MAX_CASES})")
     p_validate = sub.add_parser("validate", help="validate an algebra or morphism file")
     p_validate.add_argument("path")
     p_validate.add_argument("--max-arity", type=int, default=None)
-    p_validate.add_argument("--fail-cap", type=int, default=10)
+    p_validate.add_argument("--fail-cap", type=int, default=defaults.fail_cap)
+    p_validate.add_argument("--max-cases", **max_cases)
     p_validate.set_defaults(fn=cmd_validate)
 
     p_check = sub.add_parser("check", help="run the full axiom suite")
     p_check.add_argument("path")
-    p_check.add_argument("--max-len", type=int, default=5)
-    p_check.add_argument("--pair-len", type=int, default=3)
-    p_check.add_argument("--triple-len", type=int, default=2)
-    p_check.add_argument("--order-slack", type=int, default=2)
+    p_check.add_argument("--max-len", type=int, default=defaults.unary)
+    p_check.add_argument("--pair-len", type=int, default=defaults.binary)
+    p_check.add_argument("--triple-len", type=int, default=defaults.ternary)
+    p_check.add_argument("--order-slack", type=int, default=defaults.order_slack)
     p_check.add_argument("--max-arity", type=int, default=None)
     p_check.add_argument("--report", choices=("text", "json"), default="text")
-    p_check.add_argument("--fail-cap", type=int, default=10)
-    p_check.add_argument("--jobs", type=int, default=1)
-    p_check.add_argument(
-        "--max-cases",
-        type=int,
-        default=DEFAULT_MAX_CASES,
-        help="refuse, with exit code 2, a check that would evaluate more cases "
-        f"in all (default {DEFAULT_MAX_CASES})",
-    )
+    p_check.add_argument("--fail-cap", type=int, default=defaults.fail_cap)
+    p_check.add_argument("--jobs", type=int, default=defaults.jobs)
+    p_check.add_argument("--max-cases", **max_cases)
     p_check.add_argument(
         "--assume-valid",
         action="store_true",

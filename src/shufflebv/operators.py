@@ -39,7 +39,6 @@ from .words import (
     TElement,
     Word,
     merge_images,
-    merge_scaled,
     merge_shuffles,
     owned_table,
     shuffle_terms,
@@ -280,46 +279,6 @@ def lift_coderivation(c: MultilinearMap) -> Operator:
     return LiftedCoderivation(c)
 
 
-class ComposedOperator(Operator):
-    """(P o Q)(w) = P(Q(w)); degrees add."""
-
-    def __init__(self, P: Operator, Q: Operator):
-        if P.space != Q.space:
-            raise InvalidInputError("operators act on different spaces")
-        super().__init__(P.space, P.degree + Q.degree)
-        self.outer = P
-        self.inner = Q
-
-    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
-        return merge_images({}, self.inner._cache[w], self.outer._cache, 1)
-
-
-class OperatorSum(Operator):
-    """A finite linear combination of operators of one common degree."""
-
-    def __init__(self, parts: list[tuple[Scalar, Operator]]):
-        if not parts:
-            raise InvalidInputError("empty operator sum")
-        degrees = {op.degree for _, op in parts}
-        spaces = {op.space for _, op in parts}
-        if len(spaces) > 1:
-            raise InvalidInputError("operators act on different spaces")
-        if len(degrees) > 1:
-            raise InvalidInputError(
-                f"summands must share a degree, got {sorted(degrees)}"
-            )
-        _, first = parts[0]
-        super().__init__(first.space, first.degree)
-        self.parts = [(normalize_scalar(c), op) for c, op in parts]
-
-    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
-        acc: dict[Word, Scalar] = {}
-        for c, op in self.parts:
-            if c:
-                merge_scaled(acc, op._cache[w], c)
-        return acc
-
-
 def composite_sum(terms: Sequence[tuple[Scalar, Operator, Operator]]) -> Callable[[Word], dict[Word, Scalar]]:
     """w -> the terms of the sum of c P(Q(w)) over the (c, P, Q) of ``terms``,
     in order, each c nonzero; images are read from the image tables
@@ -332,6 +291,28 @@ def composite_sum(terms: Sequence[tuple[Scalar, Operator, Operator]]) -> Callabl
         return acc
 
     return relation
+
+
+class CompositeSum(Operator):
+    """The operator form of ``composite_sum(terms)``: w -> the sum of
+    c P(Q(w)) over the (c, P, Q) of ``terms``, with its own image table and
+    defect memo.  Every P and Q acts on one space, and every P o Q has one
+    degree, P.degree + Q.degree; terms whose c is zero are dropped."""
+
+    def __init__(self, terms: Sequence[tuple[Scalar, Operator, Operator]]):
+        if not terms:
+            raise InvalidInputError("empty composite sum")
+        if len({op.space for _, P, Q in terms for op in (P, Q)}) > 1:
+            raise InvalidInputError("operators act on different spaces")
+        degrees = {P.degree + Q.degree for _, P, Q in terms}
+        if len(degrees) > 1:
+            raise InvalidInputError(f"composites must share a degree, got {sorted(degrees)}")
+        super().__init__(terms[0][1].space, degrees.pop())
+        terms = [(normalize_scalar(c), P, Q) for c, P, Q in terms]
+        self._relation = composite_sum([term for term in terms if term[0]])
+
+    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
+        return self._relation(w)
 
 
 def composition_relations(

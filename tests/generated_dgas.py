@@ -1,0 +1,48 @@
+"""DG algebras that are valid by construction, for property tests.
+
+``end_of_complex(degrees, boundary)`` is End(C), the endomorphisms of a
+finite complex C with basis v_1, ..., v_n in the given degrees.  Its
+letters are the matrix units E_ij (v_j -> v_i), of degree e_i - e_j, with
+
+    E_ij E_kl = delta_jk E_il,    d f = bd f - (-1)^|f| f bd,
+
+where bd = sum of c E_ij over the (i, j): c of ``boundary`` is C's
+differential.  End(C) is a DGA whenever bd has degree +1 and bd^2 = 0;
+neither is checked here, so that a broken bd can be built too (validation
+rejects it).
+"""
+
+from shufflebv.algebra_io import AlgebraSpec
+
+
+def unit(i, j):
+    """The letter id of E_ij, indices from 1."""
+    return f"E{i}{j}"
+
+
+def end_of_complex(degrees, boundary):
+    """End(C) as a dga spec (see the module docstring)."""
+    if len(degrees) > 9:
+        raise ValueError("letter ids take one digit per index")
+    e = dict(enumerate(degrees, 1))
+    pairs = [(i, j) for i in e for j in e]
+    mu2 = {
+        (unit(i, j), unit(j, l)): {unit(i, l): 1}
+        for i, j in pairs
+        for l in e
+    }
+    d = {}
+    for i, j in pairs:
+        image = {}
+        # bd E_ij = sum_k c_ki E_kj, and E_ij bd = sum_l c_jl E_il
+        for (k, l), c in boundary.items():
+            if l == i:
+                image[unit(k, j)] = image.get(unit(k, j), 0) + c
+            if k == j:
+                sign = -1 if (e[i] - e[j]) % 2 else 1
+                image[unit(i, l)] = image.get(unit(i, l), 0) - sign * c
+        image = {w: c for w, c in image.items() if c}
+        if image:
+            d[(unit(i, j),)] = image
+    basis = [(unit(i, j), e[i] - e[j]) for i, j in pairs]
+    return AlgebraSpec("end-of-complex", "dga", basis, {"d": d, "mu2": mu2})

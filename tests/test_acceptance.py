@@ -28,15 +28,15 @@ from shufflebv.bv import Bounds, bracket, check_bvinf, check_dbv, check_functori
 from shufflebv.cli import main
 from shufflebv.graded import BasisLetter, GradedSpace
 from shufflebv.operators import (
-    ComposedOperator,
+    CompositeSum,
     InducedMap,
     MultilinearMap,
     Operator,
-    OperatorSum,
     lift_coderivation,
 )
 from shufflebv.words import (
     TElement,
+    merge_scaled,
     shuffle,
     shuffle_elements,
     word_degree,
@@ -209,7 +209,7 @@ def test_criterion_5_bvinf_suite_on_mu3_fixture():
 def test_criterion_6_associator_property():
     with criterion(6, "square of the product lift detects associativity"):
         ut = validate_dga(builtin("upper-triangular-2"))
-        sq = ComposedOperator(ut.delta_op, ut.delta_op)
+        sq = CompositeSum([(1, ut.delta_op, ut.delta_op)])
         for w in id_words(ut.space, 5):
             assert not sq(w), w
 
@@ -261,11 +261,15 @@ class _NoPrefixSignLift(Operator):
 
 
 class _RepeatFirstLetter(Operator):
-    """w -> w[0] (x) w on nonempty words: it raises a word's degree by
-    |w[0]| + 1 whatever degree it is given."""
+    """w -> op(w) + w[0] (x) w, with op's degree: on nonempty words the
+    added term raises a word's degree by |w[0]| + 1, whatever op's is."""
+
+    def __init__(self, op):
+        super().__init__(op.space, op.degree)
+        self.op = op
 
     def _apply_word(self, w):
-        return {w[:1] + w: 1} if w else {}
+        return merge_scaled(dict(self.op._cache[w]), {w[:1] + w: 1} if w else {}, 1)
 
 
 def test_memo_matches_reference_on_unsigned_lift(end2):
@@ -379,7 +383,7 @@ def test_jacobi_sweep_is_signed_order_2_sweep_of_delta_squared(monkeypatch):
     monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
     bad = corrupted_end2()
     squared = SimpleNamespace(space=bad.space, d_op=bad.d_op,
-                              delta_op=ComposedOperator(bad.delta_op, bad.delta_op))
+                              delta_op=CompositeSum([(1, bad.delta_op, bad.delta_op)]))
     degree = lambda ids: word_degree(bad.space, bad.space.encode(ids))
     for jobs in (1, 2):
         bounds = Bounds(unary=1, binary=1, ternary=2, fail_cap=10_000, jobs=jobs)
@@ -487,7 +491,7 @@ def test_every_dbv_axiom_has_a_negative_control(end2, monkeypatch):
             control(delta_op=_NoPrefixSignLift(end2.mu)),
             {"delta_squared", "d_delta_anticommutator", "bracket_leibniz", "delta_order_2"}),
         "delta o d in place of delta": (
-            control(delta_op=ComposedOperator(end2.delta_op, end2.d_op)),
+            control(delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)])),
             {"bracket_antisymmetry", "bracket_leibniz", "delta_order_2"}),
     }
     # a pool of two workers whatever the host has, so --jobs 2 forks
@@ -540,7 +544,7 @@ def test_even_operator_control_is_pinned(end2, monkeypatch):
 
     even = SimpleNamespace(
         space=end2.space, d_op=end2.d_op,
-        delta_op=ComposedOperator(end2.delta_op, end2.d_op),
+        delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)]),
     )
     monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
     for jobs in (1, 2):
@@ -606,7 +610,7 @@ def test_bvinf_negative_control_degree(monkeypatch):
 
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
     delta2 = ainf.delta_op(2)
-    bad_op = OperatorSum([(1, delta2), (1, _RepeatFirstLetter(ainf.space, delta2.degree))])
+    bad_op = _RepeatFirstLetter(delta2)
     bad = SimpleNamespace(
         space=ainf.space,
         maps=ainf.maps,

@@ -19,7 +19,7 @@ from shufflebv.algebra_io import (
     validate_morphism,
 )
 from shufflebv.graded import InvalidInputError
-from shufflebv.operators import ComposedOperator
+from shufflebv.operators import CompositeSum
 from test_operators import anticommutator
 from test_words import id_words
 
@@ -206,7 +206,7 @@ def test_validation_completeness_at_basis_level():
 
         dop, muop = lift_coderivation(d), lift_coderivation(mu)
         checks = [
-            ComposedOperator(dop, dop), ComposedOperator(muop, muop), anticommutator(dop, muop)
+            CompositeSum([(1, dop, dop)]), CompositeSum([(1, muop, muop)]), anticommutator(dop, muop)
         ]
         return all(
             not op(w)

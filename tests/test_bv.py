@@ -35,7 +35,7 @@ from shufflebv.bv import (
     run_sweeps,
 )
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
-from shufflebv.operators import ComposedOperator, MultilinearMap, lift_coderivation
+from shufflebv.operators import CompositeSum, MultilinearMap, lift_coderivation
 from shufflebv.words import (
     Cases,
     TElement,
@@ -165,8 +165,8 @@ def end2_operators(alg):
     return {
         "d": d,
         "delta": delta,
-        "delta.d": ComposedOperator(delta, d),
-        "delta.delta": ComposedOperator(delta, delta),
+        "delta.d": CompositeSum([(1, delta, d)]),
+        "delta.delta": CompositeSum([(1, delta, delta)]),
         "[d,delta]": anticommutator(d, delta),
     }
 
@@ -294,7 +294,7 @@ def test_pool_blocks_inside_an_xy_group(end2, monkeypatch):
 
     even = SimpleNamespace(
         space=end2.space, d_op=end2.d_op,
-        delta_op=ComposedOperator(end2.delta_op, end2.d_op),
+        delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)]),
     )
     built = {}
 
@@ -363,7 +363,7 @@ def fill_ops():
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
     return [
         ("end2 d", end2.d_op), ("end2 delta", end2.delta_op),
-        ("end2 delta.d", ComposedOperator(end2.delta_op, end2.d_op)),
+        ("end2 delta.d", CompositeSum([(1, end2.delta_op, end2.d_op)])),
         *((f"mu3 delta_{k}", ainf.delta_op(k)) for k in (1, 2, 3)),
     ]
 
@@ -402,7 +402,7 @@ def test_memo_fill_cancelling_shuffles(end2):
     # a is odd, so a * a = 0: terms of these entries cancel in the
     # accumulator, whether or not the space's table holds the pairs
     a = end2.space.encode(("a",))
-    for op in (end2.delta_op, ComposedOperator(end2.delta_op, end2.d_op)):
+    for op in (end2.delta_op, CompositeSum([(1, end2.delta_op, end2.d_op)])):
         for held in (False, True):
             op._defects.clear()
             end2.space._shuffle_cache.clear()
@@ -508,7 +508,7 @@ def test_pool_failures_hold_the_check_space(end2, monkeypatch):
 
     monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
     even = SimpleNamespace(space=end2.space, d_op=end2.d_op,
-                           delta_op=ComposedOperator(end2.delta_op, end2.d_op))
+                           delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)]))
     reports = check_dbv(even, Bounds(3, 2, 1, jobs=2))
     failures = [f for r in reports for f in r.failures]
     assert len(failures) > 10
@@ -677,7 +677,7 @@ def jacobi_mismatches(mu, triples):
     is not (-1)^|y| F_3(x, y, z) of delta o delta (Koszul; Voronov's derived
     brackets), and how many of the triples have a nonzero J."""
     delta = lift_coderivation(mu)
-    square = ComposedOperator(delta, delta)
+    square = CompositeSum([(1, delta, delta)])
     wrong, nonzero = [], 0
     for t in triples:
         x, y, z = (TElement.word(mu.space, w) for w in t)

@@ -120,6 +120,15 @@ def test_ainf_default_arity(fixture_file, capsys):
         assert len(predicted) == 1 + 8
 
 
+def test_default_bounds_are_those_of_bounds(fixture_file):
+    from shufflebv.bv import Bounds
+    from shufflebv.cli import _bounds, build_parser
+
+    path = fixture_file("end-two-term-complex")
+    assert _bounds(build_parser().parse_args(["check", path])) == Bounds()
+    assert build_parser().parse_args(["validate", path]).fail_cap == Bounds().fail_cap
+
+
 def test_validate_missing_file_is_3(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 3
 

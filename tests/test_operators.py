@@ -3,6 +3,7 @@
 import gc
 import itertools
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +18,10 @@ from shufflebv.algebra_io import (
 )
 from shufflebv.graded import AElement, BasisLetter, GradedSpace, InvalidInputError
 from shufflebv.operators import (
-    ComposedOperator,
+    CompositeSum,
     MultilinearMap,
     LiftedCoderivation,
     Operator,
-    OperatorSum,
     induced_morphism,
     lift_coderivation,
 )
@@ -223,7 +223,7 @@ def test_long_word_fills_without_recursion(end2):
 
 def test_unknown_letter_raises_and_leaves_tables_unchanged():
     alg = validate_dga(builtin("end-two-term-complex"))
-    ops = [alg.d_op, alg.delta_op, ComposedOperator(alg.d_op, alg.delta_op)]
+    ops = [alg.d_op, alg.delta_op, CompositeSum([(1, alg.d_op, alg.delta_op)])]
     for op in ops:
         for w in id_words(alg.space, 2):
             op(w)
@@ -277,31 +277,49 @@ def test_lift_is_linear_and_corestriction_recovers_component(end2):
 
 
 def test_compose_degrees(end2):
-    assert ComposedOperator(end2.d_op, end2.delta_op).degree == 0
-    assert ComposedOperator(end2.d_op, end2.d_op).degree == 2
+    assert CompositeSum([(1, end2.d_op, end2.delta_op)]).degree == 0
+    assert CompositeSum([(1, end2.d_op, end2.d_op)]).degree == 2
+
+
+def test_composite_sum_checks_and_normalises_its_terms(end2):
+    d, delta = end2.d_op, end2.delta_op
+    other = validate_dga(builtin("dual-numbers")).d_op
+    for terms, message in (([], "empty composite sum"),
+                           ([(1, d, other)], "different spaces"),
+                           ([(1, d, d), (1, d, delta)], r"share a degree, got \[0, 2\]"),
+                           ([(0.5, d, delta)], "not an exact rational")):
+        with pytest.raises(InvalidInputError, match=message):
+            CompositeSum(terms)
+    # scalars are normalised, and a zero term is dropped before composite_sum,
+    # which would otherwise store zero coefficients
+    once = CompositeSum([(1, d, delta)])
+    twice = CompositeSum([(Fraction(4, 2), d, delta), (Fraction(0), delta, d)])
+    images = [dict(twice(w)) for w in id_words(end2.space, 3)]
+    assert images == [{k: 2 * c for k, c in once(w)} for w in id_words(end2.space, 3)]
+    assert any(images) and all(type(c) is int and c for im in images for c in im.values())
 
 
 def test_compose_d_squared_vanishes(end2):
-    dd = ComposedOperator(end2.d_op, end2.d_op)
+    dd = CompositeSum([(1, end2.d_op, end2.d_op)])
     for w in id_words(end2.space, 4):
         assert dict(dd(w)) == {}
 
 
 def anticommutator(P, Q):
-    return OperatorSum([(1, ComposedOperator(P, Q)), (1, ComposedOperator(Q, P))])
+    return CompositeSum([(1, P, Q), (1, Q, P)])
 
 
 def test_anticommutator(end2):
     sp = end2.space
     dd2 = anticommutator(end2.d_op, end2.d_op)
-    dd = ComposedOperator(end2.d_op, end2.d_op)
+    dd = CompositeSum([(1, end2.d_op, end2.d_op)])
     for w in id_words(sp, 3):
         assert dict(dd2(w)) == {k: 2 * c for k, c in dd(w)}
     mixed = anticommutator(end2.d_op, end2.delta_op)
     for w in id_words(sp, 4):
         assert dict(mixed(w)) == {}
-    # composites and sums fill their own table once per word, like their parts
-    for op, n in ((dd2, 3), (dd, 3), (mixed, 4), (mixed.parts[0][1], 4)):
+    # composite sums fill their own table once per word, like their parts
+    for op, n in ((dd2, 3), (dd, 3), (mixed, 4)):
         assert set(op._cache) == set(words_up_to(sp, n))
         images = {w: op._cache[w] for w in op._cache}
         for w in id_words(sp, n):
@@ -317,8 +335,8 @@ def test_operators_reject_elements_of_another_space():
     full = validate_dga(builtin("full-matrix-2"))
     x = TElement.word(full.space, ("e11", "e12"))
     lift = dual.delta_op
-    composite = ComposedOperator(lift, lift)
-    total = OperatorSum([(1, lift), (2, ComposedOperator(dual.d_op, composite))])
+    composite = CompositeSum([(1, lift, lift)])
+    total = CompositeSum([(1, lift, dual.d_op), (2, dual.d_op, lift)])
     for op in (lift, composite, total):
         op(TElement.word(dual.space, ("one", "eps")))
     ops = (lift, dual.d_op, composite, total)
@@ -339,7 +357,7 @@ def test_image_table_fills_each_word_once(end2, monkeypatch):
 
     monkeypatch.setattr(LiftedCoderivation, "_apply_word", counted)
     op = lift_coderivation(end2.mu)
-    dd = ComposedOperator(op, op)
+    dd = CompositeSum([(1, op, op)])
     ws = words_up_to(end2.space, 3)
     for _ in range(2):
         for w in ws:
@@ -389,7 +407,7 @@ def test_reverse_operator_is_not_a_coderivation():
 def associator_vanishes_on_words(spec_ops, max_len=5):
     sp = GradedSpace("ut", [BasisLetter("e11", 0), BasisLetter("e12", 0), BasisLetter("e22", 0)])
     mu = MultilinearMap(sp, 2, 0, spec_ops)
-    sq = ComposedOperator(lift_coderivation(mu), lift_coderivation(mu))
+    sq = CompositeSum([(1, lift_coderivation(mu), lift_coderivation(mu))])
     return sp, mu, all(not sq(w) for w in id_words(sp, max_len))
 
 

@@ -17,7 +17,7 @@ import shufflebv.bv
 from shufflebv.algebra_io import AlgebraSpec, builtin, builtin_names, validate_dga
 from shufflebv.bv import Bounds, bvinf_cases, check_dbv, dbv_cases, functoriality_cases
 from shufflebv.cli import DEFAULT_MAX_CASES, SHOWN_PREDICTIONS, main
-from shufflebv.operators import ComposedOperator
+from shufflebv.operators import CompositeSum
 from shufflebv.graded import BasisLetter, GradedSpace
 from shufflebv.words import COUNT_LIMIT, capped, word_count, word_product, word_tuples, words_up_to
 
@@ -143,6 +143,44 @@ def test_max_cases_is_a_bound_on_the_whole_check(fixture_file, capsys):
     assert main(["check", path, *small, "--max-cases", str(63 + 50 + 374)]) == 2
     assert main(["check", path, *small, "--max-cases", "-1"]) == 2
     assert "--max-cases must be >= 0" in capsys.readouterr().err
+
+
+def test_validate_refuses_before_validating(fixture_file, capsys, monkeypatch):
+    # ainf-mu3 validates at K = 3 with 5 relations on the 364 words of
+    # length <= 5: 1,820 evaluations, refused by --max-cases 1819 alone
+    path = fixture_file("ainf-mu3")
+    assert main(["validate", path, "--max-cases", "1820"]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused validation must not run")
+
+    monkeypatch.setattr(shufflebv.algebra_io, "validate_ainf", never)
+    assert main(["validate", path, "--max-cases", "1819"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "refused: the validation would evaluate 1820 cases, more than --max-cases 1819; "
+        "predicted cases:\n  validate: 1820\n")
+    assert main(["validate", path, "--max-cases", "-1"]) == 2
+    assert "--max-cases must be >= 0" in capsys.readouterr().err
+    # a DG algebra or a morphism is validated on basis tuples, never refused
+    for name in ("end-two-term-complex", "diag-into-upper-triangular"):
+        assert main(["validate", fixture_file(name), "--max-cases", "0"]) == 0
+
+
+def test_validate_refuses_a_huge_arity_within_seconds(fixture_file):
+    # at --max-arity 20000 the count is capped; a hang fails as a timeout
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(shufflebv.__file__)))
+    env = dict(PATH="/usr/bin:/bin", PYTHONPATH=package_root)
+    command = [sys.executable, "-m", "shufflebv.cli", "validate", fixture_file("ainf-mu3"),
+               "--max-arity", "20000"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"refused: the validation would evaluate more than {COUNT_LIMIT} cases, more than "
+        f"--max-cases {DEFAULT_MAX_CASES}; predicted cases:",
+        f"  validate: more than {COUNT_LIMIT}",
+    ]
 
 
 def test_default_max_cases_admits_the_builtins_and_the_probes():
@@ -281,7 +319,7 @@ def test_tables_hold_nothing_beyond_the_remaining_reach(bounds, operator, monkey
         end2 = validate_dga(builtin("end-two-term-complex"))
         parts = (end2.delta_op, end2.d_op)
         alg = end2 if operator == "delta" else SimpleNamespace(
-            space=end2.space, d_op=end2.d_op, delta_op=ComposedOperator(*parts),
+            space=end2.space, d_op=end2.d_op, delta_op=CompositeSum([(1, *parts)]),
         )
         # tables that a check with larger bounds left behind are trimmed too
         words_up_to(end2.space, unary + 2)
@@ -302,7 +340,7 @@ def test_trimmed_reports_match_through_a_fork_pool():
     # (a serial run where fewer than two CPUs are usable)
     end2 = validate_dga(builtin("end-two-term-complex"))
     even = SimpleNamespace(space=end2.space, d_op=end2.d_op,
-                           delta_op=ComposedOperator(end2.delta_op, end2.d_op))
+                           delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)]))
     reports = check_dbv(even, Bounds(5, 2, 1, fail_cap=10**6, jobs=2))
     assert ([r.failure_count for r in reports], report_digest(reports)) == TRIM_PINS[
         (5, 2, 1), "delta o d"]
