@@ -134,23 +134,33 @@ class Bounds(namedtuple("Bounds", "unary binary ternary order_slack fail_cap job
 
 class Sweep:
     """One identity of a check: ``evaluate`` gives the terms of each case's
-    defect as a dict, and a nonempty one is a failure."""
+    defect as a dict, and a nonempty one is a failure.
+
+    ``deal`` holds the indices of the case words by which a pool deals the
+    cases out (``Cases.share``): the words that key the memo entries a case
+    fills, so that no two shares fill the same entry.  By default the first
+    word, which keys the Koszul levels of an order-n defect.  With no word,
+    share 0 holds every case, and the other workers go on to the next
+    sweep.
+    """
 
     def __init__(self, name: str, bound: str, cases: Cases,
-                 evaluate: Callable[[tuple[Word, ...]], dict[Word, Scalar]]):
+                 evaluate: Callable[[tuple[Word, ...]], dict[Word, Scalar]],
+                 deal: tuple[int, ...] = (0,)):
         self.name = name
         self.bound = bound
         self.cases = cases
         self.evaluate = evaluate
+        self.deal = deal
 
 
-# The state of a pool check that ``_run_block`` reads in a worker, set there
+# The state of a pool check that ``_run_share`` reads in a worker, set there
 # by the pool's initializer, so the checking process never writes it: the
-# check's sweeps, the per-sweep memos of its own they fill, its space, the
-# spaces and its own image tables that it trims (its space and the target's),
-# the reach of the sweeps from each one on, the failure cap, the sweep whose
-# entries the memos hold and the reach the tables were last trimmed to.  A
-# serial check keeps its own.
+# check's sweeps, the number of shares each is dealt into, the per-sweep
+# memos of its own they fill, its space, the spaces and its own image tables
+# that it trims (its space and the target's), the reach of the sweeps from
+# each one on, the failure cap, the sweep whose entries the memos hold and
+# the reach the tables were last trimmed to.  A serial check keeps its own.
 _worker: dict = {}
 
 
@@ -162,19 +172,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A block's failures: how many, and the first ``fail_cap`` as (case, terms).
-Failures = tuple[int, list[tuple[tuple[Word, ...], dict[Word, Scalar]]]]
+# A share's failures: how many, and the first ``fail_cap`` as
+# (case index, case, terms).
+Failures = tuple[int, list[tuple[int, tuple[Word, ...], dict[Word, Scalar]]]]
 
 
-def _failures_in(cases: Iterable[tuple[Word, ...]], evaluate: Callable, fail_cap: int) -> Failures:
-    """The failures among ``cases``."""
+def _failures_in(cases: Iterable[tuple[int, tuple[Word, ...]]], evaluate: Callable,
+                 fail_cap: int) -> Failures:
+    """The failures among ``cases``, each given beside its index."""
     count, kept = 0, []
-    for case in cases:
+    for index, case in cases:
         defect = evaluate(case)
         if defect:
             count += 1
             if len(kept) < fail_cap:
-                kept.append((case, defect))
+                kept.append((index, case, defect))
     return count, kept
 
 
@@ -206,18 +218,18 @@ def _keep(table: dict, entries: dict) -> None:
         table.update(entries)
 
 
-def _run_block(task: tuple[int, int, int], state: dict = _worker) -> Failures:
-    """One contiguous block of a sweep's cases (sweep index, start, stop),
-    run on the check's ``state``: by default ``_worker``, which a pool
-    worker's initializer fills.
+def _run_share(task: tuple[int, int], state: dict = _worker) -> Failures:
+    """Share j of a sweep's cases, for the task (sweep index, j), run on the
+    check's ``state``: by default ``_worker``, which a pool worker's
+    initializer fills.
 
     When the sweep index changes, the per-sweep memos are emptied, and, if
     the reach of the sweeps still to run has dropped, the space's tables
-    are trimmed to it (``_trim``); what they keep stays warm.
-    A block may start inside a run of cases that share a memo entry: the
-    entry is then filled here afresh.
+    are trimmed to it (``_trim``); what they keep stays warm.  A worker that
+    runs two shares of one sweep keeps the memos between them: each entry
+    holds for every case of the sweep.
     """
-    index, start, stop = task
+    index, j = task
     if index != state["held"]:
         _forget_memos(state["space"], *state["memos"])
         state["held"] = index
@@ -226,13 +238,8 @@ def _run_block(task: tuple[int, int, int], state: dict = _worker) -> Failures:
             _trim(state["spaces"], reach, state["images"])
             state["trimmed"] = reach
     sweep = state["sweeps"][index]
-    return _failures_in(itertools.islice(sweep.cases, start, stop), sweep.evaluate, state["fail_cap"])
-
-
-def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
-    """``range(n)`` cut into at most ``workers`` contiguous, near-equal blocks."""
-    k = min(n, workers)
-    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
+    return _failures_in(sweep.cases.share(j, state["shares"], sweep.deal), sweep.evaluate,
+                        state["fail_cap"])
 
 
 def run_axiom(
@@ -242,22 +249,26 @@ def run_axiom(
     space: GradedSpace,
     *,
     fail_cap: int,
-    blocks: Iterable[Failures],
+    shares: Iterable[Failures],
     target: GradedSpace | None = None,
 ) -> AxiomReport:
     """Report one identity over cases of words of ``space``, keeping the
     first ``fail_cap`` failures in case order.
 
-    ``blocks`` are the failures of consecutive blocks of the cases, as
-    ``_run_block`` returns them.  Each kept defect's terms become an element
-    of ``target``, by default ``space``, here in the checking process.
+    ``shares`` are the failures of the shares of the cases, as
+    ``_run_share`` returns them; their kept failures are merged by case
+    index.  Each kept defect's terms become an element of ``target``, by
+    default ``space``, here in the checking process.
     """
     report = AxiomReport(name=name, bound=bound, cases=len(cases))
-    for count, kept in blocks:
+    kept = []
+    for count, found in shares:
         report.failure_count += count
-        for case, defect in kept[: fail_cap - len(report.failures)]:
-            inputs = tuple(map(space.decode, case))
-            report.failures.append(Failure(inputs, TElement._make(target or space, defect)))
+        kept += found
+    kept.sort(key=lambda failure: failure[0])
+    for _, case, defect in kept[:fail_cap]:
+        inputs = tuple(map(space.decode, case))
+        report.failures.append(Failure(inputs, TElement._make(target or space, defect)))
     return report
 
 
@@ -275,22 +286,23 @@ def run_sweeps(
     and report each one.
 
     ``memos`` are the check's own tables that live for one sweep.  When a
-    sweep's first block starts they, and the defect memos of the operators
+    sweep's first share starts they, and the defect memos of the operators
     on ``space``, are emptied (also when the check returns), and those
     operators' image tables and the space's shuffle and intern tables drop
     every entry longer than the reach of the sweeps still to run (see
     ``_trim``); so do the tables of ``target``, the space the defects are
     elements of (by default ``space``), and ``images``, the check's own
     image tables keyed by words of ``space``.  What remains outlives the
-    check.  Each sweep is handed out as contiguous blocks of cases, run by
-    ``_run_block``, and the blocks' results are merged in case order, so
-    reports are the same at every ``jobs``.  With jobs > 1 one fork-based
-    pool, of at most one worker per usable CPU, serves every sweep, one
-    block per worker.  Its initializer hands each forked worker the check's
-    state, unpickled, case streams and evaluators included, and the workers
-    keep their tables, trimmed the same way, from one sweep to the next.
-    Otherwise each sweep is one block, run here on this call's own state, so
-    no check writes module state here.
+    check.  Each sweep is dealt into one share per worker by its ``deal``
+    words (``Cases.share``), run by ``_run_share``, and the shares' kept
+    failures are merged in case order, so reports are the same at every
+    ``jobs``.  With jobs > 1 one fork-based pool, of at most one worker per
+    usable CPU, serves every sweep.  Its initializer hands each forked
+    worker the check's state, unpickled, case streams and evaluators
+    included, and the workers keep their tables, trimmed the same way, from
+    one sweep to the next.  Otherwise each sweep is share 0 of 1, all of
+    its cases, run here on this call's own state, so no check writes module
+    state here.
     """
     workers = min(jobs, _usable_cpus())
     ctx = None
@@ -303,25 +315,24 @@ def run_sweeps(
             pass
     if ctx is None:
         workers = 1
-    plan = [_blocks(len(s.cases), workers) for s in sweeps]
-    tasks = [(i, start, stop) for i, spans in enumerate(plan) for start, stop in spans]
+    tasks = [(i, j) for i in range(len(sweeps)) for j in range(workers)]
     # reach[i]: the longest total word length of any case of sweeps[i:]
     reach = list(itertools.accumulate((s.cases.reach for s in reversed(sweeps)), max))[::-1]
     spaces = (space,) if target is None else (space, target)
-    state = dict(sweeps=sweeps, memos=tuple(memos), space=space, spaces=spaces,
+    state = dict(sweeps=sweeps, shares=workers, memos=tuple(memos), space=space, spaces=spaces,
                  images=tuple(images), reach=reach, fail_cap=fail_cap, held=None, trimmed=None)
     try:
         with nullcontext() if ctx is None else ctx.Pool(workers, _worker.update, (state,)) as pool:
-            # read in order, as each sweep's run_axiom consumes its blocks;
-            # serially, a block runs only then
+            # read in order, as each sweep's run_axiom consumes its shares;
+            # serially, a share runs only then
             if pool is None:
-                results = map(functools.partial(_run_block, state=state), tasks)
+                results = map(functools.partial(_run_share, state=state), tasks)
             else:
-                results = pool.imap(_run_block, tasks)
+                results = pool.imap(_run_share, tasks)
             return [
                 run_axiom(s.name, s.bound, s.cases, space, fail_cap=fail_cap,
-                          blocks=itertools.islice(results, len(spans)), target=target)
-                for s, spans in zip(sweeps, plan)
+                          shares=itertools.islice(results, workers), target=target)
+                for s in sweeps
             ]
     finally:
         _forget_memos(space, *memos)
@@ -335,7 +346,7 @@ def run_sweeps(
 def _forget_memos(space: GradedSpace, *memos: dict) -> None:
     """Empty the defect memo of every operator on ``space``, and the
     per-sweep ``memos``; the sweep driver calls this when a sweep's first
-    block starts and when a check ends."""
+    share starts and when a check ends."""
     for memo in (*(op._defects for op in space._operators), *memos):
         memo.clear()
 
@@ -485,10 +496,14 @@ def _on_word(relation: Callable[[Word], dict[Word, Scalar]]) -> Callable:
     return lambda case: relation(case[0])
 
 
-def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds, **trimmed) -> list[AxiomReport]:
-    """Run the sweeps of ``plan``, each with its evaluator by name;
-    ``trimmed`` gives ``run_sweeps``'s ``target`` and ``images``."""
-    sweeps = [Sweep(name, bound, cases, evaluators[name]) for name, bound, cases in plan]
+def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds, deals=None,
+              **trimmed) -> list[AxiomReport]:
+    """Run the sweeps of ``plan``, each with its evaluator by name, and its
+    deal (see ``Sweep``) from ``deals`` if that names it; ``trimmed`` gives
+    ``run_sweeps``'s ``target`` and ``images``."""
+    deals = deals or {}
+    sweeps = [Sweep(name, bound, cases, evaluators[name], deals.get(name, (0,)))
+              for name, bound, cases in plan]
     return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs,
                       **trimmed)
 
@@ -556,8 +571,13 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
         "bracket_jacobi": jacobi,
         "delta_order_2": lambda c: _koszul_step(delta, c, shuffles),
     }
-    return _run_plan(dbv_cases(space, bounds), evaluators,
-                     (word_rows, product_rows, bracket_rows), space=space, bounds=bounds)
+    # each sweep deals by the words that key the memo entries it fills (see
+    # ``Sweep``): Leibniz fills F_2(u, z), antisymmetry F_2(x, y) and
+    # F_2(y, x).  Jacobi reads F_2 of (x, y), (x, z) and (y, z), which no
+    # deal by words keeps apart, so its cases stay in one share
+    deals = {"bracket_antisymmetry": (0, 1), "bracket_leibniz": (2,), "bracket_jacobi": ()}
+    return _run_plan(dbv_cases(space, bounds), evaluators, (word_rows, product_rows, bracket_rows),
+                     space=space, bounds=bounds, deals=deals)
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:

@@ -81,20 +81,38 @@ def _print_reports_text(reports: list[AxiomReport], out) -> None:
             print(f"    defect: {render_telement(f.defect)}", file=out)
 
 
-def _meta(elapsed: float) -> dict:
+def _children_usage():
+    """The resource usage of the children waited for so far, where the
+    platform reports it."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_CHILDREN)
+
+
+def _meta(elapsed: float, children) -> dict:
     """The report's run-dependent block: the check's wall time, this
     process's CPU time so far, start-up included, and its peak RSS where the
-    platform reports it."""
+    platform reports it; beside them, those of the check's pool workers.
+
+    ``children`` is ``_children_usage()`` when the check started, since a
+    launcher may have waited for children before it ran Python, and rusage
+    survives an exec.  The workers are the children waited for since (a
+    check joins its pool before it returns), none for a serial check.
+    """
     meta = {"elapsed_s": round(elapsed, 3), "version": __version__,
             "cpu_s": round(time.process_time(), 3)}
     if resource is not None:
         # ru_maxrss is in KiB on Linux and in bytes on macOS
-        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        meta["peak_rss_mb"] = round(maxrss / (1024**2 if sys.platform == "darwin" else 1024), 3)
+        mb = 1024**2 if sys.platform == "darwin" else 1024
+        meta["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / mb, 3)
+        now = _children_usage()
+        ran = now != children  # no field moves unless a child was waited for
+        cpu = now.ru_utime + now.ru_stime - children.ru_utime - children.ru_stime
+        meta["workers_cpu_s"] = round(cpu, 3) if ran else 0.0
+        meta["workers_peak_rss_mb"] = round(now.ru_maxrss / mb, 3) if ran else 0.0
     return meta
 
 
-def _emit_check_report(args, reports: list[AxiomReport], elapsed: float, config: dict) -> None:
+def _emit_check_report(args, reports: list[AxiomReport], elapsed: float, config: dict,
+                       children) -> None:
     if args.report == "json":
         payload = {
             "format_version": 1,
@@ -102,7 +120,7 @@ def _emit_check_report(args, reports: list[AxiomReport], elapsed: float, config:
             "command": "check",
             "config": config,
             "axioms": [r.to_json() for r in reports],
-            "meta": _meta(elapsed),
+            "meta": _meta(elapsed, children),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -197,7 +215,7 @@ def cmd_check(args) -> int:
     bounds = _bounds(args)
     if _refused("check", _predicted_cases(doc, args, bounds), args.max_cases):
         return INVALID_INPUT
-    started = time.monotonic()
+    started, children = time.monotonic(), _children_usage()
     if isinstance(doc, MorphismSpec):
         if args.assume_valid:
             morph = algebra_io.DGMorphism.from_spec_unchecked(doc)
@@ -229,6 +247,7 @@ def cmd_check(args) -> int:
             "fail_cap": args.fail_cap,
             "jobs": args.jobs,
         },
+        children,
     )
     return OK if all(r.passed for r in reports) else AXIOM_FAILURE
 

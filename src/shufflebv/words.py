@@ -413,16 +413,19 @@ class Cases:
     ``count`` is the number of tuples, capped (see ``capped``), and ``reach``
     the longest total word length a tuple can have; both are known before
     any tuple is made.
-    Iterating starts the tuples afresh, in their fixed order, so a block of
-    them is an ``itertools.islice``.
+    Iterating starts the tuples afresh, in their fixed order.  ``words``
+    makes the list whose order gives each word of a tuple its position, by
+    which ``share`` deals the tuples out.
     """
 
-    __slots__ = ("count", "reach", "_start")
+    __slots__ = ("count", "reach", "_start", "_words")
 
-    def __init__(self, count: int, reach: int, start: Callable[[], Iterator[tuple[Word, ...]]]):
+    def __init__(self, count: int, reach: int, start: Callable[[], Iterator[tuple[Word, ...]]],
+                 words: Callable[[], list[Word]]):
         self.count = count
         self.reach = reach
         self._start = start
+        self._words = words
 
     def __len__(self) -> int:
         return self.count
@@ -430,14 +433,33 @@ class Cases:
     def __iter__(self) -> Iterator[tuple[Word, ...]]:
         return self._start()
 
+    def share(self, j: int, k: int, dealt: tuple[int, ...]) -> Iterator[tuple[int, tuple[Word, ...]]]:
+        """Share j of k: the tuples whose words at the indices ``dealt``
+        have positions summing to j mod k, each beside its index in the
+        stream, in stream order.  The k shares partition the stream; share 0
+        of 1, or of k with no word dealt, is all of it, unfiltered.  Positions
+        are read from a table made once per share, so a share dealt by one
+        word tests each tuple with one subscript.
+        """
+        cases = enumerate(self)
+        if k == 1 or not dealt:
+            return cases if j == 0 else iter(())
+        residue = {w: i % k for i, w in enumerate(self._words())}
+        if len(dealt) == 1:
+            (at,) = dealt
+            return ((i, c) for i, c in cases if residue[c[at]] == j)
+        return ((i, c) for i, c in cases if sum([residue[c[at]] for at in dealt]) % k == j)
+
 
 def word_product(space: GradedSpace, max_len: int, repeat: int) -> Cases:
     """The tuples of ``repeat`` basis words of length <= max_len, in the
-    order of ``itertools.product`` over ``words_up_to``."""
+    order of ``itertools.product`` over ``words_up_to``, which also gives
+    the words their positions."""
     return Cases(
         capped(word_count(space, max_len) ** repeat),
         max_len * repeat,
         lambda: itertools.product(words_up_to(space, max_len), repeat=repeat),
+        lambda: words_up_to(space, max_len),
     )
 
 
@@ -462,7 +484,8 @@ def word_tuples(space: GradedSpace, count: int, max_total: int) -> Cases:
             if n > COUNT_LIMIT:
                 break
             term = term * b * t // (t - count + 1)  # b^(t + 1) C(t, c - 1)
-    return Cases(capped(n), max_total, lambda: _word_tuples(space, count, max_total))
+    return Cases(capped(n), max_total, lambda: _word_tuples(space, count, max_total),
+                 lambda: words_up_to(space, max_total - count + 1))
 
 
 def _comb(n: int, k: int) -> int:

@@ -71,8 +71,9 @@ def corrupted_end2(entry=("b", "c"), out="a", coeff=-1):
 
 
 def streamed(cases, reach=1):
-    """A list of cases as a stream, like the ones the suites build."""
-    return Cases(len(cases), reach, lambda: iter(cases))
+    """A list of cases as a stream, like the ones the suites build, its
+    words placed in sorted order."""
+    return Cases(len(cases), reach, lambda: iter(cases), lambda: sorted({w for c in cases for w in c}))
 
 
 class InProcessContext:
@@ -225,8 +226,8 @@ def test_memo_matches_reference_on_mixed_coefficients(end2):
 
 def test_defect_memo_lives_for_one_sweep(monkeypatch):
     # at --jobs 1 and, through the in-process stand-in pool, at --jobs 2
-    # the blocks run here: the memos must be empty when a sweep's first case
-    # runs, which is when a block moves on to another sweep, and when the
+    # the shares run here: the memos must be empty when a sweep's first case
+    # runs, which is when a share moves on to another sweep, and when the
     # check returns
     dga = validate_dga(builtin("end-two-term-complex"))
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
@@ -258,7 +259,7 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
     def watched_sweeps(sweeps, memos=(), **kwargs):
         passed.extend(memos)
         sweeps = [
-            Sweep(s.name, s.bound, s.cases, first_case_sees_empty_memo(s.evaluate))
+            Sweep(s.name, s.bound, s.cases, first_case_sees_empty_memo(s.evaluate), s.deal)
             for s in sweeps
         ]
         return run_sweeps_orig(sweeps, memos, **kwargs)
@@ -282,13 +283,29 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
     assert fake.pool_sizes == [2, 2]  # --jobs 2 did take the pool path
 
 
-def test_pool_blocks_inside_an_xy_group(end2, monkeypatch):
+def built_sweeps(check, alg, bounds, monkeypatch):
+    """The sweeps and the per-sweep memos that ``check`` builds for ``alg``
+    and hands the driver, by name, without running them."""
+    built = {}
+
+    def keep(sweeps, memos=(), **kwargs):
+        built.update(sweeps={s.name: s for s in sweeps}, memos=(alg.space, *memos))
+        return []
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shufflebv.bv, "run_sweeps", keep)
+        check(alg, bounds)
+    return built["sweeps"], built["memos"]
+
+
+def test_pool_shares_split_an_xy_group(end2, monkeypatch):
     # Leibniz and Jacobi read rows filled once per (x, y), the first two
-    # words of a triple.  A worker's block may start inside an (x, y) group:
-    # with its memos empty, after another sweep's block (memos emptied), or
-    # after an earlier block of the same sweep that ended inside the group
-    # (memos kept).  Each must give the failures of the same cases run in
-    # order.  The even operator delta o d fails on most triples, so many
+    # words of a triple.  Leibniz is dealt by z, so each share holds part
+    # of every (x, y) group and fills the group's rows itself: with its
+    # memos empty, after another sweep's share (memos emptied), or after an
+    # earlier share of the same sweep (memos kept).  Each must give the
+    # failures of the whole sweep that fall in the share, with their case
+    # indices.  The even operator delta o d fails on most triples, so many
     # failures are compared, and they take the even-degree correction.
     from types import SimpleNamespace
 
@@ -296,38 +313,72 @@ def test_pool_blocks_inside_an_xy_group(end2, monkeypatch):
         space=end2.space, d_op=end2.d_op,
         delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)]),
     )
-    built = {}
-
-    def keep(sweeps, memos, **kwargs):
-        built.update(sweeps={s.name: s for s in sweeps}, memos=memos)
-        return []
-
-    monkeypatch.setattr(shufflebv.bv, "run_sweeps", keep)
-    check_dbv(even, Bounds(unary=1, binary=1, ternary=2, fail_cap=10**6))
-    sweeps, memos = built["sweeps"], (end2.space, *built["memos"])
+    sweeps, memos = built_sweeps(check_dbv, even, Bounds(unary=1, binary=1, ternary=2),
+                                 monkeypatch)
     forget = shufflebv.bv._forget_memos
-    run = lambda s, start, stop: shufflebv.bv._failures_in(
-        itertools.islice(s.cases, start, stop), s.evaluate, 10**6)
-    n = len(sweeps["bracket_leibniz"].cases)
-    position = {case: i for i, case in enumerate(sweeps["bracket_leibniz"].cases)}
-    group = round(n ** (1 / 3))  # the triples of one (x, y)
+    run = lambda s, j, k, deal: shufflebv.bv._failures_in(s.cases.share(j, k, deal), s.evaluate, 10**6)
     for name, other in (("bracket_leibniz", "bracket_jacobi"), ("bracket_jacobi", "bracket_leibniz")):
         s, o = sweeps[name], sweeps[other]
         forget(*memos)
-        _, whole = run(s, 0, n)
-        assert len(whole) > n // 4
-        for start, stop in ((group + 5, 3 * group + 2), (7, n), (n - group // 2, n)):
+        count, whole = run(s, 0, 1, s.deal)
+        assert count == len(whole) > len(s.cases) // 4
+        assert [i for i, _, _ in whole] == sorted(i for i, _, _ in whole)
+        # Leibniz by its own deal; Jacobi, whose one share is the whole
+        # sweep, by z as well, so that its shares too start inside groups
+        deal = (2,)
+        for k, j in ((2, 1), (3, 2)):
             for before in ("nothing", "another sweep", "this sweep"):
                 forget(*memos)
                 if before == "another sweep":
-                    run(o, start, stop)
+                    run(o, j, k, o.deal)
                     forget(*memos)
-                elif before == "this sweep":  # up to a start inside the group
-                    run(s, start - 3, start)
-                _, kept = run(s, start, stop)
-                want = [(c, f) for c, f in whole if start <= position[c] < stop]
-                assert kept == want, (name, start, before)
+                elif before == "this sweep":
+                    run(s, (j + 1) % k, k, deal)
+                _, kept = run(s, j, k, deal)
+                share = {i for i, _ in s.cases.share(j, k, deal)}
+                assert kept == [f for f in whole if f[0] in share], (name, k, j, before)
     forget(*memos)
+
+
+def memo_entries(ops):
+    """The (operator, prefix, word) of every entry filled in the defect
+    memos of ``ops``, beyond the image tables (prefix ())."""
+    return {(n, X, w) for n, op in enumerate(ops) for X, level in op._defects.items() if X
+            for w in level}
+
+
+@pytest.mark.parametrize("suite, names", [
+    ("dbv", ("bracket_antisymmetry", "bracket_leibniz", "bracket_jacobi", "delta_order_2")),
+    ("bvinf", ("order_3_delta_-3",)),
+])
+def test_each_memo_entry_is_filled_in_one_share(suite, names, monkeypatch):
+    # a sweep is dealt by the words that key its memo entries: run share by
+    # share on freshly emptied memos, as pool workers do, the shares fill
+    # disjoint sets of entries, which together are those of a serial run
+    if suite == "dbv":
+        alg = validate_dga(builtin("end-two-term-complex"))
+        ops = (alg.d_op, alg.delta_op)
+        sweeps, memos = built_sweeps(check_dbv, alg, Bounds(3, 2, 2), monkeypatch)
+    else:
+        alg = validate_ainf(builtin("ainf-mu3"), 3)
+        ops = tuple(alg.delta_op(k) for k in (1, 2, 3))
+        sweeps, memos = built_sweeps(lambda a, b: check_bvinf(a, 3, b), alg,
+                                     Bounds(unary=2, order_slack=1), monkeypatch)
+
+    def filled(s, j, k):
+        shufflebv.bv._forget_memos(*memos)
+        shufflebv.bv._failures_in(s.cases.share(j, k, s.deal), s.evaluate, 1)
+        return memo_entries(ops)
+
+    for name in names:
+        s = sweeps[name]
+        serial = filled(s, 0, 1)
+        assert serial, name
+        for k in (2, 3):
+            shares = [filled(s, j, k) for j in range(k)]
+            assert sum(map(len, shares)) == len(serial), (name, k)
+            assert set().union(*shares) == serial, (name, k)
+    shufflebv.bv._forget_memos(*memos)
 
 
 def test_defect_memo_fills_each_entry_once(end2, monkeypatch):
@@ -1014,8 +1065,8 @@ def test_run_axiom_counts():
     sp = GradedSpace("s", [BasisLetter("a", 0)])
     cases = [(sp.encode(("a",) * i),) for i in (2, 0, 1)]
     evaluate = lambda c: {c[0]: 1}
-    blocks = [shufflebv.bv._failures_in(iter(cases), evaluate, 1)]
-    report = run_axiom("demo", "n/a", cases, sp, fail_cap=1, blocks=blocks)
+    shares = [shufflebv.bv._failures_in(enumerate(cases), evaluate, 1)]
+    report = run_axiom("demo", "n/a", cases, sp, fail_cap=1, shares=shares)
     assert report.cases == 3 and report.failure_count == 3 and len(report.failures) == 1
     assert report.failures[0].inputs == (("a", "a"),)  # decoded to letter ids
     # the defect's terms become an element of the check's space

@@ -288,13 +288,16 @@ def test_check_json_report_deterministic(fixture_file, capsys):
     second = json.loads(capsys.readouterr().out)
     meta1, meta2 = first.pop("meta"), second.pop("meta")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    # peak_rss_mb is left out where the platform has no ``resource`` module
-    numbers = ["elapsed_s", "cpu_s"] + (["peak_rss_mb"] if shufflebv.cli.resource else [])
+    # the peak RSS and the workers' figures are left out where the platform
+    # has no ``resource`` module; a serial check has no workers
+    workers = ["workers_cpu_s", "workers_peak_rss_mb"] if shufflebv.cli.resource else []
+    numbers = ["elapsed_s", "cpu_s"] + (["peak_rss_mb"] if shufflebv.cli.resource else []) + workers
     for meta in (meta1, meta2):
         assert set(meta) == {"version", *numbers}
         assert meta["version"] == shufflebv.__version__
         assert all(type(meta[k]) in (int, float) and meta[k] >= 0 for k in numbers)
         assert meta["cpu_s"] > 0
+        assert all(meta[k] == 0 for k in workers)
     assert meta2["cpu_s"] >= meta1["cpu_s"]  # one process: its CPU time so far
     assert first["format_version"] == 1
     assert {a["name"] for a in first["axioms"]} >= {"d_squared", "bracket_jacobi"}
@@ -399,29 +402,40 @@ def corrupt_mu3(doc):
 def test_check_jobs_flag(fixture_file, capsys, monkeypatch):
     # the pool path must give the same report as the sequential one, on every
     # suite, and on failing algebras with their failure witnesses and their
-    # order too; a pool of two workers whatever the host has
-    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
-    dbv_bounds = ["--max-len", "3", "--pair-len", "1", "--triple-len", "1"]
-    ainf_bounds = ["--max-len", "4", "--order-slack", "1", "--fail-cap", "3"]
+    # order too; real fork pools of two and three workers whatever the host
+    # has.  With --fail-cap 3 the kept failures of a failing sweep come from
+    # several shares.  meta counts the workers' CPU time and peak RSS
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 3)
+    cap = ["--fail-cap", "3"]
+    dbv_bounds = ["--max-len", "3", "--pair-len", "1", "--triple-len", "1", *cap]
+    ainf_bounds = ["--max-len", "4", "--order-slack", "1", *cap]
     runs = [
         ("end-two-term-complex", None, [], dbv_bounds, 0),
         ("end-two-term-complex", corrupt_mu, ["--assume-valid"], dbv_bounds, 1),
         ("ainf-mu3", None, [], ainf_bounds, 0),
         ("ainf-mu3", corrupt_mu3, ["--assume-valid"], ainf_bounds, 1),
-        ("diag-into-upper-triangular", None, [], ["--max-len", "3", "--pair-len", "2"], 0),
+        ("diag-into-upper-triangular", None, [], ["--max-len", "3", "--pair-len", "2", *cap], 0),
+        ("diag-into-upper-triangular", corrupt_map, ["--assume-valid"],
+         ["--max-len", "3", "--pair-len", "2", *cap], 1),
     ]
+    workers = ["workers_cpu_s", "workers_peak_rss_mb"] if shufflebv.cli.resource else []
     for name, mutate, extra, bounds, code in runs:
         path = fixture_file(name, mutate=mutate)
         args = ["check", path, *extra, "--report", "json", *bounds]
         payloads = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             assert main(args + ["--jobs", str(jobs)]) == code
             payload = json.loads(capsys.readouterr().out)
-            payload.pop("meta")
+            meta = payload.pop("meta")
+            for key in workers:
+                assert type(meta[key]) in (int, float)
+                assert meta[key] > 0 if jobs > 1 else meta[key] == 0, (name, jobs, key)
             assert payload["config"].pop("jobs") == jobs
             payloads.append(payload)
-        assert payloads[0] == payloads[1]
-        assert any(a["failures"] for a in payloads[0]["axioms"]) == bool(code)
+        assert payloads[0] == payloads[1] == payloads[2]
+        failing = [a for a in payloads[0]["axioms"] if a["failures"]]
+        assert bool(failing) == bool(code)
+        assert all(len(a["failures"]) == min(3, a["failure_count"]) for a in failing)
 
 
 def test_check_jobs_clamped_to_usable_cpus(fixture_file, capsys, monkeypatch):

@@ -90,8 +90,8 @@ def test_counts_reproduce_the_ainf_order_sweeps():
     (lambda sp: word_tuples(sp, 3, 4), lambda sp: word_tuples_with_total(sp, 3, 4)),
 ])
 def test_every_block_cut_is_a_slice(cases, want):
-    # a pool block [start, stop) is an islice of the stream: each cut must
-    # give that slice of the reference list
+    # a stream starts afresh each time it is iterated, so every cut
+    # [start, stop) of it gives that slice of the reference list
     space = builtin("ainf-mu3").space()
     cases, want = cases(space), want(space)
     n = len(want)
@@ -99,6 +99,60 @@ def test_every_block_cut_is_a_slice(cases, want):
     for start in range(n + 1):
         for stop in range(start, n + 1):
             assert list(itertools.islice(cases, start, stop)) == want[start:stop]
+
+
+# the words that the suites' sweeps deal by (``bv.Sweep.deal``)
+SUITE_DEALS = ((0,), (1,), (2,), (0, 1), ())
+
+
+def dealt_shares():
+    """(label, stream, deal, k, shares): shares j of k = 1..4, as lists of
+    (index, case), of products of 1-3 words and of tuples of 2-4 words on
+    end-two-term-complex, by each of the suites' deals that fits."""
+    space = builtin("end-two-term-complex").space()
+    streams = [(f"product {r}", word_product(space, n, r)) for r, n in ((1, 3), (2, 2), (3, 1))]
+    streams += [(f"tuples {c}", word_tuples(space, c, c + 1)) for c in (2, 3, 4)]
+    for label, cases in streams:
+        stream = list(cases)
+        for deal in SUITE_DEALS:
+            if all(i < len(stream[0]) for i in deal):
+                for k in (1, 2, 3, 4):
+                    yield label, stream, deal, k, [list(cases.share(j, k, deal)) for j in range(k)]
+
+
+def share_membership() -> list:
+    """The case indices of every share of ``dealt_shares``."""
+    return [[label, deal, k, [[i for i, _ in share] for share in shares]]
+            for label, _, deal, k, shares in dealt_shares()]
+
+
+def test_shares_partition_every_stream():
+    # the shares are disjoint, together the whole stream, each in stream
+    # order, every case beside its index in the stream; share j holds the
+    # cases whose dealt words' positions in words_up_to sum to j mod k
+    position = {w: i for i, w in enumerate(words_up_to(builtin("end-two-term-complex").space(), 4))}
+    for label, stream, deal, k, shares in dealt_shares():
+        assert sorted(i for share in shares for i, _ in share) == list(range(len(stream)))
+        for j, share in enumerate(shares):
+            indices = [i for i, _ in share]
+            assert indices == sorted(set(indices)), (label, deal, k, j)
+            for i, case in share:
+                assert case == stream[i] and sum(position[case[at]] for at in deal) % k == j
+
+
+def test_shares_do_not_depend_on_the_hash_seed():
+    # words are dealt by their positions, never by their hashes
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(shufflebv.__file__)))
+    code = "import json, test_streams; print(json.dumps(test_streams.share_membership()))"
+    want = json.loads(json.dumps(share_membership()))
+    for seed in ("0", "4242"):
+        env = dict(PATH="/usr/bin:/bin", PYTHONPATH=os.pathsep.join([package_root, tests_dir]),
+                   PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want, seed
 
 
 # -- the size guard --------------------------------------------------------------
@@ -305,7 +359,7 @@ def test_tables_hold_nothing_beyond_the_remaining_reach(bounds, operator, monkey
 
         checked = [
             shufflebv.bv.Sweep(s.name, s.bound, s.cases,
-                               first_case_checks(s, max(t.cases.reach for t in sweeps[i:])))
+                               first_case_checks(s, max(t.cases.reach for t in sweeps[i:])), s.deal)
             for i, s in enumerate(sweeps)
         ]
         return run_sweeps(checked, memos, **kwargs)
