@@ -658,20 +658,46 @@ def test_bvinf_negative_control_delta_1_flipped(end2, monkeypatch):
     }
 
 
-def test_bvinf_negative_control_delta_3_flipped(monkeypatch):
-    # delta_3 of ainf-mu3 negated on words of length 4: no longer of order
-    # 3.  Only its order sweep fails: every composite of two lifts that
-    # involves it vanishes term by term, whatever its sign
+def _delta_3_flipped():
+    """ainf-mu3 with delta_3 negated on words of length 4."""
     from types import SimpleNamespace
 
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
     flipped = _SignFlippedOnLength(ainf.delta_op(3), 4)
-    bad = SimpleNamespace(
+    return SimpleNamespace(
         space=ainf.space,
         maps=ainf.maps,
         delta_op=lambda k: flipped if k == 3 else ainf.delta_op(k),
     )
-    assert _bvinf_failures(monkeypatch, bad) == {"order_3_delta_-3": 1237}
+
+
+def test_bvinf_negative_control_delta_3_flipped(monkeypatch):
+    # delta_3 of ainf-mu3 negated on words of length 4: no longer of order
+    # 3.  Only its order sweep fails: every composite of two lifts that
+    # involves it vanishes term by term, whatever its sign
+    assert _bvinf_failures(monkeypatch, _delta_3_flipped()) == {"order_3_delta_-3": 1237}
+
+
+# sha256 of the sorted-key JSON of the first fail_cap (10) witnesses of
+# order_3_delta_-3 with delta_3 flipped, at the default bounds.  Every
+# builtin passes its order sweeps, so these witnesses are the one pinned
+# nonzero order-3 defect: they are read from the defect memo's fills
+DELTA_3_FLIPPED_WITNESSES = "98963d4a271f21beef89f85be632afbb5df49bf4b5e5538c4d7a110ee437ed96"
+
+
+def test_bvinf_delta_3_flipped_witnesses_are_pinned(monkeypatch):
+    # the same witnesses at --jobs 1 and through a pool of two workers
+    import hashlib
+    import shufflebv.bv
+
+    bad = _delta_3_flipped()
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
+    for jobs in (1, 2):
+        (report,) = [r for r in check_bvinf(bad, 3, Bounds(jobs=jobs)) if r.name == "order_3_delta_-3"]
+        assert (report.failure_count, len(report.failures)) == (1237, 10), jobs
+        witnesses = json.dumps([f.to_json() for f in report.failures], sort_keys=True,
+                               separators=(",", ":"))
+        assert hashlib.sha256(witnesses.encode()).hexdigest() == DELTA_3_FLIPPED_WITNESSES, jobs
 
 
 def test_bvinf_negative_control_outer_relations(monkeypatch, tmp_path, capsys):
