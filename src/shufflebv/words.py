@@ -296,12 +296,42 @@ def _merge_plan(acc, uv, plan, coeff):
     return acc
 
 
+def merge_shuffle_images(acc, space, b, c, table, coeff):
+    """acc += coeff * sum(c' * table[w] for w, c' in b * c), dropping zero
+    entries.
+
+    The fused form of ``merge_images(acc, shuffle_terms(space, b, c), table,
+    coeff)``: walks the pair's shuffle plan and merges each shuffled word's
+    image with the shuffle's sign, so no b * c dict is built and no pair is
+    stored.  Each word is interned before its image is read by subscript,
+    so a ``Table`` fills a miss under the interned word.  Terms of b * c
+    that cancel merge their images with opposite signs.  Mutates and
+    returns ``acc``; ``coeff`` and the coefficients of the images must be
+    nonzero.
+    """
+    intern = space._word_table.setdefault
+    bc = b + c
+    if not b or not c:
+        return merge_images(acc, {intern(bc, bc): 1}, table, coeff)
+    parity = space._sparity.__getitem__
+    get = acc.get
+    join = "".join
+    neg = -coeff
+    for g, s in zip(*_shuffle_plans[tuple(map(parity, b)), tuple(map(parity, c))]):
+        w = join(g(bc))
+        sc = coeff if s == 1 else neg
+        for w2, c2 in table[intern(w, w)].items():
+            val = get(w2, 0) + sc * c2
+            if val:
+                acc[w2] = val
+            else:
+                del acc[w2]
+    return acc
+
+
 def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     """Terms of the shuffle product of two words, computed afresh and
-    interned.
-
-    It fills the space's shuffle table (see ``shuffle``); a defect-memo
-    fill calls it for a pair that the table does not hold.
+    interned: the fill of the space's shuffle table (see ``shuffle``).
     """
     parity = space._sparity.__getitem__
     intern = space._word_table.setdefault

@@ -411,26 +411,56 @@ def test_words_up_to_and_tuples(mixed):
 
 def test_memo_fill_reads_but_never_fills_the_shuffle_table(monkeypatch):
     # a defect-memo fill takes b * c from the space's table when the table
-    # holds the pair, and computes it afresh otherwise; it never adds a pair
+    # holds the pair, and merges its images straight from the pair's
+    # shuffle plan otherwise, computing no b * c; it never adds a pair, and
+    # the two ways give equal entries
     space = GradedSpace("peek", [BasisLetter("x", 0), BasisLetter("y", 1)])
     mu = operators.MultilinearMap(space, 2, 0, {("x", "x"): {"x": 1}, ("x", "y"): {"y": 1}})
     op = operators.lift_coderivation(mu)
     u, v = space.encode(("x", "y")), space.encode(("y",))
     fresh = []
-    fill = operators.shuffle_terms
+    fill = words.shuffle_terms
 
     def counted(space, b, c):
         fresh.append((b, c))
         return fill(space, b, c)
 
-    monkeypatch.setattr(operators, "shuffle_terms", counted)
+    monkeypatch.setattr(words, "shuffle_terms", counted)
     entry = op._defects[(u,)][v]
-    assert fresh == [(u, v)] and space._shuffle_cache == {}
+    assert fresh == [] and space._shuffle_cache == {}
     cached = shuffle(space, ("x", "y"), ("y",)).terms
+    assert fresh == [(u, v)]
     op._defects.clear()
     assert op._defects[(u,)][v] == entry
     assert fresh == [(u, v)] and list(space._shuffle_cache) == [(u, v)]
     assert space._shuffle_cache[u, v] is cached
+
+
+def test_merge_shuffle_images_matches_merge_images():
+    # x has odd shifted degree, y even: over the words of length <= 3, the
+    # empty word included, terms of b * c cancel (x * x = 0) and repeat
+    # (y * y = 2 yy); the kernel merges the same images as merge_images over
+    # shuffle_terms, into a nonempty accumulator with a Fraction coeff, and
+    # fills the table only under interned words, storing no shuffle pair
+    space = GradedSpace("kernel", [BasisLetter("x", 0), BasisLetter("y", 1)])
+
+    def image(w):
+        # nonzero coefficients; the terms of distinct words overlap
+        return {w: len(w) + 1, w[1:] + "!": -2} if w else {"!": 3}
+
+    ws = words_up_to(space, 3)
+    start = {ws[1]: 5, "!": Fraction(1, 3)}
+    coeff = Fraction(-3, 2)
+    for b, c in itertools.product(ws, repeat=2):
+        table = Table(image)
+        got = words.merge_shuffle_images(dict(start), space, b, c, table, coeff)
+        want = merge_images(dict(start), shuffle_terms(space, b, c), Table(image), coeff)
+        assert got == want, (b, c)
+        assert all(w is space._word_table[w] for w in table), (b, c)
+    assert space._shuffle_cache == {}
+    x = space.encode(("x",))
+    assert shuffle_terms(space, x, x) == {}
+    assert words.merge_shuffle_images({}, space, x, x, Table(image), 1) == {}
 
 
 def test_shuffle_plans_match_shuffle_signed():
