@@ -177,24 +177,21 @@ def _koszul_step(
     top-level step, whose shuffles recur across cases.  A memo fill passes
     None: it never adds a pair to the table, since the memo already holds
     what is built from it.  There b * c is read from the table if it holds
-    the pair; otherwise ``merge_shuffle_images`` merges the images of its
-    words straight from the pair's shuffle plan, interning each word before
-    the level reads it, since its words key the memo's tables.  The rows
-    F_(m-1)(X, b) and F_(m-1)(X, c) are shuffled by ``merge_shuffles``
-    straight into the entry, and only the finished entry's words are
-    interned.
+    the pair; otherwise ``merge_shuffle_images`` merges the lower level's
+    rows of its words straight from the pair's shuffle plan, building no
+    b * c and interning each word before the level reads it, since its
+    words key the memo's tables.  The rows F_(m-1)(X, b) and
+    F_(m-1)(X, c) are shuffled by ``merge_shuffles`` straight into the
+    entry, and only the finished entry's words are interned.
     """
     space = D.space
     X, b, c = key[:-2], key[-2], key[-1]
     lower = D._defects[X]
-    if shuffles is None:
-        bc = space._shuffle_cache.get((b, c))
-        if bc is None:
-            acc = merge_shuffle_images({}, space, b, c, lower, 1)
-        else:
-            acc = merge_images({}, bc, lower, 1)
+    bc = space._shuffle_cache.get((b, c)) if shuffles is None else shuffles[b, c]
+    if bc is None:
+        acc = merge_shuffle_images({}, space, b, c, lower, 1)
     else:
-        acc = merge_images({}, shuffles[b, c], lower, 1)
+        acc = merge_images({}, bc, lower, 1)
     row = lower[b]
     if row:
         merge_shuffles(acc, space, c, row, -1, False, shuffles)

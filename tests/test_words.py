@@ -17,6 +17,7 @@ from shufflebv.words import (
     TElement,
     merge_images,
     merge_scaled,
+    merge_shuffle_images,
     render_telement,
     shuffle,
     shuffle_elements,
@@ -425,6 +426,9 @@ def test_memo_fill_reads_but_never_fills_the_shuffle_table(monkeypatch):
         fresh.append((b, c))
         return fill(space, b, c)
 
+    # operators binds no shuffle_terms of its own, so every call goes
+    # through words and is counted
+    assert not hasattr(operators, "shuffle_terms")
     monkeypatch.setattr(words, "shuffle_terms", counted)
     entry = op._defects[(u,)][v]
     assert fresh == [] and space._shuffle_cache == {}
@@ -453,14 +457,14 @@ def test_merge_shuffle_images_matches_merge_images():
     coeff = Fraction(-3, 2)
     for b, c in itertools.product(ws, repeat=2):
         table = Table(image)
-        got = words.merge_shuffle_images(dict(start), space, b, c, table, coeff)
+        got = merge_shuffle_images(dict(start), space, b, c, table, coeff)
         want = merge_images(dict(start), shuffle_terms(space, b, c), Table(image), coeff)
         assert got == want, (b, c)
         assert all(w is space._word_table[w] for w in table), (b, c)
     assert space._shuffle_cache == {}
     x = space.encode(("x",))
     assert shuffle_terms(space, x, x) == {}
-    assert words.merge_shuffle_images({}, space, x, x, Table(image), 1) == {}
+    assert merge_shuffle_images({}, space, x, x, Table(image), 1) == {}
 
 
 def test_shuffle_plans_match_shuffle_signed():
