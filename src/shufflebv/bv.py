@@ -354,7 +354,7 @@ def _forget_memos(space: GradedSpace, *memos: dict) -> None:
 # The signed F_2 rows of an element x of the word space: one (row, c, u) per
 # word u of x, where row = F_2(u, -), the memo level of (u,) in the
 # operator's defect memo, and c = (-1)^|u| times u's coefficient; u itself
-# when the even-degree correction applies (see ``_add_rows``), else None.
+# when the even-degree correction applies (see ``_add_word``), else None.
 Rows = list[tuple[Table, Scalar, Word | None]]
 
 
@@ -371,19 +371,50 @@ def _bracket_rows(delta: Operator, xterms: dict[Word, Scalar]) -> Rows:
     return rows
 
 
+def _add_word(
+    acc: dict[Word, Scalar], delta: Operator, rows: Rows, y: Word, coeff: Scalar = 1,
+) -> dict[Word, Scalar]:
+    """acc += coeff * {x, y} for one word y, with x given by its signed rows;
+    returns ``acc``.  Each row's entry at y is merged from the memo as it
+    stands, never copied."""
+    get = acc.get
+    for row, cu, u in rows:
+        c = coeff * cu
+        # merge_scaled inlined: the sweeps call this once or twice per case
+        for w, cw in row[y].items():
+            val = get(w, 0) + c * cw
+            if val:
+                acc[w] = val
+            else:
+                del acc[w]
+        if u is not None:
+            # F_2 signs the term u * D(y) by (-1)^(|u| |D|), the bracket
+            # by -1: they differ only for an even D and an odd u
+            merge_shuffles(acc, delta.space, u, delta._cache[y], 2 * coeff * cu, True)
+    return acc
+
+
 def _add_rows(
     acc: dict[Word, Scalar], delta: Operator, rows: Rows, yterms: dict[Word, Scalar],
     coeff: Scalar = 1,
 ) -> dict[Word, Scalar]:
-    """acc += coeff * {x, y}, with x given by its signed rows; returns ``acc``."""
-    for row, cu, u in rows:
-        merge_images(acc, yterms, row, coeff * cu)
-        if u is not None:
-            # F_2 signs the term u * D(y) by (-1)^(|u| |D|), the bracket
-            # by -1: they differ only for an even D and an odd u
-            dy = merge_images({}, yterms, delta._cache, 1)
-            merge_shuffles(acc, delta.space, u, dy, 2 * coeff * cu, True)
+    """acc += coeff * {x, y}, with x given by its signed rows and y by its
+    terms: ``_add_word`` over the words of y; returns ``acc``."""
+    for v, cv in yterms.items():
+        _add_word(acc, delta, rows, v, coeff * cv)
     return acc
+
+
+def _word_bracket(delta: Operator, rows: Rows, y: Word) -> tuple[dict[Word, Scalar], Scalar]:
+    """(terms, c) with {x, y} = c * terms, for one word y and x given by its
+    signed rows.  When x has one row and no correction, terms is that row's
+    memo entry at y itself, handed out by reference and only to be read;
+    otherwise a new dict, and c = 1."""
+    if len(rows) == 1:
+        row, cu, u = rows[0]
+        if u is None:
+            return row[y], cu
+    return _add_word({}, delta, rows, y), 1
 
 
 def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
@@ -518,7 +549,8 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     bounds = bounds or Bounds()
     space = dga.space
     d, delta = dga.d_op, dga.delta_op
-    wd = lambda w: word_degree(space, w)
+    # the degree parity of each case word, read by subscript
+    odd = Table(lambda w: word_parity(space, w))
     # each case's identity is merged term by term into one dict, every image,
     # shuffle and F-value read by subscript: from the operators' and the
     # space's tables, and from delta's per-sweep defect memo
@@ -530,33 +562,37 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     word_rows = Table(lambda u: _bracket_rows(delta, {u: 1}))
     product_rows = Table(lambda xy: _bracket_rows(delta, shuffles[xy]))
     bracket_rows = Table(
-        lambda xy: _bracket_rows(delta, _add_rows({}, delta, word_rows[xy[0]], {xy[1]: 1}))
+        lambda xy: _bracket_rows(delta, _add_word({}, delta, word_rows[xy[0]], xy[1]))
     )
 
     def antisymmetry(case):
         x, y = case
-        s = -1 if ((wd(x) + 1) & 1) & ((wd(y) + 1) & 1) else 1
-        acc = _add_rows({}, delta, word_rows[x], {y: 1})
-        return _add_rows(acc, delta, word_rows[y], {x: 1}, s)
+        s = 1 if odd[x] or odd[y] else -1
+        acc = _add_word({}, delta, word_rows[x], y)
+        return _add_word(acc, delta, word_rows[y], x, s)
 
     def leibniz(case):
-        # {x * y, z} - x * {y, z} - s {x, z} * y
+        # {x * y, z} - x * {y, z} - s {x, z} * y, each one-word bracket
+        # shuffled straight from the memo when it is one row's entry
         x, y, z = case
-        s = -1 if (wd(y) & 1) & ((wd(z) + 1) & 1) else 1
-        zt = {z: 1}
-        acc = _add_rows({}, delta, product_rows[x, y], zt)
-        merge_shuffles(acc, space, x, _add_rows({}, delta, word_rows[y], zt), -1, True, shuffles)
-        merge_shuffles(acc, space, y, _add_rows({}, delta, word_rows[x], zt), -s, False, shuffles)
+        s = -1 if odd[y] and not odd[z] else 1
+        acc = _add_word({}, delta, product_rows[x, y], z)
+        yz, c = _word_bracket(delta, word_rows[y], z)
+        merge_shuffles(acc, space, x, yz, -c, True, shuffles)
+        xz, c = _word_bracket(delta, word_rows[x], z)
+        merge_shuffles(acc, space, y, xz, -s * c, False, shuffles)
         return acc
 
     def jacobi(case):
         # {x, {y, z}} - {{x, y}, z} - s {y, {x, z}}
         x, y, z = case
-        s = -1 if ((wd(x) + 1) & 1) & ((wd(y) + 1) & 1) else 1
-        rx, ry, zt = word_rows[x], word_rows[y], {z: 1}
-        acc = _add_rows({}, delta, rx, _add_rows({}, delta, ry, zt))
-        _add_rows(acc, delta, bracket_rows[x, y], zt, -1)
-        return _add_rows(acc, delta, ry, _add_rows({}, delta, rx, zt), -s)
+        s = 1 if odd[x] or odd[y] else -1
+        rx, ry = word_rows[x], word_rows[y]
+        yz, c = _word_bracket(delta, ry, z)
+        acc = _add_rows({}, delta, rx, yz, c)
+        _add_word(acc, delta, bracket_rows[x, y], z, -1)
+        xz, c = _word_bracket(delta, rx, z)
+        return _add_rows(acc, delta, ry, xz, -s * c)
 
     evaluators = {
         # the composites are the arity <= 2 A-infinity relations of (d, mu);

@@ -123,7 +123,8 @@ class Operator:
     space trims to the words its remaining sweeps can read (``bv._trim``);
     and ``_defects``, its defect memo (see ``defect_table``), which the
     sweep driver empties when a sweep starts and when a check ends.
-    Callers read both by subscript, and must treat images as immutable.
+    Callers read both by subscript, and are handed the stored images and
+    memo entries themselves, not copies: they must only read them.
     """
 
     def __init__(self, space: GradedSpace, degree: int):
@@ -152,7 +153,9 @@ def defect_table(D: Operator) -> Table:
 
     ``memo[()]`` is D's image table (F_1 = D); beyond it each prefix has a
     table filled by Koszul's recursion.  F_(m+1) is the order-m expression
-    of ``bv.order_defect``.
+    of ``bv.order_defect``.  Readers get the stored entries by reference
+    (the bracket sweeps merge and shuffle F_2 entries straight from here),
+    so an entry must never be written once filled.
     """
 
     def level(D, X):
@@ -179,8 +182,8 @@ def _koszul_step(
     what is built from it.  There b * c is read from the table if it holds
     the pair; otherwise ``merge_shuffle_images`` merges the lower level's
     rows of its words straight from the pair's shuffle plan, building no
-    b * c and interning each word before the level reads it, since its
-    words key the memo's tables.  The rows F_(m-1)(X, b) and
+    b * c and interning a word only when the level lacks it, since the
+    level then stores its row under that word.  The rows F_(m-1)(X, b) and
     F_(m-1)(X, c) are shuffled by ``merge_shuffles`` straight into the
     entry, and only the finished entry's words are interned.
     """

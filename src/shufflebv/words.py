@@ -303,16 +303,17 @@ def merge_shuffle_images(acc, space, b, c, table, coeff):
     The fused form of ``merge_images(acc, shuffle_terms(space, b, c), table,
     coeff)``: walks the pair's shuffle plan and merges each shuffled word's
     image with the shuffle's sign, so no b * c dict is built and no pair is
-    stored.  Each word is interned before its image is read by subscript,
-    so a ``Table`` fills a miss under the interned word.  Terms of b * c
-    that cancel merge their images with opposite signs.  Mutates and
-    returns ``acc``; ``coeff`` and the coefficients of the images must be
-    nonzero.
+    stored.  Only a word the table lacks is interned, and then read by
+    subscript, so a ``Table`` fills the miss under the interned word.
+    Terms of b * c that cancel merge their images with opposite signs.
+    Mutates and returns ``acc``; ``coeff`` and the coefficients of the
+    images must be nonzero.
     """
     intern = space._word_table.setdefault
     bc = b + c
     if not b or not c:
         return merge_images(acc, {intern(bc, bc): 1}, table, coeff)
+    lookup = table.get
     parity = space._sparity.__getitem__
     get = acc.get
     join = "".join
@@ -320,7 +321,10 @@ def merge_shuffle_images(acc, space, b, c, table, coeff):
     for g, s in zip(*_shuffle_plans[tuple(map(parity, b)), tuple(map(parity, c))]):
         w = join(g(bc))
         sc = coeff if s == 1 else neg
-        for w2, c2 in table[intern(w, w)].items():
+        row = lookup(w)
+        if row is None:
+            row = table[intern(w, w)]
+        for w2, c2 in row.items():
             val = get(w2, 0) + sc * c2
             if val:
                 acc[w2] = val

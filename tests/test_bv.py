@@ -26,6 +26,10 @@ from shufflebv.algebra_io import (
 from shufflebv.bv import (
     Bounds,
     Sweep,
+    _add_rows,
+    _add_word,
+    _bracket_rows,
+    _word_bracket,
     bracket,
     check_bvinf,
     check_dbv,
@@ -35,10 +39,17 @@ from shufflebv.bv import (
     run_sweeps,
 )
 from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
-from shufflebv.operators import CompositeSum, MultilinearMap, lift_coderivation
+from shufflebv.operators import (
+    CompositeSum,
+    MultilinearMap,
+    _koszul_step,
+    defect_table,
+    lift_coderivation,
+)
 from shufflebv.words import (
     Cases,
     TElement,
+    merge_scaled,
     shuffle,
     word_degree,
     words_up_to,
@@ -156,6 +167,93 @@ def test_bracket_extends_bilinearly(end2):
     for part in parts.values():
         expected = expected + bracket(part, y, end2.delta_op)
     assert got == expected
+
+
+# -- the one-word bracket kernel ---------------------------------------------------
+
+
+def bracket_operator(alg, label):
+    """"delta", the lifted product, which is odd, or "delta.d", delta o d,
+    an even operator whose bracket takes the correction 2 u * D(y) on odd
+    words u."""
+    return alg.delta_op if label == "delta" else CompositeSum([(1, alg.delta_op, alg.d_op)])
+
+
+@pytest.mark.parametrize("label", ["delta", "delta.d"])
+def test_one_word_kernel_matches_bracket(end2, label):
+    # on every pair of words of length <= 2, the kernel adds {x, y} to an
+    # empty and to a nonempty accumulator, with a Fraction coeff; the
+    # shortcut gives the memo entry itself exactly when x has one row and
+    # no correction, and a new dict otherwise
+    delta = bracket_operator(end2, label)
+    space = end2.space
+    words = words_up_to(space, 2)
+    start = {words[1]: Fraction(1, 3), words[-1]: 2}
+    coeff = Fraction(-3, 2)
+    corrected = 0
+    for x, y in itertools.product(words, repeat=2):
+        ex, ey = TElement._make(space, {x: 1}), TElement._make(space, {y: 1})
+        want = bracket(ex, ey, delta)
+        assert want == bracket_reference(ex, ey, delta), (x, y)
+        rows = _bracket_rows(delta, {x: 1})
+        assert _add_word({}, delta, rows, y) == want.terms, (x, y)
+        assert (_add_word(dict(start), delta, rows, y, coeff)
+                == merge_scaled(dict(start), want.terms, coeff)), (x, y)
+        assert _add_rows(dict(start), delta, rows, {y: 2}, coeff) == merge_scaled(
+            dict(start), want.terms, 2 * coeff), (x, y)
+        terms, c = _word_bracket(delta, rows, y)
+        assert merge_scaled({}, terms, c) == want.terms, (x, y)
+        entry = delta._defects[(x,)][y]
+        if rows[0][2] is None:
+            assert terms is entry, (x, y)
+        else:
+            corrected += 1
+            assert terms is not entry and c == 1, (x, y)
+    # delta is odd and takes no correction; delta o d takes it on each odd x
+    odd_words = sum(word_degree(space, x) & 1 for x in words)
+    assert corrected == (0 if delta.degree & 1 else odd_words * len(words)) and odd_words
+    # an element of two words has two rows: its bracket is a new dict
+    x = {words[1]: 1, words[-1]: Fraction(1, 2)}
+    rows = _bracket_rows(delta, x)
+    for y in words:
+        terms, c = _word_bracket(delta, rows, y)
+        assert c == 1 and all(terms is not level[y] for level, _, _ in rows), y
+        want = bracket(TElement._make(space, x), TElement._make(space, {y: 1}), delta)
+        assert terms == want.terms, y
+    shufflebv.bv._forget_memos(space)
+
+
+@pytest.mark.parametrize("label", ["delta", "delta.d"])
+def test_bracket_sweeps_only_read_memo_entries(end2, label, monkeypatch):
+    # the sweeps are handed F_2 entries of delta's memo by reference: before
+    # each emptying of the memo, every entry it holds must still equal a
+    # fresh Koszul step, taken on a new memo
+    from types import SimpleNamespace
+
+    delta = bracket_operator(end2, label)
+    alg = SimpleNamespace(space=end2.space, d_op=end2.d_op, delta_op=delta)
+    forget = shufflebv.bv._forget_memos
+    checked = []
+
+    def guarded(space, *memos):
+        held = [(X + (w,), entry) for X, level in delta._defects.items() if len(X) == 1
+                for w, entry in level.items()]
+        memo, delta._defects = delta._defects, defect_table(delta)
+        try:
+            for key, entry in held:
+                assert entry == _koszul_step(delta, key, None), key
+        finally:
+            delta._defects = memo
+        checked.append(len(held))
+        forget(space, *memos)
+
+    monkeypatch.setattr(shufflebv.bv, "_forget_memos", guarded)
+    reports = check_dbv(alg, Bounds(3, 2, 2))
+    assert [r.name for r in reports][4:7] == ["bracket_antisymmetry", "bracket_leibniz",
+                                                "bracket_jacobi"]
+    # the memo is emptied as each of the eight sweeps starts and as the
+    # check ends; the bracket sweeps leave entries behind
+    assert len(checked) == 9 and all(checked[5:8]), checked
 
 
 # -- the memoised defects against the reference definitions ----------------------

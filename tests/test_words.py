@@ -465,6 +465,31 @@ def test_merge_shuffle_images_matches_merge_images():
     x = space.encode(("x",))
     assert shuffle_terms(space, x, x) == {}
     assert merge_shuffle_images({}, space, x, x, Table(image), 1) == {}
+    # a word is interned only on a miss.  A table that holds every word the
+    # plans make, under words of another space, leaves the intern table of
+    # a new space as it was, and fills nothing; a table that holds every
+    # other word fills each miss under the interned word, and keeps the
+    # keys it held
+    other = GradedSpace("kernel", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    held = {w: image(w) for w in words_up_to(other, 6)}
+    fresh = GradedSpace("kernel", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    fresh_ws = words_up_to(fresh, 3)
+    interned = dict(fresh._word_table)
+    for b, c in itertools.product(fresh_ws, repeat=2):
+        table = Table(image)
+        table.update(held)
+        got = merge_shuffle_images(dict(start), fresh, b, c, table, coeff)
+        assert got == merge_images(dict(start), shuffle_terms(space, b, c), Table(image), coeff)
+        assert fresh._word_table == interned and len(table) == len(held), (b, c)
+    half = dict(itertools.islice(held.items(), 0, None, 2))
+    for b, c in itertools.product(fresh_ws, repeat=2):
+        table = Table(image)
+        table.update(half)
+        merge_shuffle_images({}, fresh, b, c, table, coeff)
+        for key in table:
+            owner = other if key in half else fresh
+            assert key is owner._word_table[key], (b, c, key)
+    assert len(fresh._word_table) > len(interned)
 
 
 def test_shuffle_plans_match_shuffle_signed():
