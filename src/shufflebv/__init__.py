@@ -8,7 +8,6 @@ exhaustive exact-rational evaluation up to word-length bounds.
 """
 
 from .graded import (
-    AElement,
     BasisLetter,
     GradedSpace,
     InhomogeneousError,

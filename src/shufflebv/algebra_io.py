@@ -15,10 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 
 from .graded import (
-    AElement,
     BasisLetter,
     GradedSpace,
     InvalidInputError,
@@ -26,8 +25,15 @@ from .graded import (
     parse_scalar,
     render_scalar,
 )
-from .operators import MultilinearMap, Operator, composition_relations, lift_coderivation
-from .words import TElement, capped, owned_table, render_telement, word_count, words_up_to
+from .operators import (
+    MultilinearMap,
+    Operator,
+    composite_sum,
+    composition_relations,
+    induced_morphism,
+    lift_coderivation,
+)
+from .words import TElement, Word, capped, owned_table, render_telement, word_count
 
 Table = dict[tuple[str, ...], dict[str, Scalar]]
 
@@ -280,24 +286,17 @@ def render_document(spec: AlgebraSpec | MorphismSpec) -> dict:
 
 
 class Violation:
-    """A failed rule of a validation, at the basis inputs, with both sides."""
+    """A relation of a validation that fails at one basis word: its rule,
+    the word as its letter ids, and the relation's nonzero value there, an
+    element of the space the relation's values live in."""
 
-    def __init__(self, rule: str, inputs: tuple, lhs, rhs):
+    def __init__(self, rule: str, inputs: tuple[str, ...], defect: TElement):
         self.rule = rule
         self.inputs = inputs
-        self.lhs = lhs
-        self.rhs = rhs
+        self.defect = defect
 
     def __str__(self):
-        def show(x):
-            if isinstance(x, AElement):
-                return repr(x)
-            if isinstance(x, TElement):
-                return render_telement(x)
-            return str(x)
-
-        ins = ", ".join(str(i) for i in self.inputs)
-        return f"{self.rule} at ({ins}): {show(self.lhs)} != {show(self.rhs)}"
+        return f"{self.rule} at ({', '.join(self.inputs)}): {render_telement(self.defect)} != 0"
 
 
 class ValidationFailure(Exception):
@@ -369,11 +368,46 @@ class DGMorphism:
         return cls(src, tgt, MultilinearMap(src.space, 1, 0, spec.mapping, target=tgt.space))
 
 
+def check_relations(
+    space: GradedSpace,
+    relations: Sequence[tuple[str, Collection[int], Callable[[Word], dict[Word, Scalar]]]],
+    target: GradedSpace | None = None,
+) -> None:
+    """Evaluate each (rule, word lengths, relation) of ``relations``, the
+    relation a map from a basis word of ``space`` to the terms of its value
+    (see ``operators.composite_sum``), on every basis word of each of the
+    lengths.  Raise ``ValidationFailure`` with a ``Violation`` for each
+    nonzero value, relation by relation, each relation's words in the order
+    of ``words.words_up_to``; the values are elements of ``target``, by
+    default ``space``.  Each word is made once, for every relation at its
+    length, so no list of words is held.
+    """
+    intern = space._word_table.setdefault
+    codes = space.encode(space.ids)
+    found: list[list[Violation]] = [[] for _ in relations]
+    for n in sorted({n for _, lengths, _ in relations for n in lengths}):
+        active = [(rule, relation, out) for (rule, lengths, relation), out in zip(relations, found)
+                  if n in lengths]
+        for letters in itertools.product(codes, repeat=n):
+            w = "".join(letters)
+            w = intern(w, w)
+            for rule, relation, out in active:
+                terms = relation(w)
+                if terms:
+                    out.append(Violation(rule, space.decode(w),
+                                         TElement._make(target or space, terms)))
+    if any(found):
+        raise ValidationFailure([v for out in found for v in out])
+
+
 def validate_dga(spec: AlgebraSpec) -> DGAlgebra:
-    """Check d^2 = 0, the Leibniz rule, and associativity on all basis tuples.
+    """Check d^2 = 0, the Leibniz rule and associativity as relations of the
+    lifts D of d and Delta of mu on words (``check_relations``): D o D on
+    words of length 1, D o Delta + Delta o D on length 2 and Delta o Delta
+    on length 3, the arity <= 2 A-infinity relations of (d, mu).
 
     Returns the validated algebra or raises ``ValidationFailure`` carrying
-    every violation, each with the offending tuple and both sides.
+    every violation, each with the offending word and the relation's value.
     """
     if spec.kind != "dga":
         raise InvalidInputError(f"expected kind 'dga', got {spec.kind!r}")
@@ -381,32 +415,14 @@ def validate_dga(spec: AlgebraSpec) -> DGAlgebra:
     if extra:
         raise InvalidInputError(f"a dga only carries 'd' and 'mu2', got {sorted(extra)}")
     space = spec.space()
-    d = spec.multilinear("d", space)
-    mu = spec.multilinear("mu2", space)
-    violations: list[Violation] = []
-    letters = space.ids
-
-    for a in letters:
-        lhs = d.apply(d.apply_ids((a,)))
-        if lhs:
-            violations.append(Violation("d_squared", (a,), lhs, AElement.zero(space)))
-    for a, b in itertools.product(letters, repeat=2):
-        sa = -1 if space.degree(a) & 1 else 1
-        lhs = d.apply(mu.apply_ids((a, b)))
-        rhs = mu.apply(d.apply_ids((a,)), AElement.letter(space, b)) + sa * mu.apply(
-            AElement.letter(space, a), d.apply_ids((b,))
-        )
-        if lhs != rhs:
-            violations.append(Violation("leibniz", (a, b), lhs, rhs))
-    for abc in itertools.product(letters, repeat=3):
-        ea, eb, ec = (AElement.letter(space, a) for a in abc)
-        lhs = mu.apply(mu.apply(ea, eb), ec)
-        rhs = mu.apply(ea, mu.apply(eb, ec))
-        if lhs != rhs:
-            violations.append(Violation("associativity", abc, lhs, rhs))
-    if violations:
-        raise ValidationFailure(violations)
-    return DGAlgebra(space, d, mu)
+    alg = DGAlgebra(space, spec.multilinear("d", space), spec.multilinear("mu2", space))
+    d, delta = alg.d_op, alg.delta_op
+    check_relations(space, [
+        ("d_squared", (1,), composite_sum([(1, d, d)])),
+        ("leibniz", (2,), composite_sum([(1, d, delta), (1, delta, d)])),
+        ("associativity", (3,), composite_sum([(1, delta, delta)])),
+    ])
+    return alg
 
 
 def ainf_validation_cases(space: GradedSpace, K: int) -> int:
@@ -421,8 +437,8 @@ def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
 
     For every total degree n, the sum of the composites of two lifts with
     degrees adding to n must vanish; this is checked on all words up to
-    length K+2.  Degree-inconsistent tables are rejected before any
-    relation is evaluated.
+    length K+2 (``check_relations``).  Degree-inconsistent tables are
+    rejected before any relation is evaluated.
     """
     if spec.kind != "ainf":
         raise InvalidInputError(f"expected kind 'ainf', got {spec.kind!r}")
@@ -438,42 +454,28 @@ def validate_ainf(spec: AlgebraSpec, K: int | None = None) -> AinfAlgebra:
         for k in range(1, K + 1)
     }
     alg = AinfAlgebra(space, maps)
-    words = words_up_to(space, K + 2)
-    violations: list[Violation] = []
-    for n, relation in composition_relations([alg.delta_op(k) for k in maps]):
-        for w in words:
-            terms = relation(w)
-            if terms:
-                violations.append(Violation(
-                    f"sum_relation_n_{n}", (space.decode(w),), TElement._make(space, terms),
-                    TElement.zero(space),
-                ))
-    if violations:
-        raise ValidationFailure(violations)
+    relations = composition_relations([alg.delta_op(k) for k in maps])
+    check_relations(space, [(f"sum_relation_n_{n}", range(K + 3), relation)
+                            for n, relation in relations])
     return alg
 
 
 def validate_morphism(spec: MorphismSpec) -> DGMorphism:
-    """Check that a degree-0 map commutes with d and mu on all basis inputs.
+    """Check that a degree-0 map f commutes with d and mu, as relations of
+    its induced map F on words (``check_relations``): F o D - D' o F on
+    words of length 1 and F o Delta - Delta' o F on length 2, with values
+    in the target.
 
     Both endpoints name builtin algebras, and both are validated.
     """
     src = validate_dga(_as_dga_spec(builtin(spec.source)))
     tgt = validate_dga(_as_dga_spec(builtin(spec.target)))
     fmap = MultilinearMap(src.space, 1, 0, spec.mapping, target=tgt.space)
-    violations: list[Violation] = []
-    for a in src.space.ids:
-        lhs = fmap.apply(src.d.apply_ids((a,)))
-        rhs = tgt.d.apply(fmap.apply_ids((a,)))
-        if lhs != rhs:
-            violations.append(Violation("commutes_with_d", (a,), lhs, rhs))
-    for a, b in itertools.product(src.space.ids, repeat=2):
-        lhs = fmap.apply(src.mu.apply_ids((a, b)))
-        rhs = tgt.mu.apply(fmap.apply_ids((a,)), fmap.apply_ids((b,)))
-        if lhs != rhs:
-            violations.append(Violation("multiplicative", (a, b), lhs, rhs))
-    if violations:
-        raise ValidationFailure(violations)
+    F = induced_morphism(fmap)
+    check_relations(src.space, [
+        ("commutes_with_d", (1,), composite_sum([(1, F, src.d_op), (-1, tgt.d_op, F)])),
+        ("multiplicative", (2,), composite_sum([(1, F, src.delta_op), (-1, tgt.delta_op, F)])),
+    ], target=tgt.space)
     return DGMorphism(src, tgt, fmap)
 
 

@@ -1,4 +1,4 @@
-"""Exact scalars, graded bases, elements of the base space, Koszul signs.
+"""Exact scalars, graded bases, Koszul signs.
 
 Every sign in this package is computed on *shifted* degrees s = |a| + 1:
 two homogeneous letters moving past one another contribute the factor
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import weakref
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 # an exact rational: ``fractions`` is imported only where a scalar is not an
 # int, so integer-only inputs never load it (nor ``decimal``, which it imports)
@@ -215,64 +215,3 @@ def koszul_sign(permutation, degrees) -> int:
         tuple(p - 1 for p in perm), tuple(d & 1 for d in degrees)
     )
     return -1 if par else 1
-
-
-class AElement:
-    """A finite rational linear combination of basis letters."""
-
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space: GradedSpace, terms: Mapping[str, Scalar] | None = None):
-        clean: dict[str, Scalar] = {}
-        for letter_id, c in (terms or {}).items():
-            if letter_id not in space:
-                raise space.unknown(letter_id)
-            c = normalize_scalar(c)
-            if c:
-                clean[letter_id] = c
-        self.space = space
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, space: GradedSpace) -> "AElement":
-        return cls(space, {})
-
-    @classmethod
-    def letter(cls, space: GradedSpace, letter_id: str, coeff: Scalar = 1) -> "AElement":
-        return cls(space, {letter_id: coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AElement)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "AElement") -> "AElement":
-        if self.space != other.space:
-            raise InvalidInputError("elements live in different spaces")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0) + v
-        return AElement(self.space, terms)
-
-    def __sub__(self, other: "AElement") -> "AElement":
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, c: Scalar) -> "AElement":
-        c = normalize_scalar(c)
-        return AElement(self.space, {k: c * v for k, v in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "AElement(0)"
-        body = " + ".join(
-            f"{render_scalar(c)}*{k}" for k, c in sorted(self.terms.items())
-        )
-        return f"AElement({body})"

@@ -17,8 +17,10 @@ of a differential and of a product come out as
     D(a (x) b) = da (x) b + (-1)^(|a|+1) a (x) db,
     D(a (x) b) = (-1)^|a| m(a, b);
 
-for k >= 3 the twist has no extra k-dependent constant (the relation
-checker in algebra_io pins the convention; see the README).
+for k >= 3 the twist has no extra k-dependent constant.  The A-infinity
+relations of the lifts, which ``algebra_io.validate_ainf`` evaluates on
+words through ``algebra_io.check_relations``, pin the convention; see the
+README.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graded import (
-    AElement,
     GradedSpace,
     InvalidInputError,
     Scalar,
@@ -58,7 +59,7 @@ class MultilinearMap:
         space: GradedSpace,
         arity: int,
         degree: int,
-        table: Mapping[tuple, Mapping[str, Scalar] | AElement],
+        table: Mapping[tuple, Mapping[str, Scalar]],
         target: GradedSpace | None = None,
     ):
         if arity < 1:
@@ -70,9 +71,8 @@ class MultilinearMap:
             if len(ids) != arity:
                 raise InvalidInputError(f"table key {ids} has length != {arity}")
             in_deg = sum(space.degree(a) for a in ids)
-            out_terms = out.terms if isinstance(out, AElement) else out
             entry: dict[str, Scalar] = {}
-            for b, c in out_terms.items():
+            for b, c in out.items():
                 c = normalize_scalar(c)
                 if not c:
                     continue
@@ -89,22 +89,6 @@ class MultilinearMap:
         self.arity = arity
         self.degree = degree
         self.table = clean
-
-    def apply_ids(self, ids: tuple[str, ...]) -> AElement:
-        return AElement(self.target, self.table.get(tuple(ids), {}))
-
-    def apply(self, *args: AElement) -> AElement:
-        """Multilinear extension to general elements."""
-        if len(args) != self.arity:
-            raise InvalidInputError(
-                f"expected {self.arity} arguments, got {len(args)}"
-            )
-        acc: dict[str, Scalar] = {}
-        for combo in itertools.product(*(x.terms.items() for x in args)):
-            coeff = math.prod(c for _, c in combo)
-            for b, cb in self.table.get(tuple(a for a, _ in combo), {}).items():
-                acc[b] = acc.get(b, 0) + coeff * cb
-        return AElement(self.target, acc)
 
     def __repr__(self):
         return (

@@ -1,11 +1,15 @@
 """Parsing, validation, fixtures, and the fixture search."""
 
+import copy
 import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from shufflebv.algebra_io import (
+    AinfAlgebra,
     AlgebraSpec,
     MorphismSpec,
     ValidationFailure,
@@ -19,9 +23,12 @@ from shufflebv.algebra_io import (
     validate_morphism,
 )
 from shufflebv.graded import InvalidInputError
-from shufflebv.operators import CompositeSum
+from shufflebv.operators import CompositeSum, composition_relations
+from shufflebv.words import words_up_to
+from generated_dgas import end_of_complex
 from test_operators import anticommutator
 from test_words import id_words
+from validate_reference import dga_violations, morphism_violations
 
 
 ALGEBRA_FIXTURES = [
@@ -60,22 +67,16 @@ def test_end_two_term_properties():
     assert alg.d.table
     # noncommutative: composing in the two orders differs somewhere
     assert any(
-        alg.mu.apply_ids((a, b)).terms != alg.mu.apply_ids((b, a)).terms
+        alg.mu.table.get((a, b)) != alg.mu.table.get((b, a))
         for a, b in itertools.product(alg.space.ids, repeat=2)
     )
 
 
 def test_upper_triangular_associative_by_brute_force():
-    alg = validate_dga(builtin("upper-triangular-2"))
-    mu = alg.mu
-    from shufflebv.graded import AElement
-
-    triples = list(itertools.product(alg.space.ids, repeat=3))
-    assert len(triples) == 27
-    for a, b, c in triples:
-        lhs = mu.apply(mu.apply_ids((a, b)), AElement.letter(alg.space, c))
-        rhs = mu.apply(AElement.letter(alg.space, a), mu.apply_ids((b, c)))
-        assert lhs == rhs
+    # the reference evaluates (ab)c and a(bc) on all 27 basis triples
+    spec = builtin("upper-triangular-2")
+    validate_dga(spec)
+    assert len(spec.basis) == 3 and dga_violations(spec) == []
 
 
 # -- round trips -----------------------------------------------------------------
@@ -346,15 +347,88 @@ def test_morphism_resolver_hook():
     # the endpoints are resolved by name in the builtin gallery
     spec = builtin("diag-into-upper-triangular")
     morph = validate_morphism(spec)
-    assert morph.fmap.apply_ids(("d11",)).terms == {"e11": 1}
+    assert morph.fmap.table[("d11",)] == {"e11": 1}
+
+
+# -- the tuple reference --------------------------------------------------------------
+
+
+def found(validate, spec):
+    """(rule, inputs) of each violation ``validate`` reports for ``spec``, in order."""
+    try:
+        validate(spec)
+    except ValidationFailure as exc:
+        return [(v.rule, v.inputs) for v in exc.violations]
+    return []
+
+
+def perturbed(specs, count, seed):
+    """``count`` dga specs, each one of ``specs`` with one entry of d or mu2
+    set to a seeded random multiple of a letter of the right degree, or to
+    zero if there is none."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        spec = copy.deepcopy(rng.choice(specs))
+        degree = dict(spec.basis)
+        label, arity = rng.choice((("d", 1), ("mu2", 2)))
+        ids = tuple(rng.choice(list(degree)) for _ in range(arity))
+        outs = [b for b, g in spec.basis if g == sum(map(degree.get, ids)) + 2 - arity]
+        coeff = rng.choice((-1, 1, 2, Fraction(1, 2)))
+        spec.operations.setdefault(label, {})[ids] = {rng.choice(outs): coeff} if outs else {}
+        yield spec
+
+
+def seeded_maps(source, target, count, seed):
+    """``count`` degree-0 maps of seeded random coefficients in {-1, 0, 1, 2}."""
+    rng = random.Random(seed)
+    tgt = builtin(target).basis
+    for i in range(count):
+        mapping = {}
+        for a, g in builtin(source).basis:
+            image = {b: c for b, h in tgt if h == g and (c := rng.choice((-1, 0, 1, 2)))}
+            if image:
+                mapping[(a,)] = image
+        yield MorphismSpec(f"map-{i}", source, target, mapping)
+
+
+def test_validators_match_the_tuple_reference():
+    # the word-space relations report the failed identities of the printed
+    # formulas on basis tuples, at the same inputs, in the same order
+    dgas = [builtin(name) for name in ALGEBRA_FIXTURES if name != "ainf-mu3"]
+    dgas += [end_of_complex((0, 1, 2), {(2, 1): 1}),
+             end_of_complex((-1, 0, 0, 1), {(2, 1): 1, (4, 3): 1})]
+    specs = dgas + list(perturbed(dgas, 220, seed=24))
+    reports = [found(validate_dga, spec) for spec in specs]
+    assert reports == [dga_violations(spec) for spec in specs]
+    assert sum(map(bool, reports)) >= 120 and {r for v in reports for r, _ in v} == {
+        "d_squared", "leibniz", "associativity"}
+    maps = [builtin("diag-into-upper-triangular")]
+    maps += seeded_maps("diagonal-2", "upper-triangular-2", 150, seed=24)
+    maps += seeded_maps("end-two-term-complex", "end-two-term-complex", 50, seed=24)
+    reports = [found(validate_morphism, spec) for spec in maps]
+    assert reports == [morphism_violations(spec) for spec in maps]
+    assert sum(map(bool, reports)) >= 100 and {r for v in reports for r, _ in v} == {
+        "commutes_with_d", "multiplicative"}
+
+
+def test_ainf_violations_come_relation_by_relation_in_word_order():
+    # the relation loop makes each word once for every relation, and still
+    # reports relation by relation, each over the words of words_up_to
+    for ids in (("q", "p", "p"), ("p", "p", "q"), ("p", "q", "p")):
+        spec = builtin("ainf-mu3")
+        spec.operations["mu3"][ids] = {"r": 1}
+        alg = AinfAlgebra.from_spec_unchecked(spec)
+        relations = composition_relations([alg.delta_op(k) for k in (1, 2, 3)])
+        expected = [(f"sum_relation_n_{n}", alg.space.decode(w))
+                    for n, relation in relations for w in words_up_to(alg.space, 5) if relation(w)]
+        assert found(validate_ainf, spec) == expected
+        assert len({rule for rule, _ in expected}) == 2, ids
 
 
 # -- rational structure constants ------------------------------------------------------
 
 
 def test_fractional_constants_end_to_end():
-    from fractions import Fraction
-
     from shufflebv.bv import Bounds, bracket, check_dbv
     from shufflebv.words import TElement
 

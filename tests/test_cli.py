@@ -237,6 +237,25 @@ def corrupt_map(doc):
     doc["map"][1]["output"] = [["e12", "1"]]
 
 
+def qpp_into_r(doc):
+    doc["operations"]["mu3"].append({"inputs": ["q", "p", "p"], "output": [["r", "1"]]})
+
+
+@pytest.mark.parametrize("name, mutate, lines", [
+    ("end-two-term-complex", flip_first_mu2_sign,
+     ["INVALID: 7 violation(s)", "  leibniz at (a, a): -2 c != 0"]),
+    ("ainf-mu3", qpp_into_r,
+     ["INVALID: 7 violation(s)", "  sum_relation_n_-4 at (p, p, p, p): r != 0"]),
+    ("diag-into-upper-triangular", corrupt_map,
+     ["INVALID: 2 violation(s)", "  multiplicative at (d11, d22): -e12 != 0"]),
+])
+def test_validate_prints_each_violation_as_a_word_and_its_value(fixture_file, capsys, name,
+                                                                 mutate, lines):
+    # a violation prints its word's letter ids and the relation's nonzero value
+    assert main(["validate", fixture_file(name, mutate=mutate), "--fail-cap", "1"]) == 2
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_check_morphism_assume_valid_skips_validation(fixture_file, capsys, monkeypatch):
     path = fixture_file("diag-into-upper-triangular", mutate=corrupt_map)
     args = ["check", path, "--max-len", "2", "--pair-len", "1"]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shufflebv.graded import (
-    AElement,
     BasisLetter,
     GradedSpace,
     InvalidInputError,
@@ -188,17 +187,6 @@ def test_encode_rejects_unknown_letters_and_bare_strings(space):
         space.encode("ab")
     with pytest.raises(InvalidInputError):
         space.encode("")
-
-
-def test_aelement_arithmetic(space):
-    x = AElement(space, {"a": 1, "b": 2})
-    y = AElement(space, {"b": -2, "c": 5})
-    assert (x + y).terms == {"a": 1, "c": 5}
-    assert (x - x).terms == {}
-    assert (3 * x).terms == {"a": 3, "b": 6}
-    assert not AElement.zero(space)
-    with pytest.raises(InvalidInputError):
-        AElement(space, {"zz": 1})
 
 
 def koszul_oracle(perm, parities):

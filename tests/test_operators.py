@@ -16,7 +16,7 @@ from shufflebv.algebra_io import (
     validate_ainf,
     validate_dga,
 )
-from shufflebv.graded import AElement, BasisLetter, GradedSpace, InvalidInputError
+from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
 from shufflebv.operators import (
     CompositeSum,
     MultilinearMap,
@@ -27,6 +27,7 @@ from shufflebv.operators import (
 )
 from shufflebv.words import TElement, words_up_to
 from test_words import id_words
+from validate_reference import apply
 
 
 @pytest.fixture(scope="module")
@@ -69,18 +70,19 @@ def test_multilinear_map_validation():
     with pytest.raises(InvalidInputError):
         MultilinearMap(sp, 1, 0, {("a",): {"b": 1}})  # output degree off by one
     m = MultilinearMap(sp, 1, 1, {("a",): {"b": 1}})
-    assert m.apply_ids(("a",)).terms == {"b": 1}
-    assert not m.apply_ids(("b",))
+    assert m.table == {("a",): {"b": 1}}
     with pytest.raises(InvalidInputError):
         MultilinearMap(sp, 2, 0, {("a",): {"a": 1}})  # key length != arity
 
 
 def test_multilinear_apply_is_multilinear():
+    # on degree-0 letters the lift of m is m on words of length 2: with
+    # x = 2a + 3b and y = 5b, it takes x (x) y = 10 ab + 15 bb to m(x, y)
     sp = GradedSpace("s", [BasisLetter("a", 0), BasisLetter("b", 0)])
     m = MultilinearMap(sp, 2, 0, {("a", "b"): {"a": 1}, ("b", "b"): {"b": 2}})
-    x = AElement(sp, {"a": 2, "b": 3})
-    y = AElement(sp, {"b": 5})
-    assert m.apply(x, y).terms == {"a": 10, "b": 30}
+    xy = TElement(sp, {("a", "b"): 10, ("b", "b"): 15})
+    assert lift_coderivation(m)(xy) == TElement(sp, {("a",): 10, ("b",): 30})
+    assert apply(m.table, {"a": 2, "b": 3}, {"b": 5}) == {"a": 10, "b": 30}
 
 
 # -- lifts --------------------------------------------------------------------
@@ -424,9 +426,8 @@ def test_associator_property_both_directions():
     assert vanished
     # associative on all basis triples
     for a, b, c in itertools.product(sp.ids, repeat=3):
-        lhs = mu.apply(mu.apply_ids((a, b)), AElement.letter(sp, c))
-        rhs = mu.apply(AElement.letter(sp, a), mu.apply_ids((b, c)))
-        assert lhs == rhs
+        assert apply(UT_TABLE, UT_TABLE.get((a, b), {}), {c: 1}) == apply(
+            UT_TABLE, {a: 1}, UT_TABLE.get((b, c), {}))
 
     bad_table = dict(UT_TABLE)
     bad_table[("e12", "e11")] = {"e12": 1}
@@ -435,8 +436,8 @@ def test_associator_property_both_directions():
     broken = [
         (a, b, c)
         for a, b, c in itertools.product(sp2.ids, repeat=3)
-        if mu2.apply(mu2.apply_ids((a, b)), AElement.letter(sp2, c))
-        != mu2.apply(AElement.letter(sp2, a), mu2.apply_ids((b, c)))
+        if apply(bad_table, bad_table.get((a, b), {}), {c: 1})
+        != apply(bad_table, {a: 1}, bad_table.get((b, c), {}))
     ]
     assert broken  # non-associative on some basis triple
 

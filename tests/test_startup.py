@@ -20,7 +20,7 @@ import pytest
 import shufflebv
 from shufflebv.algebra_io import AlgebraSpec, MorphismSpec, Violation, builtin, render_document
 from shufflebv.bv import AxiomReport, Bounds, Failure
-from shufflebv.graded import AElement, BasisLetter, GradedSpace, InvalidInputError
+from shufflebv.graded import BasisLetter, GradedSpace, InvalidInputError
 from shufflebv.words import TElement
 
 # modules that no import of the package, and no check of an integer-only
@@ -188,9 +188,10 @@ def test_reports_pickle_with_their_failures(space):
 
 
 def test_violation_pickles_and_renders(space):
-    v = Violation("leibniz", ("a", "b"), AElement.letter(space, "a"), AElement.zero(space))
+    v = Violation("leibniz", ("a", "b"), TElement(space, {("a",): -2, ("a", "b"): Fraction(1, 2)}))
     again = roundtrip(v)
-    assert str(again) == str(v) == "leibniz at (a, b): AElement(1*a) != AElement(0)"
+    assert str(again) == str(v) == "leibniz at (a, b): -2 a + 1/2 a(x)b != 0"
+    assert again.defect == v.defect
     assert (again.rule, again.inputs) == ("leibniz", ("a", "b"))
 
 
