@@ -7,13 +7,14 @@ derivation of the shuffle product:
 
 with |x| the word degree and * the shuffle product.  The bracket and the
 order-n expression are both read off the operator's defect memo
-(``operators.defect_table``), which lives for one sweep.  ``check_dbv`` and
-``check_bvinf`` verify every axiom of the induced structure by exhaustive
-evaluation over basis words up to caller-supplied length bounds; failures
-are collected as data, never raised.  In every check, each case's identity
-is merged into one dict, its images, shuffles, brackets and defects read by
-subscript from the tables of the operators, the induced map, the spaces and
-the memo; ``run_axiom`` alone makes a nonempty one a failure's element.
+(``operators.defect_table``), whose entries live while the running sweep
+can read them.  ``check_dbv`` and ``check_bvinf`` verify every axiom of
+the induced structure by exhaustive evaluation over basis words up to
+caller-supplied length bounds; failures are collected as data, never
+raised.  In every check, each case's identity is merged into one dict,
+its images, shuffles, brackets and defects read by subscript from the
+tables of the operators, the induced map, the spaces and the memo;
+``run_axiom`` alone makes a nonempty one a failure's element.
 Every suite builds its sweeps first and hands them to one driver,
 ``run_sweeps``.  A sweep's cases are a stream (``words.Cases``) that knows
 its count (``words.capped``) before any case is made, so ``dbv_cases``,
@@ -142,16 +143,22 @@ class Sweep:
     word, which keys the Koszul levels of an order-n defect.  With no word,
     share 0 holds every case, and the other workers go on to the next
     sweep.
+
+    ``reads`` bounds the F_2 entries of the defect memos that the cases
+    read, (m, n) for the F_2(u, w) with |u| <= m and |w| <= n, which the
+    driver keeps from the sweep before (``_forget_memos``).  None, the
+    default, keeps none.
     """
 
     def __init__(self, name: str, bound: str, cases: Cases,
                  evaluate: Callable[[tuple[Word, ...]], dict[Word, Scalar]],
-                 deal: tuple[int, ...] = (0,)):
+                 deal: tuple[int, ...] = (0,), reads: tuple[int, int] | None = None):
         self.name = name
         self.bound = bound
         self.cases = cases
         self.evaluate = evaluate
         self.deal = deal
+        self.reads = reads
 
 
 # The state of a pool check that ``_run_share`` reads in a worker, set there
@@ -218,26 +225,44 @@ def _keep(table: dict, entries: dict) -> None:
         table.update(entries)
 
 
+def _forget_memos(space: GradedSpace, *memos: dict,
+                  keep: tuple[int, int] | None = None) -> None:
+    """Empty the per-sweep ``memos``, and drop from the defect memo of every
+    operator on ``space`` each level and entry outside ``keep``, the
+    ``reads`` of the sweep about to start: all of them if None, as when a
+    check ends.  Each entry is the value of one fill, so a bound too tight
+    costs only refills, and one too loose only memory."""
+    for memo in memos:
+        memo.clear()
+    m, n = keep or (-1, -1)
+    for op in space._operators:
+        levels = {X: level for X, level in op._defects.items() if len(X) == 1 and len(X[0]) <= m}
+        _keep(op._defects, levels)
+        for level in levels.values():
+            _keep(level, {w: entry for w, entry in level.items() if len(w) <= n})
+
+
 def _run_share(task: tuple[int, int], state: dict = _worker) -> Failures:
     """Share j of a sweep's cases, for the task (sweep index, j), run on the
     check's ``state``: by default ``_worker``, which a pool worker's
     initializer fills.
 
-    When the sweep index changes, the per-sweep memos are emptied, and, if
-    the reach of the sweeps still to run has dropped, the space's tables
+    When the sweep index changes, the per-sweep memos are emptied and the
+    defect memos cut to what the sweep ``reads`` (``_forget_memos``), and,
+    if the reach of the sweeps still to run has dropped, the space's tables
     are trimmed to it (``_trim``); what they keep stays warm.  A worker that
     runs two shares of one sweep keeps the memos between them: each entry
     holds for every case of the sweep.
     """
     index, j = task
+    sweep = state["sweeps"][index]
     if index != state["held"]:
-        _forget_memos(state["space"], *state["memos"])
+        _forget_memos(state["space"], *state["memos"], keep=sweep.reads)
         state["held"] = index
         reach = state["reach"][index]
         if state["trimmed"] is None or reach < state["trimmed"]:
             _trim(state["spaces"], reach, state["images"])
             state["trimmed"] = reach
-    sweep = state["sweeps"][index]
     return _failures_in(sweep.cases.share(j, state["shares"], sweep.deal), sweep.evaluate,
                         state["fail_cap"])
 
@@ -286,8 +311,9 @@ def run_sweeps(
     and report each one.
 
     ``memos`` are the check's own tables that live for one sweep.  When a
-    sweep's first share starts they, and the defect memos of the operators
-    on ``space``, are emptied (also when the check returns), and those
+    sweep's first share starts they are emptied, the defect memos of the
+    operators on ``space`` keep only the entries the sweep ``reads`` (see
+    ``_forget_memos``; the check's return empties them), and those
     operators' image tables and the space's shuffle and intern tables drop
     every entry longer than the reach of the sweeps still to run (see
     ``_trim``); so do the tables of ``target``, the space the defects are
@@ -341,14 +367,6 @@ def run_sweeps(
 # --------------------------------------------------------------------------
 # bracket and operator order
 # --------------------------------------------------------------------------
-
-
-def _forget_memos(space: GradedSpace, *memos: dict) -> None:
-    """Empty the defect memo of every operator on ``space``, and the
-    per-sweep ``memos``; the sweep driver calls this when a sweep's first
-    share starts and when a check ends."""
-    for memo in (*(op._defects for op in space._operators), *memos):
-        memo.clear()
 
 
 # The signed F_2 rows of an element x of the word space: one (row, c, u) per
@@ -528,12 +546,12 @@ def _on_word(relation: Callable[[Word], dict[Word, Scalar]]) -> Callable:
 
 
 def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds, deals=None,
-              **trimmed) -> list[AxiomReport]:
+              reads=None, **trimmed) -> list[AxiomReport]:
     """Run the sweeps of ``plan``, each with its evaluator by name, and its
-    deal (see ``Sweep``) from ``deals`` if that names it; ``trimmed`` gives
-    ``run_sweeps``'s ``target`` and ``images``."""
-    deals = deals or {}
-    sweeps = [Sweep(name, bound, cases, evaluators[name], deals.get(name, (0,)))
+    deal and reads (see ``Sweep``) from ``deals`` and ``reads`` if they
+    name it; ``trimmed`` gives ``run_sweeps``'s ``target`` and ``images``."""
+    deals, reads = deals or {}, reads or {}
+    sweeps = [Sweep(name, bound, cases, evaluators[name], deals.get(name, (0,)), reads.get(name))
               for name, bound, cases in plan]
     return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs,
                       **trimmed)
@@ -612,8 +630,16 @@ def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
     # F_2(y, x).  Jacobi reads F_2 of (x, y), (x, z) and (y, z), which no
     # deal by words keeps apart, so its cases stay in one share
     deals = {"bracket_antisymmetry": (0, 1), "bracket_leibniz": (2,), "bracket_jacobi": ()}
+    # the F_2(u, w) entries each sweep reads, as bounds on |u| and |w| (see
+    # ``Sweep``), so the driver keeps them from the sweep before: Leibniz
+    # reads u of x * y, Jacobi u and w of the brackets {x, y}, {x, z} and
+    # {y, z}, one letter shorter than x * y since delta's bracket shortens
+    # a word by one, and the order-2 defect w of y * z
+    p, t = bounds.binary, bounds.ternary
+    reads = {"bracket_antisymmetry": (p, p), "bracket_leibniz": (2 * t, t),
+             "bracket_jacobi": (2 * t - 1, 2 * t - 1), "delta_order_2": (t, 2 * t)}
     return _run_plan(dbv_cases(space, bounds), evaluators, (word_rows, product_rows, bracket_rows),
-                     space=space, bounds=bounds, deals=deals)
+                     space=space, bounds=bounds, deals=deals, reads=reads)
 
 
 def check_bvinf(ainf, K: int | None = None, bounds: Bounds | None = None) -> list[AxiomReport]:

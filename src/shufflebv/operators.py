@@ -106,7 +106,7 @@ class Operator:
     words: ``_cache``, the image of each basis word, which a check on the
     space trims to the words its remaining sweeps can read (``bv._trim``);
     and ``_defects``, its defect memo (see ``defect_table``), which the
-    sweep driver empties when a sweep starts and when a check ends.
+    sweep driver cuts when a sweep starts and empties when a check ends.
     Callers read both by subscript, and are handed the stored images and
     memo entries themselves, not copies: they must only read them.
     """
@@ -169,7 +169,8 @@ def _koszul_step(
     b * c and interning a word only when the level lacks it, since the
     level then stores its row under that word.  The rows F_(m-1)(X, b) and
     F_(m-1)(X, c) are shuffled by ``merge_shuffles`` straight into the
-    entry, and only the finished entry's words are interned.
+    entry.  The finished entry is copied into a new dict, which interns
+    its words and compacts it after any cancellation.
     """
     space = D.space
     X, b, c = key[:-2], key[-2], key[-1]

@@ -179,6 +179,15 @@ def bracket_operator(alg, label):
     return alg.delta_op if label == "delta" else CompositeSum([(1, alg.delta_op, alg.d_op)])
 
 
+def fresh_step(op, key):
+    """F_m(key) by one Koszul step on a new memo of ``op``, its own put back."""
+    memo, op._defects = op._defects, defect_table(op)
+    try:
+        return _koszul_step(op, key, None)
+    finally:
+        op._defects = memo
+
+
 @pytest.mark.parametrize("label", ["delta", "delta.d"])
 def test_one_word_kernel_matches_bracket(end2, label):
     # on every pair of words of length <= 2, the kernel adds {x, y} to an
@@ -225,35 +234,36 @@ def test_one_word_kernel_matches_bracket(end2, label):
 
 @pytest.mark.parametrize("label", ["delta", "delta.d"])
 def test_bracket_sweeps_only_read_memo_entries(end2, label, monkeypatch):
-    # the sweeps are handed F_2 entries of delta's memo by reference: before
-    # each emptying of the memo, every entry it holds must still equal a
-    # fresh Koszul step, taken on a new memo
+    # the sweeps are handed F_2 entries of delta's memo by reference, and
+    # entries the next sweep reads are kept for it: before each pruning of
+    # the memo, every entry it holds must still equal a fresh Koszul step,
+    # taken on a new memo
     from types import SimpleNamespace
 
     delta = bracket_operator(end2, label)
     alg = SimpleNamespace(space=end2.space, d_op=end2.d_op, delta_op=delta)
     forget = shufflebv.bv._forget_memos
-    checked = []
+    checked, kept = [], []  # entries held before and after each pruning
 
-    def guarded(space, *memos):
+    def guarded(space, *memos, keep=None):
         held = [(X + (w,), entry) for X, level in delta._defects.items() if len(X) == 1
                 for w, entry in level.items()]
-        memo, delta._defects = delta._defects, defect_table(delta)
-        try:
-            for key, entry in held:
-                assert entry == _koszul_step(delta, key, None), key
-        finally:
-            delta._defects = memo
+        for key, entry in held:
+            assert entry == fresh_step(delta, key), key
         checked.append(len(held))
-        forget(space, *memos)
+        forget(space, *memos, keep=keep)
+        kept.append(sum(len(level) for X, level in delta._defects.items() if X))
 
     monkeypatch.setattr(shufflebv.bv, "_forget_memos", guarded)
     reports = check_dbv(alg, Bounds(3, 2, 2))
-    assert [r.name for r in reports][4:7] == ["bracket_antisymmetry", "bracket_leibniz",
-                                                "bracket_jacobi"]
-    # the memo is emptied as each of the eight sweeps starts and as the
-    # check ends; the bracket sweeps leave entries behind
+    assert [r.name for r in reports][4:8] == ["bracket_antisymmetry", "bracket_leibniz",
+                                                "bracket_jacobi", "delta_order_2"]
+    # the memo is pruned as each of the eight sweeps starts and emptied as
+    # the check ends; the bracket sweeps leave entries behind, and the next
+    # sweep is handed those it reads, so an entry is checked after every
+    # sweep that read it
     assert len(checked) == 9 and all(checked[5:8]), checked
+    assert all(kept[5:8]) and not any(kept[:5] + kept[8:]), kept
 
 
 # -- the memoised defects against the reference definitions ----------------------
@@ -322,11 +332,13 @@ def test_memo_matches_reference_on_mixed_coefficients(end2):
 # -- the defect memo's lifetime ---------------------------------------------------
 
 
-def test_defect_memo_lives_for_one_sweep(monkeypatch):
+def test_defect_memo_holds_only_what_the_sweep_reads(monkeypatch):
     # at --jobs 1 and, through the in-process stand-in pool, at --jobs 2
-    # the shares run here: the memos must be empty when a sweep's first case
-    # runs, which is when a share moves on to another sweep, and when the
-    # check returns
+    # the shares run here.  When a sweep's first case runs, which is when a
+    # share moves on to another sweep, the per-sweep memos are empty, and
+    # every entry the defect memos hold is an F_2 entry within the bounds
+    # the sweep reads (none if it states none) and equals a fresh Koszul
+    # step; when the check returns, everything is empty
     dga = validate_dga(builtin("end-two-term-complex"))
     ainf = validate_ainf(builtin("ainf-mu3"), 3)
     ops = [dga.d_op, dga.delta_op] + [ainf.delta_op(k) for k in (1, 2, 3)]
@@ -334,44 +346,49 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
     memos = [op._defects for op in ops]
     passed = []  # every per-sweep memo the checks hand the driver
     empty = lambda: all(not op._defects for op in ops) and all(not m for m in passed)
-    held = []
-    run_axiom_orig = shufflebv.bv.run_axiom
+    held = []  # the entries held at each sweep's first case
     run_sweeps_orig = shufflebv.bv.run_sweeps
 
-    def watched(*args, **kwargs):
-        report = run_axiom_orig(*args, **kwargs)
-        held.append(sum(len(op._defects) for op in ops))
-        return report
-
-    def first_case_sees_empty_memo(evaluate):
+    def first_case_sees_its_reads(sweep):
         started = []
 
         def wrapped(case):
             if not started:
-                assert empty()
                 started.append(case)
-            return evaluate(case)
+                assert all(not m for m in passed), sweep.name
+                levels = [(op, X, level) for op in ops for X, level in op._defects.items()]
+                if sweep.reads is None:
+                    assert not levels, sweep.name
+                else:
+                    m, n = sweep.reads
+                    assert all(len(X) == 1 and len(X[0]) <= m for _, X, _ in levels), sweep.name
+                    assert all(len(w) <= n for _, _, level in levels for w in level), sweep.name
+                entries = [(op, X + (w,), entry) for op, X, level in levels
+                           for w, entry in level.items()]
+                for op, key, entry in entries:
+                    assert entry == fresh_step(op, key), (sweep.name, key)
+                held.append(len(entries))
+            return sweep.evaluate(case)
 
         return wrapped
 
     def watched_sweeps(sweeps, memos=(), **kwargs):
         passed.extend(memos)
-        sweeps = [
-            Sweep(s.name, s.bound, s.cases, first_case_sees_empty_memo(s.evaluate), s.deal)
-            for s in sweeps
-        ]
+        sweeps = [Sweep(s.name, s.bound, s.cases, first_case_sees_its_reads(s), s.deal, s.reads)
+                  for s in sweeps]
         return run_sweeps_orig(sweeps, memos, **kwargs)
 
     fake = InProcessContext()
     monkeypatch.setattr(multiprocessing, "get_context", fake)
     monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(shufflebv.bv, "run_axiom", watched)
     monkeypatch.setattr(shufflebv.bv, "run_sweeps", watched_sweeps)
     for jobs in (1, 2):
         held.clear()
         check_dbv(dga, Bounds(unary=2, binary=1, ternary=1, jobs=jobs))
+        # the last three bracket sweeps start on entries kept from the one before
+        assert all(held[5:8]), (jobs, held)
         check_bvinf(ainf, 3, Bounds(unary=2, order_slack=1, jobs=jobs))
-        assert any(held)  # the sweeps do fill the memo
+        assert not any(held[8:]), (jobs, held)
         assert empty()
         assert all(op._defects is memo for op, memo in zip(ops, memos))
     # per jobs value, check_dbv hands the driver only its three tables of
@@ -379,6 +396,78 @@ def test_defect_memo_lives_for_one_sweep(monkeypatch):
     # operators' memos through their space
     assert len(passed) == 2 * 3
     assert fake.pool_sizes == [2, 2]  # --jobs 2 did take the pool path
+
+
+def test_check_fills_each_memo_entry_once(end2, monkeypatch):
+    # the bracket sweeps and delta_order_2 read F_2 entries of one memo, and
+    # each sweep keeps the entries the next one reads: a serial check fills
+    # every entry once, and no sweep ends holding more entries than the
+    # largest sweep held when each one started on an empty memo (7,161 at
+    # bounds 4, 2, 2); for delta, and for the even operator delta o d
+    from collections import Counter
+    from types import SimpleNamespace
+
+    fills = Counter()
+    step = shufflebv.operators._koszul_step
+
+    def counted(D, key, shuffles):
+        if shuffles is None:
+            fills[D, key] += 1
+        return step(D, key, shuffles)
+
+    held = []
+    failures_in = shufflebv.bv._failures_in
+
+    def watched(*args):
+        found = failures_in(*args)
+        held.append(sum(len(level) for X, level in delta._defects.items() if X))
+        return found
+
+    monkeypatch.setattr(shufflebv.operators, "_koszul_step", counted)
+    monkeypatch.setattr(shufflebv.bv, "_failures_in", watched)
+    for label in ("delta", "delta.d"):
+        delta = bracket_operator(end2, label)
+        alg = SimpleNamespace(space=end2.space, d_op=end2.d_op, delta_op=delta)
+        fills.clear()
+        held.clear()
+        check_dbv(alg, Bounds(4, 2, 2))
+        assert fills and max(fills.values()) == 1, label
+        assert sum(fills.values()) == 13_881, label
+        assert len(held) == 8 and 0 < max(held) <= 7_161, (label, held)
+
+
+def test_kept_memo_entries_change_no_report(end2, monkeypatch):
+    # a check whose sweeps keep the F_2 entries the next one reads reports
+    # the same, every failure's witness included, as a serial one whose
+    # memos are emptied as each sweep starts; on two failing inputs, the
+    # even operator delta o d and end-two-term-complex with the sign of
+    # mu2(b, c) flipped, at --jobs 1 and through the in-process stand-in
+    # pool at 2 and 3.  A witness is compared by its inputs and its terms,
+    # from which its JSON is rendered
+    from types import SimpleNamespace
+
+    even = SimpleNamespace(space=end2.space, d_op=end2.d_op,
+                           delta_op=bracket_operator(end2, "delta.d"))
+    spec = builtin("end-two-term-complex")
+    spec.operations["mu2"][("b", "c")] = {"a": -1}
+    flipped = DGAlgebra.from_spec_unchecked(spec)
+    monkeypatch.setattr(multiprocessing, "get_context", InProcessContext())
+    monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 3)
+    forget = shufflebv.bv._forget_memos
+
+    def run(alg, jobs):
+        reports = check_dbv(alg, Bounds(2, 2, 2, fail_cap=10**6, jobs=jobs))
+        return [(r.name, r.bound, r.cases, r.failure_count,
+                 [(f.inputs, f.defect.terms) for f in r.failures]) for r in reports]
+
+    for label, alg in (("delta.d", even), ("mu2 flipped", flipped)):
+        with monkeypatch.context() as patch:
+            patch.setattr(shufflebv.bv, "_forget_memos",
+                          lambda space, *memos, keep=None: forget(space, *memos))
+            emptied = run(alg, 1)
+        assert sum(len(failures) for *_, failures in emptied) > 1000, label
+        for jobs in (1, 2, 3):
+            assert run(alg, jobs) == emptied, (label, jobs)
 
 
 def built_sweeps(check, alg, bounds, monkeypatch):
