@@ -13,7 +13,7 @@ the induced structure by exhaustive evaluation over basis words up to
 caller-supplied length bounds; failures are collected as data, never
 raised.  In every check, each case's identity is merged into one dict,
 its images, shuffles, brackets and defects read by subscript from the
-tables of the operators, the induced map, the spaces and the memo;
+tables of the operators, the spaces and the memo;
 ``run_axiom`` alone makes a nonempty one a failure's element.
 Every suite builds its sweeps first and hands them to one driver,
 ``run_sweeps``.  A sweep's cases are a stream (``words.Cases``) that knows
@@ -164,10 +164,10 @@ class Sweep:
 # The state of a pool check that ``_run_share`` reads in a worker, set there
 # by the pool's initializer, so the checking process never writes it: the
 # check's sweeps, the number of shares each is dealt into, the per-sweep
-# memos of its own they fill, its space, the spaces and its own image tables
-# that it trims (its space and the target's), the reach of the sweeps from
-# each one on, the failure cap, the sweep whose entries the memos hold and
-# the reach the tables were last trimmed to.  A serial check keeps its own.
+# memos of its own they fill, its space, the spaces whose tables it trims
+# (its space and the target's), the reach of the sweeps from each one on,
+# the failure cap, the sweep whose entries the memos hold and the reach the
+# tables were last trimmed to.  A serial check keeps its own.
 _worker: dict = {}
 
 
@@ -197,18 +197,18 @@ def _failures_in(cases: Iterable[tuple[int, tuple[Word, ...]]], evaluate: Callab
     return count, kept
 
 
-def _trim(spaces: Iterable[GradedSpace], reach: int, images: Iterable[dict] = ()) -> None:
+def _trim(spaces: Iterable[GradedSpace], reach: int) -> None:
     """Drop every entry that no case of total word length <= ``reach`` can
-    read: from ``images`` and from the image table of every operator on each
-    of ``spaces``, the images of longer words; from each space, the shuffle
-    pairs of a longer total and the longer interned words.
+    read: from the image table of every operator on each of ``spaces``, the
+    images of longer words; from each space, the shuffle pairs of a longer
+    total and the longer interned words.
 
     No case reads a word longer than its own total, and a table refills on a
     miss, so trimming changes no result.  A table that loses entries is
     emptied and refilled in place: its readers keep it, and its key table
     shrinks to what is kept.
     """
-    tables = list(images)
+    tables = []
     for space in spaces:
         tables += (op._cache for op in space._operators)
         tables.append(space._word_table)
@@ -261,7 +261,7 @@ def _run_share(task: tuple[int, int], state: dict = _worker) -> Failures:
         state["held"] = index
         reach = state["reach"][index]
         if state["trimmed"] is None or reach < state["trimmed"]:
-            _trim(state["spaces"], reach, state["images"])
+            _trim(state["spaces"], reach)
             state["trimmed"] = reach
     return _failures_in(sweep.cases.share(j, state["shares"], sweep.deal), sweep.evaluate,
                         state["fail_cap"])
@@ -305,7 +305,6 @@ def run_sweeps(
     fail_cap: int = 10,
     jobs: int = 1,
     target: GradedSpace | None = None,
-    images: Sequence[dict] = (),
 ) -> list[AxiomReport]:
     """Run a check's sweeps, whose cases are words of ``space``, in order
     and report each one.
@@ -317,13 +316,12 @@ def run_sweeps(
     operators' image tables and the space's shuffle and intern tables drop
     every entry longer than the reach of the sweeps still to run (see
     ``_trim``); so do the tables of ``target``, the space the defects are
-    elements of (by default ``space``), and ``images``, the check's own
-    image tables keyed by words of ``space``.  What remains outlives the
-    check.  Each sweep is dealt into one share per worker by its ``deal``
-    words (``Cases.share``), run by ``_run_share``, and the shares' kept
-    failures are merged in case order, so reports are the same at every
-    ``jobs``.  With jobs > 1 one fork-based pool, of at most one worker per
-    usable CPU, serves every sweep.  Its initializer hands each forked
+    elements of (by default ``space``).  What remains outlives the check.
+    Each sweep is dealt into one share per worker by its ``deal`` words
+    (``Cases.share``), run by ``_run_share``, and the shares' kept failures
+    are merged in case order, so reports are the same at every ``jobs``.
+    With jobs > 1 one fork-based pool, of at most one worker per usable
+    CPU, serves every sweep.  Its initializer hands each forked
     worker the check's state, unpickled, case streams and evaluators
     included, and the workers keep their tables, trimmed the same way, from
     one sweep to the next.  Otherwise each sweep is share 0 of 1, all of
@@ -346,7 +344,7 @@ def run_sweeps(
     reach = list(itertools.accumulate((s.cases.reach for s in reversed(sweeps)), max))[::-1]
     spaces = (space,) if target is None else (space, target)
     state = dict(sweeps=sweeps, shares=workers, memos=tuple(memos), space=space, spaces=spaces,
-                 images=tuple(images), reach=reach, fail_cap=fail_cap, held=None, trimmed=None)
+                 reach=reach, fail_cap=fail_cap, held=None, trimmed=None)
     try:
         with nullcontext() if ctx is None else ctx.Pool(workers, _worker.update, (state,)) as pool:
             # read in order, as each sweep's run_axiom consumes its shares;
@@ -444,7 +442,7 @@ def bracket(x: TElement, y: TElement, delta: Operator) -> TElement:
     space = x.space
     if y.space != space:
         raise InvalidInputError("elements live in different spaces")
-    if delta.space != space:
+    if delta.space != space or delta.target != space:
         raise InvalidInputError("the operator acts on a different space")
     return TElement._make(space, _add_rows({}, delta, _bracket_rows(delta, x.terms), y.terms))
 
@@ -466,6 +464,8 @@ def order_defect(D: Operator, n: int, inputs: Sequence[TElement]) -> TElement:
     if len(inputs) != n + 1:
         raise InvalidInputError(f"need {n + 1} inputs, got {len(inputs)}")
     space = D.space
+    if D.target != space:
+        raise InvalidInputError("the operator maps into a different space")
     if any(x.is_zero() for x in inputs):
         return TElement.zero(space)
     for x in inputs:
@@ -546,15 +546,15 @@ def _on_word(relation: Callable[[Word], dict[Word, Scalar]]) -> Callable:
 
 
 def _run_plan(plan: CasePlan, evaluators: dict, memos=(), *, space, bounds, deals=None,
-              reads=None, **trimmed) -> list[AxiomReport]:
+              reads=None, target=None) -> list[AxiomReport]:
     """Run the sweeps of ``plan``, each with its evaluator by name, and its
     deal and reads (see ``Sweep``) from ``deals`` and ``reads`` if they
-    name it; ``trimmed`` gives ``run_sweeps``'s ``target`` and ``images``."""
+    name it, through ``run_sweeps``, which is handed ``target``."""
     deals, reads = deals or {}, reads or {}
     sweeps = [Sweep(name, bound, cases, evaluators[name], deals.get(name, (0,)), reads.get(name))
               for name, bound, cases in plan]
     return run_sweeps(sweeps, memos, space=space, fail_cap=bounds.fail_cap, jobs=bounds.jobs,
-                      **trimmed)
+                      target=target)
 
 
 def check_dbv(dga, bounds: Bounds | None = None) -> list[AxiomReport]:
@@ -706,7 +706,7 @@ def check_functoriality(morph, bounds: Bounds | None = None) -> list[AxiomReport
         "morphism_commutes_shuffle": shuffle_defect,
     }
     plan = functoriality_cases(src.space, bounds)
-    # F's images and the target's tables hold words no longer than their
-    # source words, so the source's reach trims them too
-    return _run_plan(plan, evaluators, space=src.space, bounds=bounds,
-                     target=tgt.space, images=(F._cache,))
+    # F is an operator on the source space, and its images and the target's
+    # tables hold words no longer than their source words, so the source's
+    # reach trims them all
+    return _run_plan(plan, evaluators, space=src.space, bounds=bounds, target=tgt.space)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -56,19 +57,6 @@ DEFAULT_MAX_CASES = 2_000_000
 # arity K has 4K + 1, so every check up to arity 15 lists them all, and the
 # refusal's output stays short at any --max-arity
 SHOWN_PREDICTIONS = 64
-
-
-def _load(path: str):
-    try:
-        return load_document(path)
-    except OSError as exc:
-        raise _Exit(IO_ERROR, f"cannot read {path}: {exc}") from None
-
-
-class _Exit(Exception):
-    def __init__(self, code: int, message: str = ""):
-        self.code = code
-        self.message = message
 
 
 def _print_reports_text(reports: list[AxiomReport], out) -> None:
@@ -140,7 +128,7 @@ def _bounds(args) -> Bounds:
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.path)
+    doc = load_document(args.path)
     if args.max_arity is not None and args.max_arity < 1:
         raise InvalidInputError("--max-arity must be >= 1")
     if args.fail_cap < 1:
@@ -207,7 +195,7 @@ def _refused(what: str, predicted: list[tuple[str, int]], max_cases: int) -> boo
 
 
 def cmd_check(args) -> int:
-    doc = _load(args.path)
+    doc = load_document(args.path)
     if args.max_arity is not None and args.max_arity < 1:
         raise InvalidInputError("--max-arity must be >= 1")
     if args.max_cases < 0:
@@ -262,7 +250,7 @@ def _parse_word(text: str | None):
 
 
 def cmd_eval(args) -> int:
-    doc = _load(args.path)
+    doc = load_document(args.path)
     if isinstance(doc, MorphismSpec):
         raise InvalidInputError("eval needs an algebra, not a morphism")
     space = doc.space()
@@ -370,19 +358,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except _Exit as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
-    except InvalidInputError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return INVALID_INPUT
-    except ValidationFailure as exc:  # raised only by validate and check, with --fail-cap
-        print(f"INVALID: {len(exc.violations)} violation(s)")
-        for v in exc.violations[: args.fail_cap]:
-            print(f"  {v}")
-        return INVALID_INPUT
+        try:
+            return args.fn(args)
+        except InvalidInputError as exc:
+            print(f"invalid input: {exc}", file=sys.stderr)
+            return INVALID_INPUT
+        except ValidationFailure as exc:  # raised only by validate and check, with --fail-cap
+            print(f"INVALID: {len(exc.violations)} violation(s)")
+            for v in exc.violations[: args.fail_cap]:
+                print(f"  {v}")
+            return INVALID_INPUT
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except OSError as exc:
+        if exc.filename is not None:  # the input
+            print(f"cannot read {exc.filename}: {exc}", file=sys.stderr)
+            return IO_ERROR
+        # most likely a closed stdout: point it at devnull, so that the
+        # interpreter's final flush prints no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return IO_ERROR
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Structure maps on the base space and their coderivation lifts.
+"""Structure maps on the base space and the operators on words they give:
+coderivation lifts, composite sums and the induced maps of morphisms.
 
 Lift convention.  An arity-k map c of intrinsic degree g0 (output degree =
 sum of input degrees + g0) lifts to the operator
@@ -98,7 +99,9 @@ class MultilinearMap:
 
 
 class Operator:
-    """A degree-homogeneous endomorphism of the word space, given by a rule.
+    """A degree-homogeneous linear map of word spaces, given by a rule: from
+    the words of ``space`` to the elements of ``target``, which is ``space``
+    unless a subclass sets another (``InducedMap``).
 
     To define one, subclass and implement ``_apply_word``, which maps a
     stored word (a str, see ``words``) to the terms of its image.  Every
@@ -113,6 +116,7 @@ class Operator:
 
     def __init__(self, space: GradedSpace, degree: int):
         self.space = space
+        self.target = space
         self.degree = degree
         self._cache = owned_table(self, type(self)._apply_word)
         self._defects = defect_table(self)
@@ -122,13 +126,13 @@ class Operator:
         raise NotImplementedError
 
     def __call__(self, x: TElement | Sequence[str]) -> TElement:
-        """The image of an element of this operator's space, or of one word
-        given by its letter ids."""
+        """The image, an element of ``target``, of an element of this
+        operator's space, or of one word given by its letter ids."""
         if not isinstance(x, TElement):
-            return TElement._make(self.space, self._cache[self.space.encode(x)])
+            return TElement._make(self.target, self._cache[self.space.encode(x)])
         if x.space != self.space:
             raise InvalidInputError("the operator acts on a different space")
-        return TElement._make(x.space, merge_images({}, x.terms, self._cache, 1))
+        return TElement._make(self.target, merge_images({}, x.terms, self._cache, 1))
 
 
 def defect_table(D: Operator) -> Table:
@@ -270,7 +274,7 @@ def lift_coderivation(c: MultilinearMap) -> Operator:
 def composite_sum(terms: Sequence[tuple[Scalar, Operator, Operator]]) -> Callable[[Word], dict[Word, Scalar]]:
     """w -> the terms of the sum of c P(Q(w)) over the (c, P, Q) of ``terms``,
     in order, each c nonzero; images are read from the image tables
-    (``_cache``) of P and Q, operators or induced maps."""
+    (``_cache``) of the operators P and Q."""
 
     def relation(w: Word) -> dict[Word, Scalar]:
         acc: dict[Word, Scalar] = {}
@@ -284,18 +288,21 @@ def composite_sum(terms: Sequence[tuple[Scalar, Operator, Operator]]) -> Callabl
 class CompositeSum(Operator):
     """The operator form of ``composite_sum(terms)``: w -> the sum of
     c P(Q(w)) over the (c, P, Q) of ``terms``, with its own image table and
-    defect memo.  Every P and Q acts on one space, and every P o Q has one
-    degree, P.degree + Q.degree; terms whose c is zero are dropped."""
+    defect memo.  Every P acts on the target of its Q, every P o Q maps one
+    space into one target, and every P o Q has one degree,
+    P.degree + Q.degree; terms whose c is zero are dropped."""
 
     def __init__(self, terms: Sequence[tuple[Scalar, Operator, Operator]]):
         if not terms:
             raise InvalidInputError("empty composite sum")
-        if len({op.space for _, P, Q in terms for op in (P, Q)}) > 1:
+        if (any(P.space != Q.target for _, P, Q in terms)
+                or len({(Q.space, P.target) for _, P, Q in terms}) > 1):
             raise InvalidInputError("operators act on different spaces")
         degrees = {P.degree + Q.degree for _, P, Q in terms}
         if len(degrees) > 1:
             raise InvalidInputError(f"composites must share a degree, got {sorted(degrees)}")
-        super().__init__(terms[0][1].space, degrees.pop())
+        super().__init__(terms[0][2].space, degrees.pop())
+        self.target = terms[0][1].target
         terms = [(normalize_scalar(c), P, Q) for c, P, Q in terms]
         self._relation = composite_sum([term for term in terms if term[0]])
 
@@ -319,37 +326,32 @@ def composition_relations(
         yield n, composite_sum([(1, P, Q) for P in ops for Q in ops if P.degree + Q.degree == n])
 
 
-class InducedMap:
-    """Letterwise application of a degree-0 linear map of graded spaces.
+class InducedMap(Operator):
+    """Letterwise application of a degree-0 linear map f of graded spaces:
+    the operator from the words of f's space to those of its target.
 
-    ``_cache`` is its image table: the image of a source word a_1 ... a_n
-    is f(a_1) ... f(a_n), the sum over every choice of one term of f per
-    letter.  Distinct choices give distinct words, so an image never
-    cancels inside itself.
+    The image of a source word a_1 ... a_n is f(a_1) ... f(a_n), the sum
+    over every choice of one term of f per letter.  Distinct choices give
+    distinct words, so an image never cancels inside itself.
     """
 
     def __init__(self, f: MultilinearMap):
         if f.arity != 1 or f.degree != 0:
             raise InvalidInputError("induced maps need an arity-1 degree-0 map")
-        self.f = f
-        self.source = f.space
+        super().__init__(f.space, 0)
         self.target = f.target
-        # f's table from the source's code points to the target's; the fill
-        # closes over it alone, so the table holds no reference to the map
-        src, tgt = self.source, self.target
-        letters = {
-            src.encode(a): {tgt.encode((b,)): c for b, c in entry.items()}
+        # f's table from the source's code points to the target's
+        self._letters = {
+            f.space.encode(a): {f.target.encode((b,)): c for b, c in entry.items()}
             for a, entry in f.table.items()
         }
-        self._cache = Table(lambda w: {
+
+    def _apply_word(self, w: Word) -> dict[Word, Scalar]:
+        letters = self._letters
+        return {
             "".join(b for b, _ in combo): math.prod(c for _, c in combo)
             for combo in itertools.product(*(letters.get(a, {}).items() for a in w))
-        })
-
-    def __call__(self, x: TElement) -> TElement:
-        if x.space != self.source:
-            raise InvalidInputError("element lives in the wrong space")
-        return TElement._make(self.target, merge_images({}, x.terms, self._cache, 1))
+        }
 
 
 def induced_morphism(f: MultilinearMap) -> InducedMap:

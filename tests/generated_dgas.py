@@ -10,7 +10,12 @@ where bd = sum of c E_ij over the (i, j): c of ``boundary`` is C's
 differential.  End(C) is a DGA whenever bd has degree +1 and bd^2 = 0;
 neither is checked here, so that a broken bd can be built too (validation
 rejects it).
+
+``random_dga(rng)`` is a random algebra with degree-consistent tables,
+valid or not, for oracles that hold on any table.
 """
+
+import itertools
 
 from shufflebv.algebra_io import AlgebraSpec
 
@@ -46,3 +51,24 @@ def end_of_complex(degrees, boundary):
             d[(unit(i, j),)] = image
     basis = [(unit(i, j), e[i] - e[j]) for i, j in pairs]
     return AlgebraSpec("end-of-complex", "dga", basis, {"d": d, "mu2": mu2})
+
+
+def random_dga(rng):
+    """A dga spec drawn from the ``random.Random`` ``rng``: 2 or 3 letters
+    of degrees in {-1, 0, 1}, and each mu2 and d entry that the degrees
+    allow drawn from {-1, 0, 1}.  It is not valid in general: build it with
+    ``from_spec_unchecked``."""
+    degree = {f"x{i}": rng.choice((-1, 0, 1)) for i in range(rng.choice((2, 3)))}
+
+    def table(arity, shift):
+        out = {}
+        for ids in itertools.product(degree, repeat=arity):
+            target = sum(map(degree.get, ids)) + shift
+            image = {c: rng.choice((-1, 0, 1)) for c, g in degree.items() if g == target}
+            image = {c: k for c, k in image.items() if k}
+            if image:
+                out[ids] = image
+        return out
+
+    return AlgebraSpec("random-dga", "dga", list(degree.items()),
+                       {"d": table(1, 1), "mu2": table(2, 0)})

@@ -5,6 +5,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from shufflebv.operators import (
     MultilinearMap,
     _koszul_step,
     defect_table,
+    induced_morphism,
     lift_coderivation,
 )
 from shufflebv.words import (
@@ -52,9 +54,11 @@ from shufflebv.words import (
     merge_scaled,
     shuffle,
     word_degree,
+    word_parity,
     words_up_to,
 )
 from case_reference import word_tuples_with_total
+from generated_dgas import random_dga
 from test_operators import anticommutator
 from test_words import id_words
 
@@ -963,6 +967,30 @@ def test_jacobiator_catches_a_dropped_word_sign(monkeypatch):
     assert len(wrong) > 1752
 
 
+def test_jacobi_sweep_is_signed_order_2_defect_of_delta_squared(monkeypatch):
+    # the bracket_jacobi sweep's own evaluator J against (-1)^|y| F_3 of
+    # delta o delta, on every triple of words of length <= 2, the empty word
+    # included, of 40 random tables, valid or not
+    rng = random.Random(26)
+    cases = nonzero = 0
+    for _ in range(40):
+        dga = DGAlgebra.from_spec_unchecked(random_dga(rng))
+        space, delta = dga.space, dga.delta_op
+        sweeps, _ = built_sweeps(check_dbv, dga, Bounds(), monkeypatch)
+        jacobi = sweeps["bracket_jacobi"].evaluate
+        square = CompositeSum([(1, delta, delta)])
+        words = words_up_to(space, 2)
+        for x, y, z in itertools.product(words, repeat=3):
+            j = jacobi((x, y, z))
+            f3 = order_defect(square, 2, [TElement._make(space, {w: 1}) for w in (x, y, z)])
+            sign = -1 if word_parity(space, y) else 1
+            assert j == {w: sign * c for w, c in f3.terms.items()}, (space.decode(x),
+                                                                   space.decode(y), space.decode(z))
+            cases += 1
+            nonzero += bool(j)
+    assert (cases, nonzero) == (41_530, 2_924)
+
+
 # -- operator order ----------------------------------------------------------------
 
 
@@ -1026,6 +1054,12 @@ def test_bracket_rejects_an_operator_over_another_space():
         bracket(x, y, delta_B)
     with pytest.raises(InvalidInputError, match="different spaces"):
         order_defect(delta_B, 1, [x, y])
+    # an induced map A -> B acts on A's words, but its images are B's
+    F = induced_morphism(MultilinearMap(A, 1, 0, {("a",): {"b": 1}, ("b",): {"a": 1}}, target=B))
+    with pytest.raises(InvalidInputError, match="different space"):
+        bracket(x, y, F)
+    with pytest.raises(InvalidInputError, match="different space"):
+        order_defect(F, 1, [x, y])
 
 
 def test_order_defect_zero_input_gives_zero(end2):

@@ -130,7 +130,27 @@ def test_default_bounds_are_those_of_bounds(fixture_file):
 
 
 def test_validate_missing_file_is_3(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "nope.json")]) == 3
+    path = str(tmp_path / "nope.json")
+    assert main(["validate", path]) == 3
+    assert capsys.readouterr().err == (
+        f"cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+    )
+
+
+def test_closed_stdout_is_3_without_a_traceback():
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails, whatever the timing
+    read, write = os.pipe()
+    os.close(read)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(shufflebv.__file__)))
+    env = dict(PATH="/usr/bin:/bin", PYTHONPATH=package_root)
+    args = [sys.executable, "-m", "shufflebv.cli", "fixtures", "dump", "end-two-term-complex"]
+    try:
+        proc = subprocess.run(args, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    assert proc.stderr == "I/O error: [Errno 32] Broken pipe\n"
 
 
 def test_validate_malformed_json_is_2(tmp_path):

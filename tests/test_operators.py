@@ -495,3 +495,29 @@ def test_induced_morphism_expands_multilinearly():
     commutator = TElement(src, {("a", "b"): 1, ("b", "a"): -1})
     assert dict(F(commutator)) == {("x", "y"): -2, ("y", "x"): 2}
     assert F(TElement(src, {("a", "c"): 1, ("c",): 5})).is_zero()
+
+
+def test_induced_map_is_an_operator_into_its_target():
+    # F is an operator on the source space, enrolled with it like every
+    # lift, whose images are elements of the target space; like every
+    # operator it takes one word given by its letter ids
+    from shufflebv.algebra_io import validate_morphism
+    from shufflebv.operators import InducedMap
+
+    morph = validate_morphism(builtin("diag-into-upper-triangular"))
+    src, tgt = morph.source, morph.target
+    F = induced_morphism(morph.fmap)
+    assert isinstance(F, InducedMap) and issubclass(InducedMap, Operator)
+    assert F in src.space._operators and F not in tgt.space._operators
+    assert (F.space, F.target, F.degree) == (src.space, tgt.space, 0)
+    assert F(("d11",)) == TElement.word(tgt.space, ("e11",))
+    assert F(TElement.word(src.space, ("d11", "d22"))) == TElement.word(tgt.space, ("e11", "e22"))
+    with pytest.raises(InvalidInputError):
+        F(TElement.word(tgt.space, ("e11",)))
+    # a composite with F maps the source into the target; F o F does not exist
+    commutator = CompositeSum([(1, F, src.d_op), (-1, tgt.d_op, F)])
+    assert (commutator.space, commutator.target) == (src.space, tgt.space)
+    assert commutator(TElement.word(src.space, ("d11", "d22"))) == TElement.zero(tgt.space)
+    assert CompositeSum([(1, tgt.delta_op, F)])(("d11", "d11")) == TElement.word(tgt.space, ("e11",))
+    with pytest.raises(InvalidInputError, match="different spaces"):
+        CompositeSum([(1, F, F)])
