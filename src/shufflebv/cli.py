@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 axiom failure, 2 invalid input or a
-check or validation refused by ``--max-cases``, 3 I/O error.  JSON reports are
+Exit codes: 0 all checks pass, 1 axiom failure, 2 invalid input, a check
+or validation refused by ``--max-cases``, or an ``eval`` whose words have
+more than ``DEFAULT_MAX_CASES`` shuffles, 3 I/O error.  JSON reports are
 deterministic at a fixed configuration: timing lives in a separate "meta"
 block, everything else is stable byte-for-byte across runs.
 """
@@ -44,7 +45,15 @@ from .bv import (
 )
 from .graded import InvalidInputError
 from .operators import lift_coderivation
-from .words import COUNT_LIMIT, TElement, render_telement, render_word, shuffle_elements
+from .words import (
+    COUNT_LIMIT,
+    TElement,
+    binomial,
+    capped,
+    render_telement,
+    render_word,
+    shuffle_elements,
+)
 
 OK, AXIOM_FAILURE, INVALID_INPUT, IO_ERROR = 0, 1, 2, 3
 
@@ -183,15 +192,19 @@ def _refused(what: str, predicted: list[tuple[str, int]], max_cases: int) -> boo
     # a capped count is refused whatever --max-cases says
     if total <= min(max_cases, COUNT_LIMIT):
         return False
-    shown = lambda n: n if n <= COUNT_LIMIT else f"more than {COUNT_LIMIT}"
-    print(f"refused: the {what} would evaluate {shown(total)} cases, more than "
+    print(f"refused: the {what} would evaluate {_shown(total)} cases, more than "
           f"--max-cases {max_cases}; predicted cases:", file=sys.stderr)
     for name, n in predicted[:SHOWN_PREDICTIONS]:
-        print(f"  {name}: {shown(n)}", file=sys.stderr)
+        print(f"  {name}: {_shown(n)}", file=sys.stderr)
     rest = predicted[SHOWN_PREDICTIONS:]
     if rest:
-        print(f"  remaining sweeps ({len(rest)}): {shown(sum(n for _, n in rest))}", file=sys.stderr)
+        print(f"  remaining sweeps ({len(rest)}): {_shown(sum(n for _, n in rest))}", file=sys.stderr)
     return True
+
+
+def _shown(n: int):
+    """A predicted count as printed: itself, or a bound once capped."""
+    return n if n <= COUNT_LIMIT else f"more than {COUNT_LIMIT}"
 
 
 def cmd_check(args) -> int:
@@ -260,6 +273,16 @@ def cmd_eval(args) -> int:
     if not words:
         raise InvalidInputError("--x is required")
     els = [TElement.word(space, w) for w in words]
+    # every op with several words shuffles them all together at some step,
+    # so the multinomial of their lengths bounds what it builds
+    shuffles, total = 1, 0
+    for w in words:
+        total += len(w)
+        shuffles = capped(shuffles * binomial(total, len(w)))
+    if shuffles > DEFAULT_MAX_CASES:
+        print(f"refused: the words have {_shown(shuffles)} shuffles, more than {DEFAULT_MAX_CASES}",
+              file=sys.stderr)
+        return INVALID_INPUT
 
     op = args.op
     if op == "shuffle":

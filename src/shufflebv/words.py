@@ -336,14 +336,52 @@ def merge_shuffle_images(acc, space, b, c, table, coeff):
 def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     """Terms of the shuffle product of two words, computed afresh and
     interned: the fill of the space's shuffle table (see ``shuffle``).
+
+    With a and b the last letters, u = u' a and v = v' b, the shuffle
+    recursion by last letters (Ree 1958) gives
+
+        u * v = (-1)^(|a| |v|) (u' * v) a + (u * v') b,
+
+    with w * "" = w and parities on shifted degrees: a ends a shuffle only
+    after crossing all of v.  When the space's table holds both prefix pairs
+    (u', v) and (u, v'), an empty prefix counting as held, u * v is built
+    from their rows by appending one letter to each word; the two branches
+    end in different letters, so they can cancel only when a = b.  Otherwise
+    the pair is merged from its shuffle plan, and no other pair is read or
+    stored, so a lone long pair costs no chain of prefix fills.  Terms are
+    listed branch by branch, not in plan order.
     """
-    parity = space._sparity.__getitem__
     intern = space._word_table.setdefault
-    uv = u + v
     if not u or not v:
+        uv = u + v
         return {intern(uv, uv): 1}
-    terms = _merge_plan({}, uv, _shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))], 1)
-    return {intern(w, w): c for w, c in terms.items()}
+    held = space._shuffle_cache.get
+    head, a = u[:-1], u[-1]
+    tail, b = v[:-1], v[-1]
+    first = held((head, v)) if head else {v: 1}
+    second = held((u, tail)) if tail else {u: 1}
+    if first is None or second is None:
+        parity = space._sparity.__getitem__
+        terms = _merge_plan({}, u + v, _shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))], 1)
+        return {intern(w, w): c for w, c in terms.items()}
+    if space._sparity[a] and word_parity(space, v):
+        terms = {intern(w := x + a, w): -c for x, c in first.items()}
+    else:
+        terms = {intern(w := x + a, w): c for x, c in first.items()}
+    if a != b:
+        for x, c in second.items():
+            terms[intern(w := x + b, w)] = c
+        return terms
+    get = terms.get
+    for x, c in second.items():
+        w = x + b
+        w = intern(w, w)
+        val = get(w, 0) + c
+        if val:
+            terms[w] = val
+        else:
+            del terms[w]
+    return terms
 
 
 def shuffle(space: GradedSpace, u: Sequence[str], v: Sequence[str]) -> TElement:
@@ -510,7 +548,7 @@ def word_tuples(space: GradedSpace, count: int, max_total: int) -> Cases:
     """
     b = len(space.letters)
     if b == 1:
-        n = _comb(max_total, count)
+        n = binomial(max_total, count)
     else:
         n, term = 0, b ** min(count, 64)  # b^c C(c - 1, c - 1)
         for t in range(count, max_total + 1):
@@ -522,7 +560,7 @@ def word_tuples(space: GradedSpace, count: int, max_total: int) -> Cases:
                  lambda: words_up_to(space, max_total - count + 1))
 
 
-def _comb(n: int, k: int) -> int:
+def binomial(n: int, k: int) -> int:
     """C(n, k), capped (see ``capped``); each partial product C(n - k + i, i)
     is at least 2^i, so the loop passes COUNT_LIMIT within 64 steps."""
     k = min(k, n - k)

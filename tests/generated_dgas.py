@@ -53,22 +53,25 @@ def end_of_complex(degrees, boundary):
     return AlgebraSpec("end-of-complex", "dga", basis, {"d": d, "mu2": mu2})
 
 
+def random_table(rng, degree, arity, shift):
+    """A table of an arity-``arity`` map of degree ``shift`` on the letters
+    of the dict ``degree`` (id: degree), drawn from ``rng``: each entry that
+    the degrees allow is drawn from {-1, 0, 1}."""
+    out = {}
+    for ids in itertools.product(degree, repeat=arity):
+        target = sum(map(degree.get, ids)) + shift
+        image = {c: rng.choice((-1, 0, 1)) for c, g in degree.items() if g == target}
+        image = {c: k for c, k in image.items() if k}
+        if image:
+            out[ids] = image
+    return out
+
+
 def random_dga(rng):
     """A dga spec drawn from the ``random.Random`` ``rng``: 2 or 3 letters
-    of degrees in {-1, 0, 1}, and each mu2 and d entry that the degrees
-    allow drawn from {-1, 0, 1}.  It is not valid in general: build it with
-    ``from_spec_unchecked``."""
+    of degrees in {-1, 0, 1}, and its d and mu2 tables (``random_table``).
+    It is not valid in general: build it with ``from_spec_unchecked``."""
     degree = {f"x{i}": rng.choice((-1, 0, 1)) for i in range(rng.choice((2, 3)))}
-
-    def table(arity, shift):
-        out = {}
-        for ids in itertools.product(degree, repeat=arity):
-            target = sum(map(degree.get, ids)) + shift
-            image = {c: rng.choice((-1, 0, 1)) for c, g in degree.items() if g == target}
-            image = {c: k for c, k in image.items() if k}
-            if image:
-                out[ids] = image
-        return out
-
     return AlgebraSpec("random-dga", "dga", list(degree.items()),
-                       {"d": table(1, 1), "mu2": table(2, 0)})
+                       {"d": random_table(rng, degree, 1, 1),
+                        "mu2": random_table(rng, degree, 2, 0)})

@@ -469,10 +469,16 @@ def _perturbed_end2(label, key, b, coeff):
 
 
 def test_every_dbv_axiom_has_a_negative_control(end2, monkeypatch):
-    # bracket_antisymmetry holds for every odd operator, coderivation or
-    # not, because the shuffle product is graded commutative: no perturbed
-    # constant and no sign-dropped lift fails it.  Only an operator of even
-    # degree does, here the composite delta o d in place of delta.
+    """Each sweep of check_dbv fails on some control, at --jobs 1 and 2.
+
+    bracket_antisymmetry holds for every odd operator, coderivation or not,
+    because the shuffle product is graded commutative: no perturbed constant
+    and no sign-dropped lift fails it.  Only an operator of even degree
+    does, here the composite delta o d in place of delta.  Its bracket takes
+    the even-degree correction 2 u * D(y) on odd words u (``bv._add_word``),
+    so that control tests the correction formula, not the paper's theorem,
+    whose operators are odd.
+    """
     import shufflebv.bv
     from types import SimpleNamespace
 
@@ -535,9 +541,16 @@ EVEN_CONTROL_PINS = {
 
 
 def test_even_operator_control_is_pinned(end2, monkeypatch):
-    # the even operator delta o d takes the even-degree correction of the
-    # bracket on every odd word; its failure counts and full reports are the
-    # same at --jobs 1 and through a pool of two workers
+    """check_dbv with the even operator delta o d in place of delta.
+
+    Its bracket takes the even-degree correction 2 u * D(y) on every odd
+    word u (``bv._add_word``), so it is not a signed order-2 defect of the
+    operator, and these pins test that correction formula, not the paper's
+    theorem, whose operators are odd (the odd case is
+    ``test_leibniz_sweep_is_signed_order_2_defect_of_the_operator``).  The
+    failure counts and full reports are the same at --jobs 1 and through a
+    pool of two workers.
+    """
     import hashlib
     import shufflebv.bv
     from types import SimpleNamespace

@@ -7,6 +7,7 @@ import os
 import pickle
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,7 +59,7 @@ from shufflebv.words import (
     words_up_to,
 )
 from case_reference import word_tuples_with_total
-from generated_dgas import random_dga
+from generated_dgas import random_dga, random_table
 from test_operators import anticommutator
 from test_words import id_words
 
@@ -179,7 +180,8 @@ def test_bracket_extends_bilinearly(end2):
 def bracket_operator(alg, label):
     """"delta", the lifted product, which is odd, or "delta.d", delta o d,
     an even operator whose bracket takes the correction 2 u * D(y) on odd
-    words u."""
+    words u.  A test on "delta.d" tests that correction formula, not the
+    paper's theorem, whose operators are odd."""
     return alg.delta_op if label == "delta" else CompositeSum([(1, alg.delta_op, alg.d_op)])
 
 
@@ -242,8 +244,6 @@ def test_bracket_sweeps_only_read_memo_entries(end2, label, monkeypatch):
     # entries the next sweep reads are kept for it: before each pruning of
     # the memo, every entry it holds must still equal a fresh Koszul step,
     # taken on a new memo
-    from types import SimpleNamespace
-
     delta = bracket_operator(end2, label)
     alg = SimpleNamespace(space=end2.space, d_op=end2.d_op, delta_op=delta)
     forget = shufflebv.bv._forget_memos
@@ -409,8 +409,6 @@ def test_check_fills_each_memo_entry_once(end2, monkeypatch):
     # largest sweep held when each one started on an empty memo (7,161 at
     # bounds 4, 2, 2); for delta, and for the even operator delta o d
     from collections import Counter
-    from types import SimpleNamespace
-
     fills = Counter()
     step = shufflebv.operators._koszul_step
 
@@ -448,8 +446,6 @@ def test_kept_memo_entries_change_no_report(end2, monkeypatch):
     # mu2(b, c) flipped, at --jobs 1 and through the in-process stand-in
     # pool at 2 and 3.  A witness is compared by its inputs and its terms,
     # from which its JSON is rendered
-    from types import SimpleNamespace
-
     even = SimpleNamespace(space=end2.space, d_op=end2.d_op,
                            delta_op=bracket_operator(end2, "delta.d"))
     spec = builtin("end-two-term-complex")
@@ -498,8 +494,6 @@ def test_pool_shares_split_an_xy_group(end2, monkeypatch):
     # failures of the whole sweep that fall in the share, with their case
     # indices.  The even operator delta o d fails on most triples, so many
     # failures are compared, and they take the even-degree correction.
-    from types import SimpleNamespace
-
     even = SimpleNamespace(
         space=end2.space, d_op=end2.d_op,
         delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)]),
@@ -746,8 +740,6 @@ def test_pool_failures_hold_the_check_space(end2, monkeypatch):
     # checking process makes its element in the check's own space, not in a
     # copy unpickled beside every failure (a functoriality witness, in the
     # target space: test_functoriality_witnesses_are_in_the_target_letters)
-    from types import SimpleNamespace
-
     monkeypatch.setattr(shufflebv.bv, "_usable_cpus", lambda: 2)
     even = SimpleNamespace(space=end2.space, d_op=end2.d_op,
                            delta_op=CompositeSum([(1, end2.delta_op, end2.d_op)]))
@@ -989,6 +981,40 @@ def test_jacobi_sweep_is_signed_order_2_defect_of_delta_squared(monkeypatch):
             cases += 1
             nonzero += bool(j)
     assert (cases, nonzero) == (41_530, 2_924)
+
+
+# -- the Leibniz identity: the bracket's failure to be a derivation ---------------
+
+
+def test_leibniz_sweep_is_signed_order_2_defect_of_the_operator(monkeypatch):
+    # the bracket_leibniz sweep's own evaluator L, built with P in place of
+    # delta, where P lifts a random degree-1 arity-3 map, so P is odd and of
+    # order 3: L(x, y, z) = (-1)^(|x|+|y|) F_3(x, y, z) of P, on every triple
+    # of words of length <= 2, the empty word included, of 30 random tables.
+    # The bracket of an odd operator carries no even-degree correction, so
+    # this is the paper's identity itself (the delta o d controls test the
+    # correction instead)
+    rng = random.Random(27)
+    cases = nonzero = 0
+    for _ in range(30):
+        dga = DGAlgebra.from_spec_unchecked(random_dga(rng))
+        space = dga.space
+        degree = {a: space.degree(a) for a in space.ids}
+        P = lift_coderivation(MultilinearMap(space, 3, 1, random_table(rng, degree, 3, 1)))
+        assert P.degree & 1
+        alg = SimpleNamespace(space=space, d_op=dga.d_op, delta_op=P)
+        sweeps, _ = built_sweeps(check_dbv, alg, Bounds(), monkeypatch)
+        leibniz = sweeps["bracket_leibniz"].evaluate
+        words = words_up_to(space, 2)
+        for x, y, z in itertools.product(words, repeat=3):
+            got = leibniz((x, y, z))
+            f3 = order_defect(P, 2, [TElement._make(space, {w: 1}) for w in (x, y, z)])
+            sign = -1 if word_parity(space, x) ^ word_parity(space, y) else 1
+            assert got == {w: sign * c for w, c in f3.terms.items()}, (space.decode(x),
+                                                                     space.decode(y), space.decode(z))
+            cases += 1
+            nonzero += bool(got)
+    assert (cases, nonzero) == (38_100, 7_826)
 
 
 # -- operator order ----------------------------------------------------------------

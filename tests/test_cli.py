@@ -551,6 +551,42 @@ def test_eval_z_without_y_is_2(fixture_file, capsys):
         assert out == "" and "--z needs --y" in err
 
 
+def test_eval_refuses_words_with_too_many_shuffles(fixture_file, capsys, monkeypatch):
+    # every op with several words shuffles them all together, so eval
+    # predicts the multinomial of their lengths and refuses, with exit 2 and
+    # one line on stderr, above DEFAULT_MAX_CASES, before building anything.
+    # Two 20-letter words have C(40, 20) shuffles, 12 x 12 letters
+    # 2,704,156; 11 x 11 letters (705,432) are admitted.  The ops are
+    # stubbed, so no admitted product is built either
+    import shufflebv.cli as cli
+    from shufflebv.words import TElement
+
+    built = []
+
+    def stub(*args):
+        built.append(args)
+        return TElement.zero(args[0].space)
+
+    for name in ("shuffle_elements", "bracket", "order_defect"):
+        monkeypatch.setattr(cli, name, stub)
+    monkeypatch.setattr(cli, "lift_coderivation", lambda mu: mu)
+    path = fixture_file("end-two-term-complex")
+    pair = lambda n: ["--x", ",".join(["a"] * n), "--y", ",".join(["b"] * n)]
+    triple = lambda n: [*pair(n), "--z", ",".join(["c"] * n)]
+    refused = [(op, pair(n), shuffles) for op in ("shuffle", "bracket", "order-defect")
+               for n, shuffles in ((20, 137_846_528_820), (12, 2_704_156))]
+    refused.append(("order-defect", triple(7), 399_072_960))
+    for op, words, shuffles in refused:
+        assert main(["eval", path, "--op", op, *words]) == 2, op
+        assert capsys.readouterr() == ("", f"refused: the words have {shuffles} shuffles, "
+                                           f"more than {cli.DEFAULT_MAX_CASES}\n"), op
+    assert built == []
+    for op, words in (("shuffle", pair(11)), ("bracket", pair(11)), ("order-defect", triple(4))):
+        assert main(["eval", path, "--op", op, *words]) == 0, op
+        assert capsys.readouterr() == ("0\n", ""), op
+    assert len(built) == 3
+
+
 # -- fixtures ------------------------------------------------------------------
 
 

@@ -492,21 +492,33 @@ def test_merge_shuffle_images_matches_merge_images():
     assert len(fresh._word_table) > len(interned)
 
 
+def signed_sum(space, u, v):
+    """u * v summed from ``shuffle_signed``, in its order, zeros dropped."""
+    pu = tuple(shifted_parity(space, a) for a in space.decode(u))
+    pv = tuple(shifted_parity(space, a) for a in space.decode(v))
+    want = {}
+    for w, s in shuffle_signed(u, v, pu, pv):
+        w = "".join(w)
+        want[w] = want.get(w, 0) + s
+        if not want[w]:
+            del want[w]
+    return want
+
+
 def test_shuffle_plans_match_shuffle_signed():
     # x has odd shifted degree, y even: the words over {x, y} of length <= 3
-    # give every parity pattern, and repeated x's make terms cancel
+    # give every parity pattern, and repeated x's make terms cancel.  A plan
+    # merges its terms in shuffle_signed's order; shuffle_terms, which may
+    # build a pair from its prefix pairs, gives the same terms in any order
     space = GradedSpace("plans", [BasisLetter("x", 0), BasisLetter("y", 1)])
+    parity = space._sparity.__getitem__
     for u, v in itertools.product(words_up_to(space, 3), repeat=2):
-        pu = tuple(shifted_parity(space, a) for a in space.decode(u))
-        pv = tuple(shifted_parity(space, a) for a in space.decode(v))
-        want = {}
-        for w, s in shuffle_signed(u, v, pu, pv):
-            w = "".join(w)
-            want[w] = want.get(w, 0) + s
-            if not want[w]:
-                del want[w]
-        got = shuffle_terms(space, u, v)
-        assert list(got.items()) == list(want.items()), (u, v)
+        want = signed_sum(space, u, v)
+        assert shuffle_terms(space, u, v) == want, (u, v)
+        if u and v:
+            plan = words._shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))]
+            got = words._merge_plan({}, u + v, plan, 1)
+            assert list(got.items()) == list(want.items()), (u, v)
     x = space.encode(("x",))
     assert shuffle_terms(space, x, x) == {}  # x * x = 0: its terms cancel
     # one getter tuple per pair of lengths, shared by all parity patterns
@@ -516,6 +528,50 @@ def test_shuffle_plans_match_shuffle_signed():
     lengths = {(len(pu), len(pv)) for pu, pv in words._shuffle_plans}
     assert {(n, m) for n in range(1, 4) for m in range(1, 4)} <= lengths
 
+
+def counted_plans(monkeypatch):
+    """The (u + v) of every ``_merge_plan`` call from now on."""
+    calls = []
+    merge = words._merge_plan
+
+    def counted(acc, uv, plan, coeff):
+        calls.append(uv)
+        return merge(acc, uv, plan, coeff)
+
+    monkeypatch.setattr(words, "_merge_plan", counted)
+    return calls
+
+
+def test_shuffle_table_fills_from_prefix_pairs(monkeypatch):
+    # x has odd shifted degree and y even, so x * x = 0 and y * y = 2 yy;
+    # z is odd too, so a last letter meets one of its own parity and one of
+    # the other.  Filled in product order, every pair finds both its prefix
+    # pairs held, and no fill walks a plan
+    space = GradedSpace(
+        "prefix", [BasisLetter("x", 0), BasisLetter("y", 1), BasisLetter("z", 2)]
+    )
+    plans = counted_plans(monkeypatch)
+    ws = words_up_to(space, 3)
+    for u, v in itertools.product(ws, repeat=2):
+        got = space._shuffle_cache[u, v]
+        assert got == signed_sum(space, u, v), (space.decode(u), space.decode(v))
+        assert all(w is space._word_table[w] for w in got)
+    assert plans == []
+    x, y = space.encode(("x",)), space.encode(("y",))
+    assert space._shuffle_cache[x, x] == {} and space._shuffle_cache[y, y] == {y + y: 2}
+
+
+def test_a_lone_long_pair_is_filled_from_its_plan(monkeypatch):
+    # a 300-letter word shuffled with one letter, on a fresh space: the
+    # prefix pairs are missing, so the plan fills the pair, with no chain of
+    # prefix fills (no deep recursion) and no other pair stored
+    space = GradedSpace("lone", [BasisLetter("a", 0), BasisLetter("b", 1)])
+    plans = counted_plans(monkeypatch)
+    got = shuffle(space, ("a",) * 300, ("b",))
+    u, v = space.encode(("a",) * 300), space.encode(("b",))
+    assert len(got.terms) == 301 and got.terms == signed_sum(space, u, v)
+    assert plans == [u + v]
+    assert list(space._shuffle_cache) == [(u, v)]
 
 
 def test_shuffle_many(mixed):
