@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 axiom failure, 2 invalid input, a check
 or validation refused by ``--max-cases``, or an ``eval`` whose words have
-more than ``DEFAULT_MAX_CASES`` shuffles, 3 I/O error.  JSON reports are
+more than ``DEFAULT_MAX_CASES`` shuffles, or whose lift of d or mu2 would
+store more terms, 3 I/O error.  JSON reports are
 deterministic at a fixed configuration: timing lives in a separate "meta"
 block, everything else is stable byte-for-byte across runs.
 """
@@ -289,14 +290,19 @@ def cmd_eval(args) -> int:
         if len(els) != 2:
             raise InvalidInputError("shuffle needs --x and --y")
         result = shuffle_elements(els[0], els[1])
-    elif op == "d":
+    elif op in ("d", "delta"):
         if len(els) != 1:
-            raise InvalidInputError("d takes only --x")
-        result = lift_coderivation(doc.multilinear("d", space))(els[0])
-    elif op == "delta":
-        if len(els) != 1:
-            raise InvalidInputError("delta takes only --x")
-        result = lift_coderivation(doc.multilinear("mu2", space))(els[0])
+            raise InvalidInputError(f"{op} takes only --x")
+        c = doc.multilinear("d" if op == "d" else "mu2", space)
+        # the lift stores the image of every prefix of the word: at length
+        # m, a block of k letters in m - k + 1 places, each with <= e terms
+        e = max(map(len, c.table.values()), default=0)
+        stored = e * binomial(len(words[0]) - c.arity + 2, 2)
+        if stored > DEFAULT_MAX_CASES:
+            print(f"refused: the lift would store up to {_shown(stored)} terms, more than "
+                  f"{DEFAULT_MAX_CASES}", file=sys.stderr)
+            return INVALID_INPUT
+        result = lift_coderivation(c)(els[0])
     elif op == "bracket":
         if len(els) != 2:
             raise InvalidInputError("bracket needs --x and --y")

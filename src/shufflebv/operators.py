@@ -41,9 +41,9 @@ from .words import (
     TElement,
     Word,
     merge_images,
-    merge_shuffle_images,
     merge_shuffles,
     owned_table,
+    unstored_shuffle_terms,
     word_parity,
 )
 
@@ -166,24 +166,23 @@ def _koszul_step(
 
     ``shuffles`` is the space's shuffle table, read and filled by a sweep's
     top-level step, whose shuffles recur across cases.  A memo fill passes
-    None: it never adds a pair to the table, since the memo already holds
-    what is built from it.  There b * c is read from the table if it holds
-    the pair; otherwise ``merge_shuffle_images`` merges the lower level's
-    rows of its words straight from the pair's shuffle plan, building no
-    b * c and interning a word only when the level lacks it, since the
-    level then stores its row under that word.  The rows F_(m-1)(X, b) and
-    F_(m-1)(X, c) are shuffled by ``merge_shuffles`` straight into the
-    entry.  The finished entry is copied into a new dict, which interns
-    its words and compacts it after any cancellation.
+    None: the memo already holds what is built from its pairs, so it never
+    stores a pair it shuffles.  There b * c is read from the table if it
+    holds the pair, and built by ``words.unstored_shuffle_terms`` otherwise,
+    which stores only its prefix pairs (b', c) and (b, c'); its words are
+    interned, since the lower level stores a missing row under each.  The
+    rows F_(m-1)(X, b) and F_(m-1)(X, c) are shuffled by ``merge_shuffles``
+    straight into the entry, with the same rule for its pairs.  The
+    finished entry is copied into a new dict, which interns its words and
+    compacts it after any cancellation.
     """
     space = D.space
     X, b, c = key[:-2], key[-2], key[-1]
     lower = D._defects[X]
     bc = space._shuffle_cache.get((b, c)) if shuffles is None else shuffles[b, c]
     if bc is None:
-        acc = merge_shuffle_images({}, space, b, c, lower, 1)
-    else:
-        acc = merge_images({}, bc, lower, 1)
+        bc = unstored_shuffle_terms(space, b, c, space._word_table.setdefault)
+    acc = merge_images({}, bc, lower, 1)
     row = lower[b]
     if row:
         merge_shuffles(acc, space, c, row, -1, False, shuffles)

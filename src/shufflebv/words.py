@@ -6,7 +6,8 @@ letter, by the encoding of its space (``GradedSpace.encode``), and graded by
 empty word "" is the unit.  A string caches its hash, so each table key is
 hashed once.  Letter ids are encoded and decoded only at the boundary:
 ``TElement(...)``, ``TElement.word``, ``shuffle``, iterating a ``TElement``,
-and rendering.
+and rendering.  Every shuffle product comes from one step of the recursion
+by last letters (see ``shuffle_terms``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from operator import itemgetter, xor
+from operator import xor
 
 from .graded import (
     GradedSpace,
@@ -235,136 +236,13 @@ def merge_images(acc, terms, table, coeff):
     return acc
 
 
-def shuffle_signed(u, v, pu, pv):
-    """All interleavings of the sequences u and v, each with its Koszul sign.
-
-    ``pu`` and ``pv`` are the degree parities of the letters of u and v.
-    Returns a list of (word, sign) pairs, word a tuple, sign +1 or -1, in
-    the order that takes the next letter from u before taking it from v
-    (lexicographic in the positions occupied by u).  A shuffle is the choice
-    of the slots that u's letters take: u[i] in slot k crosses the k - i
-    letters of v placed before it.
-    """
-    # sv[j] = parity of the total degree of v[:j]
-    sv = list(itertools.accumulate(pv, xor, initial=0))
-    out = []
-    for slots in itertools.combinations(range(len(u) + len(v)), len(u)):
-        word, par = list(v), 0
-        for i, k in enumerate(slots):
-            word.insert(k, u[i])
-            par ^= pu[i] & sv[k - i]
-        out.append((tuple(word), -1 if par else 1))
-    return out
-
-
-def _shuffle_plan(parities: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[tuple, tuple[int, ...]]:
-    """(getters, signs) of the shuffles of two nonempty words whose letters
-    have the parities ``parities`` = (pu, pv); the fill of ``_shuffle_plans``."""
-    pu, pv = parities
-    n, m = len(pu), len(pv)
-    slots = shuffle_signed(tuple(range(n)), tuple(range(n, n + m)), pu, pv)
-    getters = _shuffle_getters.get((n, m))
-    if getters is None:
-        getters = _shuffle_getters[n, m] = tuple(itemgetter(*w) for w, _ in slots)
-    return getters, tuple(s for _, s in slots)
-
-
-# Shuffle plans, filled by ``shuffle_signed`` on the letter positions of u + v
-# and kept for the life of the process (they depend on lengths and parities
-# only): one itemgetter per shuffle, picking the shuffled word out of u + v,
-# per pair of lengths; and per parity pattern of the letters, that getter
-# tuple beside the shuffles' Koszul signs in the same order.
-_shuffle_getters: dict[tuple[int, int], tuple[itemgetter, ...]] = {}
-_shuffle_plans = Table(_shuffle_plan)
-
-
-def _merge_plan(acc, uv, plan, coeff):
-    """acc += coeff * (u * v), dropping zero entries, where u + v = ``uv``
-    and ``plan`` is the pair's shuffle plan: each shuffled word is read out
-    of ``uv`` by its getter.  Mutates and returns ``acc``; ``coeff`` must be
-    nonzero."""
-    get = acc.get
-    join = "".join
-    neg = -coeff
-    for g, s in zip(*plan):
-        w = join(g(uv))
-        val = get(w, 0) + (coeff if s == 1 else neg)
-        if val:
-            acc[w] = val
-        else:
-            del acc[w]
-    return acc
-
-
-def merge_shuffle_images(acc, space, b, c, table, coeff):
-    """acc += coeff * sum(c' * table[w] for w, c' in b * c), dropping zero
-    entries.
-
-    The fused form of ``merge_images(acc, shuffle_terms(space, b, c), table,
-    coeff)``: walks the pair's shuffle plan and merges each shuffled word's
-    image with the shuffle's sign, so no b * c dict is built and no pair is
-    stored.  Only a word the table lacks is interned, and then read by
-    subscript, so a ``Table`` fills the miss under the interned word.
-    Terms of b * c that cancel merge their images with opposite signs.
-    Mutates and returns ``acc``; ``coeff`` and the coefficients of the
-    images must be nonzero.
-    """
-    intern = space._word_table.setdefault
-    bc = b + c
-    if not b or not c:
-        return merge_images(acc, {intern(bc, bc): 1}, table, coeff)
-    lookup = table.get
-    parity = space._sparity.__getitem__
-    get = acc.get
-    join = "".join
-    neg = -coeff
-    for g, s in zip(*_shuffle_plans[tuple(map(parity, b)), tuple(map(parity, c))]):
-        w = join(g(bc))
-        sc = coeff if s == 1 else neg
-        row = lookup(w)
-        if row is None:
-            row = table[intern(w, w)]
-        for w2, c2 in row.items():
-            val = get(w2, 0) + sc * c2
-            if val:
-                acc[w2] = val
-            else:
-                del acc[w2]
-    return acc
-
-
-def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
-    """Terms of the shuffle product of two words, computed afresh and
-    interned: the fill of the space's shuffle table (see ``shuffle``).
-
-    With a and b the last letters, u = u' a and v = v' b, the shuffle
-    recursion by last letters (Ree 1958) gives
-
-        u * v = (-1)^(|a| |v|) (u' * v) a + (u * v') b,
-
-    with w * "" = w and parities on shifted degrees: a ends a shuffle only
-    after crossing all of v.  When the space's table holds both prefix pairs
-    (u', v) and (u, v'), an empty prefix counting as held, u * v is built
-    from their rows by appending one letter to each word; the two branches
-    end in different letters, so they can cancel only when a = b.  Otherwise
-    the pair is merged from its shuffle plan, and no other pair is read or
-    stored, so a lone long pair costs no chain of prefix fills.  Terms are
-    listed branch by branch, not in plan order.
-    """
-    intern = space._word_table.setdefault
-    if not u or not v:
-        uv = u + v
-        return {intern(uv, uv): 1}
-    held = space._shuffle_cache.get
-    head, a = u[:-1], u[-1]
-    tail, b = v[:-1], v[-1]
-    first = held((head, v)) if head else {v: 1}
-    second = held((u, tail)) if tail else {u: 1}
-    if first is None or second is None:
-        parity = space._sparity.__getitem__
-        terms = _merge_plan({}, u + v, _shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))], 1)
-        return {intern(w, w): c for w, c in terms.items()}
-    if space._sparity[a] and word_parity(space, v):
+def _shuffle_step(first, a, negate, second, b, intern):
+    """(u' * v) a, negated when ``negate``, plus (u * v') b, from ``first``
+    and ``second``, the terms of u' * v and u * v': one step of the shuffle
+    recursion by last letters (see ``shuffle_terms``).  Each new word is
+    passed through ``intern(w, w)``.  The two branches end in different
+    letters, so they merge with cancellation only when a = b."""
+    if negate:
         terms = {intern(w := x + a, w): -c for x, c in first.items()}
     else:
         terms = {intern(w := x + a, w): c for x, c in first.items()}
@@ -384,6 +262,81 @@ def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
     return terms
 
 
+# an intern that keeps each word as it was made: ``_uninterned(w, w)`` is w
+_uninterned = {}.get
+
+
+def shuffle_terms(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
+    """Terms of the shuffle product of two words, computed afresh and
+    interned: the fill of the space's shuffle table (see ``shuffle``).
+
+    With a and b the last letters, u = u' a and v = v' b, the shuffle
+    recursion by last letters (Ree 1958) gives
+
+        u * v = (-1)^(|a| |v|) (u' * v) a + (u * v') b,
+
+    with w * "" = w and parities on shifted degrees: a ends a shuffle only
+    after crossing all of v.  When the space's table holds both prefix pairs
+    (u', v) and (u, v'), an empty prefix counting as held, u * v is one step
+    of it from their rows (``_shuffle_step``).  Otherwise it is walked over
+    the grid of prefix pairs (``_shuffle_grid``), which stores no pair.
+    Terms are listed branch by branch.
+    """
+    return _shuffle_pair(space, u, v, space._shuffle_cache.get, space._word_table.setdefault)
+
+
+def unstored_shuffle_terms(space: GradedSpace, u: Word, v: Word, intern) -> dict[Word, Scalar]:
+    """Terms of u * v for a pair that is read once and not stored: one step
+    of the recursion of ``shuffle_terms`` from the prefix pairs (u', v) and
+    (u, v'), read through the space's table by subscript, so those two are
+    stored and the next pair of the same row or column finds them.  Each
+    new word is passed through ``intern(w, w)``."""
+    return _shuffle_pair(space, u, v, space._shuffle_cache.__getitem__, intern)
+
+
+def _shuffle_pair(space, u, v, read, intern):
+    """u * v by one step from its prefix pairs, each read by ``read``, or
+    over its grid if ``read`` gives None for either."""
+    if not u or not v:
+        uv = u + v
+        return {intern(uv, uv): 1}
+    first = read((u[:-1], v)) if len(u) > 1 else {v: 1}
+    second = read((u, v[:-1])) if len(v) > 1 else {u: 1}
+    if first is None or second is None:
+        return _shuffle_grid(space, u, v)
+    a = u[-1]
+    return _shuffle_step(first, a, space._sparity[a] and word_parity(space, v), second, v[-1], intern)
+
+
+def _shuffle_grid(space: GradedSpace, u: Word, v: Word) -> dict[Word, Scalar]:
+    """u * v for nonempty words, by the recursion of ``shuffle_terms`` over
+    the grid of prefix pairs (u[:i], v[:j]), row by row and in a loop, so a
+    long word never recurses.
+
+    A cell the space's table holds is read from it; any other is one step
+    from its two neighbours, (u[:i-1], v[:j]) in the row before and
+    (u[:i], v[:j-1]) in its own row.  Each row overwrites the one before,
+    cell by cell, so a cell is dropped as soon as the next row has read it.
+    No pair is stored, and only the words of u * v itself are interned.
+    """
+    held = space._shuffle_cache.get
+    parity = space._sparity
+    # odd[j]: the parity of v[:j]
+    odd = list(itertools.accumulate(map(parity.__getitem__, v), xor, initial=0))
+    row = [{v[:j]: 1} for j in range(len(v) + 1)]  # "" * v[:j] = v[:j]
+    for i, a in enumerate(u, 1):
+        head = u[:i]
+        row[0] = {head: 1}
+        for j, b in enumerate(v, 1):
+            cell = held((head, v[:j]))
+            if cell is None:
+                last = i == len(u) and j == len(v)
+                cell = _shuffle_step(row[j], a, parity[a] and odd[j], row[j - 1], b,
+                                     space._word_table.setdefault if last else _uninterned)
+            row[j] = cell
+    return row[-1]
+
+
 def shuffle(space: GradedSpace, u: Sequence[str], v: Sequence[str]) -> TElement:
     """Shuffle product of two words given by their letter ids, with Koszul
     signs on shifted degrees.
@@ -400,29 +353,19 @@ def merge_shuffles(acc, space, word, row, coeff, word_first, shuffles=None):
 
     Each pair's terms are read from ``shuffles``, the space's shuffle table,
     which fills its misses.  Without it a pair is read from the space's
-    table only if the table holds it; any other pair is merged straight from
-    its shuffle plan, and nothing is stored or interned.  Mutates and returns
-    ``acc``; ``coeff`` and the coefficients of ``row`` must be nonzero.
+    table only if the table holds it; any other pair is built by
+    ``unstored_shuffle_terms``, which stores its prefix pairs but not the
+    pair, and interns none of its words.  Mutates and returns ``acc``;
+    ``coeff`` and the coefficients of ``row`` must be nonzero.
     """
     lookup = space._shuffle_cache.get if shuffles is None else shuffles.__getitem__
     get = acc.get
-    pword = None
     for w, c in row.items():
         c *= coeff
         pair = (word, w) if word_first else (w, word)
         terms = lookup(pair)
         if terms is None:
-            uv = pair[0] + pair[1]
-            if not word or not w:
-                terms = {uv: 1}
-            else:
-                # only a pair missing from the table needs its plan
-                parity = space._sparity.__getitem__
-                if pword is None:
-                    pword = tuple(map(parity, word))
-                pw = tuple(map(parity, w))
-                _merge_plan(acc, uv, _shuffle_plans[(pword, pw) if word_first else (pw, pword)], c)
-                continue
+            terms = unstored_shuffle_terms(space, *pair, _uninterned)
         for w2, c2 in terms.items():
             val = get(w2, 0) + c * c2
             if val:

@@ -11,8 +11,8 @@ differential.  End(C) is a DGA whenever bd has degree +1 and bd^2 = 0;
 neither is checked here, so that a broken bd can be built too (validation
 rejects it).
 
-``random_dga(rng)`` is a random algebra with degree-consistent tables,
-valid or not, for oracles that hold on any table.
+``random_dga(rng)`` and ``random_ainf(rng)`` are random algebras with
+degree-consistent tables, valid or not, for oracles that hold on any table.
 """
 
 import itertools
@@ -75,3 +75,16 @@ def random_dga(rng):
     return AlgebraSpec("random-dga", "dga", list(degree.items()),
                        {"d": random_table(rng, degree, 1, 1),
                         "mu2": random_table(rng, degree, 2, 0)})
+
+
+def random_ainf(rng):
+    """An A-infinity spec drawn from the ``random.Random`` ``rng``: 2 or 3
+    letters of degrees in {-1, 0, 1, 2}, and its mu_1 (labelled d), mu_2
+    and mu_3 tables (``random_table``), each of degree 2 - k; a table with
+    no entry is left out, so every table may be.  It is not valid in
+    general: build it with ``from_spec_unchecked``."""
+    degree = {f"x{i}": rng.choice((-1, 0, 1, 2)) for i in range(rng.choice((2, 3)))}
+    tables = {label: random_table(rng, degree, k, 2 - k)
+              for k, label in ((1, "d"), (2, "mu2"), (3, "mu3"))}
+    return AlgebraSpec("random-ainf", "ainf", list(degree.items()),
+                       {label: table for label, table in tables.items() if table})

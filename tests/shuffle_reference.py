@@ -1,6 +1,10 @@
 """Reference shuffles and the closed form of the bracket, on letter ids.
 
-``enumerate_shuffles`` lists the block shuffles of two words as permutations;
+``shuffle_signed`` lists the signed shuffles of two words, one per choice of
+the slots that the first word's letters take; the library builds every
+shuffle product by the recursion by last letters instead, and the tests
+compare the two.  ``enumerate_shuffles`` lists the block shuffles of two
+words as permutations;
 ``c_set`` gives the positions of a shuffled word where the two blocks touch.
 ``closed_form_bracket`` sums the product over those positions, shuffle by
 shuffle: the bracket of the lift of a product is its order-2 defect, and
@@ -10,9 +14,32 @@ Koszul's recursion; the tests compare the two term for term.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import xor
 
 from shufflebv.graded import InvalidInputError, koszul_sign
+
+
+def shuffle_signed(u, v, pu, pv):
+    """All interleavings of the sequences u and v, each with its Koszul sign.
+
+    ``pu`` and ``pv`` are the degree parities of the letters of u and v.
+    Returns a list of (word, sign) pairs, word a tuple, sign +1 or -1, in
+    the order that takes the next letter from u before taking it from v
+    (lexicographic in the positions occupied by u).  A shuffle is the choice
+    of the slots that u's letters take: u[i] in slot k crosses the k - i
+    letters of v placed before it.
+    """
+    # sv[j] = parity of the total degree of v[:j]
+    sv = list(accumulate(pv, xor, initial=0))
+    out = []
+    for slots in combinations(range(len(u) + len(v)), len(u)):
+        word, par = list(v), 0
+        for i, k in enumerate(slots):
+            word.insert(k, u[i])
+            par ^= pu[i] & sv[k - i]
+        out.append((tuple(word), -1 if par else 1))
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from defect_reference import bracket_reference, homogeneous_parts, order_defect_reference
 from shuffle_reference import c_set, closed_form_bracket, enumerate_shuffles
+from test_words import prefix_pairs, recorded_unstored
 
 import shufflebv.bv
 import shufflebv.operators
 from shufflebv.algebra_io import (
+    AinfAlgebra,
     AlgebraSpec,
     DGAlgebra,
     builtin,
@@ -45,6 +47,7 @@ from shufflebv.operators import (
     CompositeSum,
     MultilinearMap,
     _koszul_step,
+    composition_relations,
     defect_table,
     induced_morphism,
     lift_coderivation,
@@ -59,7 +62,8 @@ from shufflebv.words import (
     words_up_to,
 )
 from case_reference import word_tuples_with_total
-from generated_dgas import random_dga, random_table
+from generated_dgas import random_ainf, random_dga, random_table
+from lift_reference import coderivation_defect
 from test_operators import anticommutator
 from test_words import id_words
 
@@ -610,7 +614,9 @@ def test_memo_fill_matches_subset_sum(fill_ops, data):
     # a fill shuffles the rows F_(m-1)(X, b) and F_(m-1)(X, c) straight into
     # the entry; the drawn words include the empty word and odd letters,
     # whose shuffles with themselves cancel (a * a = 0 on end2, q * q = 0 on
-    # mu3); some pairs are in the space's table before the fill, some not
+    # mu3); some pairs are in the space's table before the fill, some not.
+    # A fill builds each pair the table lacks from its two prefix pairs and
+    # stores those, never the pair itself
     label, op = data.draw(st.sampled_from(fill_ops))
     space = op.space
     words = words_up_to(space, 2)
@@ -623,8 +629,10 @@ def test_memo_fill_matches_subset_sum(fill_ops, data):
     for pair in held:
         space._shuffle_cache[pair]
     pairs = set(space._shuffle_cache)
-    entry = op._defects[key[:-1]][key[-1]]
-    assert set(space._shuffle_cache) == pairs  # no fill adds a pair
+    with recorded_unstored() as built:
+        entry = op._defects[key[:-1]][key[-1]]
+    assert set(space._shuffle_cache) == pairs | prefix_pairs(built)
+    assert not pairs & set(built)  # a held pair is read, not built
     interned = space._word_table
     for X, level in op._defects.items():
         for stored in (level.values() if X else ()):
@@ -1015,6 +1023,50 @@ def test_leibniz_sweep_is_signed_order_2_defect_of_the_operator(monkeypatch):
             cases += 1
             nonzero += bool(got)
     assert (cases, nonzero) == (38_100, 7_826)
+
+
+def test_sum_relations_are_coderivations():
+    # each BV-infinity sum relation R_n, the sum of the composites of two
+    # lifts whose degrees add to n, is a graded commutator of coderivations
+    # of odd degree, so a coderivation of block length m = (6 - n)/2 - 1,
+    # valid table or not: R_n(w) = sum_j w_<j R_n(w_j ... w_(j+m-1)) w_>(j+m-1),
+    # with no sign since n is even, on every word of length <= 5 of 60
+    # random tables with mu_1, mu_2 and mu_3; and the coderivation identity
+    # of the deconcatenation coproduct holds on words of length <= 4.  The
+    # composite d o delta alone, half a commutator, is not a coderivation
+    # wherever both maps are nonzero, so that identity can fail
+    rng = random.Random(28)
+    draws = cases = nonzero = halves = 0
+    while draws < 60:
+        spec = random_ainf(rng)
+        if not spec.operations:
+            continue
+        draws += 1
+        ainf = AinfAlgebra.from_spec_unchecked(spec)
+        space = ainf.space
+        intern = space._word_table.setdefault
+        ops = [ainf.delta_op(k) for k in (1, 2, 3)]
+        for n, relation in composition_relations(ops):
+            m = (6 - n) // 2 - 1
+            for w in words_up_to(space, 5):
+                want = {}
+                for j in range(len(w) - m + 1):
+                    block = w[j:j + m]
+                    merge_scaled(want, {w[:j] + x + w[j + m:]: c
+                                        for x, c in relation(intern(block, block)).items()}, 1)
+                got = relation(w)
+                assert got == want, (n, space.decode(w))
+                cases += 1
+                nonzero += bool(got)
+        short = [space.decode(w) for w in words_up_to(space, 4)]
+        for n in range(2, -8, -2):
+            R = CompositeSum([(1, P, Q) for P in ops for Q in ops if P.degree + Q.degree == n])
+            assert not any(coderivation_defect(R, w) for w in short), n
+        half = CompositeSum([(1, ops[0], ops[1])])
+        fails = any(coderivation_defect(half, w) for w in short)
+        assert fails == ("d" in spec.operations and "mu2" in spec.operations)
+        halves += fails
+    assert (cases, nonzero, halves) == (74_585, 18_815, 35)
 
 
 # -- operator order ----------------------------------------------------------------

@@ -587,6 +587,44 @@ def test_eval_refuses_words_with_too_many_shuffles(fixture_file, capsys, monkeyp
     assert len(built) == 3
 
 
+def test_eval_refuses_a_lift_that_would_store_too_many_terms(fixture_file, capsys, monkeypatch):
+    # the lift stores the image of every prefix of the word, at most
+    # e (m - k + 1) terms at length m, so eval bounds their sum,
+    # e (n - k + 1)(n - k + 2)/2, and refuses with exit 2 and one line on
+    # stderr above DEFAULT_MAX_CASES, before building anything.  On
+    # end-two-term-complex d has arity 1 and e = 2 (d b = a + e), mu2 arity
+    # 2 and e = 1, so d admits 1,413 letters (1,997,982 terms) and refuses
+    # 1,414, and delta admits 2,000 (1,999,000) and refuses 2,001.  The lift
+    # is stubbed, so no admitted image is built either
+    import shufflebv.cli as cli
+    from shufflebv.words import TElement
+
+    built = []
+
+    def stub(c):
+        built.append(c.arity)
+        return lambda x: TElement.zero(x.space)
+
+    monkeypatch.setattr(cli, "lift_coderivation", stub)
+    path = fixture_file("end-two-term-complex")
+    word = lambda n: ["--x", ",".join(["b"] * n)]
+    for op, n, terms in (("d", 1414, 2_000_810), ("d", 2000, 4_002_000), ("delta", 2001, 2_001_000)):
+        assert main(["eval", path, "--op", op, *word(n)]) == 2, (op, n)
+        assert capsys.readouterr() == ("", f"refused: the lift would store up to {terms} terms, "
+                                           f"more than {cli.DEFAULT_MAX_CASES}\n"), (op, n)
+    assert built == []
+    for op, n in (("d", 1413), ("delta", 2000), ("d", 0), ("delta", 1)):
+        assert main(["eval", path, "--op", op, *word(n)]) == 0, (op, n)
+        assert capsys.readouterr() == ("0\n", ""), (op, n)
+    assert built == [1, 2, 1, 2]
+    # an admitted word evaluates as before: d b^3 puts a + e in place of
+    # each b in turn
+    monkeypatch.undo()
+    assert main(["eval", path, "--op", "d", *word(3)]) == 0
+    assert capsys.readouterr().out == ("a(x)b(x)b + b(x)a(x)b + b(x)b(x)a + b(x)b(x)e + b(x)e(x)b"
+                                       " + e(x)b(x)b\n")
+
+
 # -- fixtures ------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Words and the shuffle product."""
 
+import contextlib
 import gc
 import itertools
 import random
@@ -17,21 +18,20 @@ from shufflebv.words import (
     TElement,
     merge_images,
     merge_scaled,
-    merge_shuffle_images,
     render_telement,
     shuffle,
     shuffle_elements,
-    shuffle_signed,
     shuffle_terms,
     sorted_terms,
+    unstored_shuffle_terms,
     word_degree,
     words_up_to,
 )
 from case_reference import word_tuples_with_total
 
-from defect_reference import shuffle_many
+from defect_reference import order_defect_reference, shuffle_many
 from lift_reference import shifted_parity
-from shuffle_reference import Shuffle, enumerate_shuffles
+from shuffle_reference import Shuffle, enumerate_shuffles, shuffle_signed
 from test_graded import bubble_sign
 
 
@@ -195,7 +195,7 @@ def test_shuffle_signed_matches_shuffle_enumeration_in_order():
 
 
 def test_shuffle_signed_at_the_lengths_the_sweeps_use():
-    # --pair-len 4 builds plans up to (4, 4) and --triple-len 3 defect-memo
+    # --pair-len 4 shuffles pairs up to (4, 4) and --triple-len 3 defect-memo
     # fills reach n + m = 9: a few seeded parity patterns for each n + m <= 9,
     # the all-odd one among them
     rng = random.Random(9)
@@ -410,86 +410,62 @@ def test_words_up_to_and_tuples(mixed):
     assert word_tuples_with_total(mixed, 3, 2) == []
 
 
-def test_memo_fill_reads_but_never_fills_the_shuffle_table(monkeypatch):
+@contextlib.contextmanager
+def recorded_unstored():
+    """The (u, v) of every ``unstored_shuffle_terms`` call inside the block:
+    ``merge_shuffles`` calls it through ``words``, ``_koszul_step`` through
+    ``operators``, so both names are wrapped."""
+    calls = []
+    build = words.unstored_shuffle_terms
+
+    def recorded(space, u, v, intern):
+        calls.append((u, v))
+        return build(space, u, v, intern)
+
+    try:
+        words.unstored_shuffle_terms = operators.unstored_shuffle_terms = recorded
+        yield calls
+    finally:
+        words.unstored_shuffle_terms = operators.unstored_shuffle_terms = build
+
+
+def prefix_pairs(pairs):
+    """The prefix pairs (u', v) and (u, v') of each pair (u, v) with
+    nonempty u' or v' respectively: the pairs a fill of (u, v) by one step
+    of the last-letter recursion reads."""
+    out = set()
+    for u, v in pairs:
+        if len(u) > 1 and v:
+            out.add((u[:-1], v))
+        if len(v) > 1 and u:
+            out.add((u, v[:-1]))
+    return out
+
+
+def test_memo_fill_stores_only_prefix_pairs():
     # a defect-memo fill takes b * c from the space's table when the table
-    # holds the pair, and merges its images straight from the pair's
-    # shuffle plan otherwise, computing no b * c; it never adds a pair, and
-    # the two ways give equal entries
+    # holds the pair, and builds it by one step from its prefix pairs
+    # otherwise; the pairs of the rows it shuffles likewise.  It stores the
+    # prefix pairs of the pairs it builds, never a pair it builds itself,
+    # and the two ways give equal entries
     space = GradedSpace("peek", [BasisLetter("x", 0), BasisLetter("y", 1)])
     mu = operators.MultilinearMap(space, 2, 0, {("x", "x"): {"x": 1}, ("x", "y"): {"y": 1}})
     op = operators.lift_coderivation(mu)
-    u, v = space.encode(("x", "y")), space.encode(("y",))
-    fresh = []
-    fill = words.shuffle_terms
-
-    def counted(space, b, c):
-        fresh.append((b, c))
-        return fill(space, b, c)
-
-    # operators binds no shuffle_terms of its own, so every call goes
-    # through words and is counted
-    assert not hasattr(operators, "shuffle_terms")
-    monkeypatch.setattr(words, "shuffle_terms", counted)
-    entry = op._defects[(u,)][v]
-    assert fresh == [] and space._shuffle_cache == {}
-    cached = shuffle(space, ("x", "y"), ("y",)).terms
-    assert fresh == [(u, v)]
+    u, v = space.encode(("x", "y", "x")), space.encode(("y", "x"))
+    with recorded_unstored() as built:
+        entry = op._defects[(u,)][v]
+    assert (u, v) in built and len(built) > 1
+    assert set(space._shuffle_cache) == prefix_pairs(built)
+    assert (u, v) not in space._shuffle_cache
+    assert all(w is space._word_table[w] for w in entry)
+    inputs = [TElement._make(space, {w: 1}) for w in (u, v)]
+    assert entry == order_defect_reference(op, 1, inputs).terms
+    cached = shuffle(space, ("x", "y", "x"), ("y", "x")).terms
     op._defects.clear()
-    assert op._defects[(u,)][v] == entry
-    assert fresh == [(u, v)] and list(space._shuffle_cache) == [(u, v)]
+    with recorded_unstored() as built:
+        assert op._defects[(u,)][v] == entry
+    assert (u, v) not in built  # read from the table, which holds it now
     assert space._shuffle_cache[u, v] is cached
-
-
-def test_merge_shuffle_images_matches_merge_images():
-    # x has odd shifted degree, y even: over the words of length <= 3, the
-    # empty word included, terms of b * c cancel (x * x = 0) and repeat
-    # (y * y = 2 yy); the kernel merges the same images as merge_images over
-    # shuffle_terms, into a nonempty accumulator with a Fraction coeff, and
-    # fills the table only under interned words, storing no shuffle pair
-    space = GradedSpace("kernel", [BasisLetter("x", 0), BasisLetter("y", 1)])
-
-    def image(w):
-        # nonzero coefficients; the terms of distinct words overlap
-        return {w: len(w) + 1, w[1:] + "!": -2} if w else {"!": 3}
-
-    ws = words_up_to(space, 3)
-    start = {ws[1]: 5, "!": Fraction(1, 3)}
-    coeff = Fraction(-3, 2)
-    for b, c in itertools.product(ws, repeat=2):
-        table = Table(image)
-        got = merge_shuffle_images(dict(start), space, b, c, table, coeff)
-        want = merge_images(dict(start), shuffle_terms(space, b, c), Table(image), coeff)
-        assert got == want, (b, c)
-        assert all(w is space._word_table[w] for w in table), (b, c)
-    assert space._shuffle_cache == {}
-    x = space.encode(("x",))
-    assert shuffle_terms(space, x, x) == {}
-    assert merge_shuffle_images({}, space, x, x, Table(image), 1) == {}
-    # a word is interned only on a miss.  A table that holds every word the
-    # plans make, under words of another space, leaves the intern table of
-    # a new space as it was, and fills nothing; a table that holds every
-    # other word fills each miss under the interned word, and keeps the
-    # keys it held
-    other = GradedSpace("kernel", [BasisLetter("x", 0), BasisLetter("y", 1)])
-    held = {w: image(w) for w in words_up_to(other, 6)}
-    fresh = GradedSpace("kernel", [BasisLetter("x", 0), BasisLetter("y", 1)])
-    fresh_ws = words_up_to(fresh, 3)
-    interned = dict(fresh._word_table)
-    for b, c in itertools.product(fresh_ws, repeat=2):
-        table = Table(image)
-        table.update(held)
-        got = merge_shuffle_images(dict(start), fresh, b, c, table, coeff)
-        assert got == merge_images(dict(start), shuffle_terms(space, b, c), Table(image), coeff)
-        assert fresh._word_table == interned and len(table) == len(held), (b, c)
-    half = dict(itertools.islice(held.items(), 0, None, 2))
-    for b, c in itertools.product(fresh_ws, repeat=2):
-        table = Table(image)
-        table.update(half)
-        merge_shuffle_images({}, fresh, b, c, table, coeff)
-        for key in table:
-            owner = other if key in half else fresh
-            assert key is owner._word_table[key], (b, c, key)
-    assert len(fresh._word_table) > len(interned)
 
 
 def signed_sum(space, u, v):
@@ -505,73 +481,108 @@ def signed_sum(space, u, v):
     return want
 
 
-def test_shuffle_plans_match_shuffle_signed():
-    # x has odd shifted degree, y even: the words over {x, y} of length <= 3
-    # give every parity pattern, and repeated x's make terms cancel.  A plan
-    # merges its terms in shuffle_signed's order; shuffle_terms, which may
-    # build a pair from its prefix pairs, gives the same terms in any order
-    space = GradedSpace("plans", [BasisLetter("x", 0), BasisLetter("y", 1)])
-    parity = space._sparity.__getitem__
-    for u, v in itertools.product(words_up_to(space, 3), repeat=2):
-        want = signed_sum(space, u, v)
-        assert shuffle_terms(space, u, v) == want, (u, v)
-        if u and v:
-            plan = words._shuffle_plans[tuple(map(parity, u)), tuple(map(parity, v))]
-            got = words._merge_plan({}, u + v, plan, 1)
-            assert list(got.items()) == list(want.items()), (u, v)
-    x = space.encode(("x",))
-    assert shuffle_terms(space, x, x) == {}  # x * x = 0: its terms cancel
-    # one getter tuple per pair of lengths, shared by all parity patterns
-    for (pu, pv), (getters, signs) in words._shuffle_plans.items():
-        assert getters is words._shuffle_getters[len(pu), len(pv)]
-        assert len(signs) == len(getters) == comb(len(pu) + len(pv), len(pu))
-    lengths = {(len(pu), len(pv)) for pu, pv in words._shuffle_plans}
-    assert {(n, m) for n in range(1, 4) for m in range(1, 4)} <= lengths
+def recursion_space(name):
+    # x has odd shifted degree and y even, so x * x = 0 and y * y = 2 yy; z
+    # is odd too, so a last letter meets one of its own parity and one of
+    # the other, and the words of length <= 3 give every parity pattern
+    return GradedSpace(
+        name, [BasisLetter("x", 0), BasisLetter("y", 1), BasisLetter("z", 2)]
+    )
 
 
-def counted_plans(monkeypatch):
-    """The (u + v) of every ``_merge_plan`` call from now on."""
+def counted_grids(monkeypatch):
+    """The (u, v) of every ``_shuffle_grid`` call from now on."""
     calls = []
-    merge = words._merge_plan
+    walk = words._shuffle_grid
 
-    def counted(acc, uv, plan, coeff):
-        calls.append(uv)
-        return merge(acc, uv, plan, coeff)
+    def counted(space, u, v):
+        calls.append((u, v))
+        return walk(space, u, v)
 
-    monkeypatch.setattr(words, "_merge_plan", counted)
+    monkeypatch.setattr(words, "_shuffle_grid", counted)
     return calls
 
 
 def test_shuffle_table_fills_from_prefix_pairs(monkeypatch):
-    # x has odd shifted degree and y even, so x * x = 0 and y * y = 2 yy;
-    # z is odd too, so a last letter meets one of its own parity and one of
-    # the other.  Filled in product order, every pair finds both its prefix
-    # pairs held, and no fill walks a plan
-    space = GradedSpace(
-        "prefix", [BasisLetter("x", 0), BasisLetter("y", 1), BasisLetter("z", 2)]
-    )
-    plans = counted_plans(monkeypatch)
+    # filled in product order, every pair finds both its prefix pairs held
+    # and is one step of the recursion: no fill walks the grid
+    space = recursion_space("prefix")
+    grids = counted_grids(monkeypatch)
     ws = words_up_to(space, 3)
     for u, v in itertools.product(ws, repeat=2):
         got = space._shuffle_cache[u, v]
         assert got == signed_sum(space, u, v), (space.decode(u), space.decode(v))
         assert all(w is space._word_table[w] for w in got)
-    assert plans == []
+    assert grids == []
     x, y = space.encode(("x",)), space.encode(("y",))
     assert space._shuffle_cache[x, x] == {} and space._shuffle_cache[y, y] == {y + y: 2}
 
 
-def test_a_lone_long_pair_is_filled_from_its_plan(monkeypatch):
+def test_shuffle_grid_matches_shuffle_signed(monkeypatch):
+    # on an empty table every pair with a word of two or more letters lacks
+    # a prefix pair, so it is walked over its grid; none is stored
+    space = recursion_space("grid")
+    grids = counted_grids(monkeypatch)
+    ws = words_up_to(space, 3)
+    for u, v in itertools.product(ws, repeat=2):
+        got = shuffle_terms(space, u, v)
+        assert got == signed_sum(space, u, v), (space.decode(u), space.decode(v))
+        assert all(w is space._word_table[w] for w in got)
+    assert len(grids) == sum(1 for u, v in itertools.product(ws, repeat=2)
+                             if u and v and len(u) + len(v) > 2)
+    assert space._shuffle_cache == {}
+    # a grid reads the cells the table holds: with every shorter pair held,
+    # it gives the same terms
+    for u, v in itertools.product(words_up_to(space, 2), repeat=2):
+        space._shuffle_cache[u, v]
+    for u, v in itertools.product(ws, repeat=2):
+        if u and v:
+            assert words._shuffle_grid(space, u, v) == signed_sum(space, u, v)
+
+
+def test_unstored_pair_stores_only_its_prefix_pairs():
+    # a pair built once is one step from its prefix pairs, which it reads
+    # through the table, so exactly they are stored; the pair is not
+    space = recursion_space("unstored")
+    ws = words_up_to(space, 3)
+    keep = {}.get
+    for u, v in itertools.product(ws, repeat=2):
+        space._shuffle_cache.clear()
+        before = set(space._word_table)
+        got = unstored_shuffle_terms(space, u, v, keep)
+        assert got == signed_sum(space, u, v), (space.decode(u), space.decode(v))
+        assert set(space._shuffle_cache) == prefix_pairs([(u, v)])
+        # with an intern that keeps each word, only the prefix pairs' words
+        # are interned; with the space's, the pair's words too
+        held = {w for terms in space._shuffle_cache.values() for w in terms}
+        assert set(space._word_table) - before <= held
+        interned = unstored_shuffle_terms(space, u, v, space._word_table.setdefault)
+        assert interned == got and all(w is space._word_table[w] for w in interned)
+    x = space.encode(("x",))
+    assert unstored_shuffle_terms(space, x, x, keep) == {}  # x * x = 0
+
+
+def test_a_lone_long_pair_is_walked_over_its_grid():
     # a 300-letter word shuffled with one letter, on a fresh space: the
-    # prefix pairs are missing, so the plan fills the pair, with no chain of
-    # prefix fills (no deep recursion) and no other pair stored
+    # prefix pairs are missing, so the grid builds the pair in a loop, with
+    # no chain of prefix fills; it stores no pair and interns only the 301
+    # words of the product, none of the grid's shorter ones
     space = GradedSpace("lone", [BasisLetter("a", 0), BasisLetter("b", 1)])
-    plans = counted_plans(monkeypatch)
-    got = shuffle(space, ("a",) * 300, ("b",))
     u, v = space.encode(("a",) * 300), space.encode(("b",))
-    assert len(got.terms) == 301 and got.terms == signed_sum(space, u, v)
-    assert plans == [u + v]
-    assert list(space._shuffle_cache) == [(u, v)]
+    got = shuffle_terms(space, u, v)
+    assert len(got) == 301 and got == signed_sum(space, u, v)
+    assert space._shuffle_cache == {}
+    assert set(space._word_table) == set(got)
+    # 200 letters through the table and through the path that does not
+    # store the pair: no RecursionError, and only the expected pairs held
+    a200, b = space.encode(("a",) * 200), space.encode(("b",))
+    assert len(shuffle(space, ("a",) * 200, ("b",)).terms) == 201
+    assert list(space._shuffle_cache) == [(a200, b)]
+    space._shuffle_cache.clear()
+    bb = b + b
+    got = unstored_shuffle_terms(space, a200, bb, {}.get)
+    assert len(got) == comb(202, 2) and got == signed_sum(space, a200, bb)
+    assert set(space._shuffle_cache) == {(a200[:-1], bb), (a200, b)}
 
 
 def test_shuffle_many(mixed):
